@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--force", action="store_true",
                         help="override the desk-scale size guard")
         sp.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled modes and search ordering")
+                        help="accepted for interface stability; "
+                             "no command reads it")
         sp.add_argument("--threads", type=int, default=0,
                         help="worker cap (0 = available parallelism); "
                              "output is independent of this value")
@@ -135,10 +136,13 @@ def _fibration_doc(g, fib, spread) -> dict:
     }
 
 
-def _run_suites(args, g, suites) -> list[dict]:
-    ext = ExtFieldCtx.build(args.n)
-    sc = singer_context(g, ext)
-    fib = t_orbit_fibration(sc)
+def _singer_fibration(args, g):
+    """The Singer context and its T-orbit fibration, built once per run."""
+    sc = singer_context(g, ExtFieldCtx.build(args.n))
+    return sc, t_orbit_fibration(sc)
+
+
+def _run_suites(g, sc, fib, suites) -> list[dict]:
     reports = []
     for name in suites:
         if name == "prop1":
@@ -189,16 +193,14 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "fibration":
-            ext = ExtFieldCtx.build(args.n)
-            sc = singer_context(g, ext)
-            fib = t_orbit_fibration(sc)
+            _, fib = _singer_fibration(args, g)
             spread = common_tangent_spread(fib, g)
             _emit(_fibration_doc(g, fib, spread), args.format)
             return 0
 
         if args.command == "verify":
             suites = SUITES if args.suite == "all" else (args.suite,)
-            reports = _run_suites(args, g, suites)
+            reports = _run_suites(g, *_singer_fibration(args, g), suites)
             _emit(reports, args.format)
             return 0 if all(r["pass"] for r in reports) else 1
 
@@ -219,11 +221,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "all":
-            ext = ExtFieldCtx.build(args.n)
-            sc = singer_context(g, ext)
-            fib = t_orbit_fibration(sc)
+            sc, fib = _singer_fibration(args, g)
             spread = common_tangent_spread(fib, g)
-            reports = _run_suites(args, g, SUITES)
+            reports = _run_suites(g, sc, fib, SUITES)
             _emit({"geometry": _geometry_summary(g),
                    "fibration": _fibration_doc(g, fib, spread),
                    "reports": reports}, args.format)

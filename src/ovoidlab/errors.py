@@ -61,6 +61,11 @@ class NotRegular(OvoidlabError):
     """The spread is not regular (or its fixing group has the wrong order)."""
 
 
+class InvariantViolation(OvoidlabError):
+    """A construction broke a guaranteed invariant (a Singer generator of the
+    wrong projective order, or a degenerate polarity)."""
+
+
 class SpreadNotTangent(OvoidlabError):
     """A spread line is not tangent to the given ovoid."""
 

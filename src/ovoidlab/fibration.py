@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (NotAFibration, NotASpread, NotRegular,
-                     SpreadNotTangent)
+from .errors import (InvariantViolation, NotAFibration, NotASpread,
+                     NotRegular, SpreadNotTangent)
 from .gfield import (ExtFieldCtx, FieldCtx, mat_det, mat_identity, mat_mul,
                      mat_pow, mult_matrix, nullspace)
 from .ovoids import Ovoid, is_ovoid, tangent_lines
@@ -25,15 +25,6 @@ def point_permutation(g: GeometryTables, m) -> list[int]:
                   ^ mul(row[2], x[2]) ^ mul(row[3], x[3]) for row in m)
         perm.append(g.index_of(w))
     return perm
-
-
-def _perm_order_transitive(perm: list[int]) -> int:
-    """Cycle length of point 0; equals the order when the orbit is full."""
-    k, cur = 1, perm[0]
-    while cur != 0:
-        cur = perm[cur]
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)
@@ -55,12 +46,6 @@ class Fibration:
 
     members: tuple[Ovoid, ...]
 
-    def member_of(self, point: int) -> int:
-        for i, ov in enumerate(self.members):
-            if (ov.mask >> point) & 1:
-                return i
-        raise NotAFibration(f"point {point} is uncovered")
-
 
 @dataclass(frozen=True)
 class Spread:
@@ -71,9 +56,9 @@ def singer_context(g: GeometryTables, ext: ExtFieldCtx) -> SingerContext:
     q = g.q
     gen = mult_matrix(ext.omega, ext)
     gen_perm = point_permutation(g, gen)
-    order = _perm_order_transitive(gen_perm)
+    order = _perm_order_transitive_cycle(gen_perm, 0)
     if order != (q * q + 1) * (q + 1):
-        raise AssertionError(
+        raise InvariantViolation(
             f"Singer generator has projective order {order}, "
             f"expected {(q * q + 1) * (q + 1)}")
     ctx = g.ctx
@@ -82,14 +67,15 @@ def singer_context(g: GeometryTables, ext: ExtFieldCtx) -> SingerContext:
     t_perm = point_permutation(g, t_gen)
     k_perm = point_permutation(g, k_gen)
     if _perm_order_transitive_cycle(t_perm, 0) != q * q + 1:
-        raise AssertionError("T generator has wrong projective order")
+        raise InvariantViolation("T generator has wrong projective order")
     if _perm_order_transitive_cycle(k_perm, 0) != q + 1:
-        raise AssertionError("K generator has wrong projective order")
+        raise InvariantViolation("K generator has wrong projective order")
     return SingerContext(g, ext, gen, t_gen, k_gen,
                          tuple(gen_perm), tuple(t_perm), tuple(k_perm))
 
 
 def _perm_order_transitive_cycle(perm, start) -> int:
+    """Cycle length of start; equals the order when the orbit is full."""
     k, cur = 1, perm[start]
     while cur != start:
         cur = perm[cur]
@@ -186,13 +172,16 @@ def is_regular_spread(s: Spread, g: GeometryTables, *,
                       sample: int | None = None, seed: int = 0) -> bool:
     """True iff the regulus of every line triple stays inside the spread.
 
-    sample=N checks N random triples instead of all of them.
+    sample=N checks N random triples instead of all of them.  Three skew
+    lines lie in exactly one regulus, so once a regulus is found inside the
+    spread all its triples are marked done and skipped: the exhaustive
+    check computes q(q^2+1) reguli instead of one per triple.
     """
     if not _is_spread(s.lines, g):
         raise NotASpread("input is not a spread")
-    members = set(s.lines)
     lines = s.lines
     k = len(lines)
+    pos = {li: i for i, li in enumerate(lines)}
     if sample is None:
         triples = ((a, b, c) for a in range(k) for b in range(a + 1, k)
                    for c in range(b + 1, k))
@@ -201,27 +190,23 @@ def is_regular_spread(s: Spread, g: GeometryTables, *,
         rng = random.Random(seed)
         triples = (tuple(sorted(rng.sample(range(k), 3)))
                    for _ in range(sample))
-    pair_to_line = g.pair_to_line
-    glines = g.lines
+    # done[a * k + b] has bit c set once triple (a, b, c) lies in a regulus
+    # already proved to be inside the spread
+    done = [0] * (k * k)
     for a, b, c in triples:
-        l1, l2, l3 = glines[lines[a]], glines[lines[b]], glines[lines[c]]
-        # opposite regulus: the unique transversal through each point of l1
-        opp = []
-        for p in l1.pts:
-            for x in l2.pts:
-                li = pair_to_line[(p, x) if p < x else (x, p)]
-                if glines[li].mask & l3.mask:
-                    opp.append(li)
-                    break
-        # the regulus itself: transversals of three opposite lines
-        o1, o2, o3 = glines[opp[0]], glines[opp[1]], glines[opp[2]]
-        for p in o1.pts:
-            for x in o2.pts:
-                li = pair_to_line[(p, x) if p < x else (x, p)]
-                if glines[li].mask & o3.mask:
-                    if li not in members:
-                        return False
-                    break
+        if done[a * k + b] >> c & 1:
+            continue
+        reg = []
+        for li in g._regulus_lines(lines[a], lines[b], lines[c]):
+            i = pos.get(li)
+            if i is None:
+                return False
+            reg.append(i)
+        reg.sort()
+        mask = sum(1 << i for i in reg)
+        for j, x in enumerate(reg):
+            for y in reg[j + 1:]:
+                done[x * k + y] |= mask
     return True
 
 
@@ -325,58 +310,56 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
     q = g.q
     target = q * q + 1
     glines = g.lines
-    pair_to_line = g.pair_to_line
+    nl = len(glines)
     lines_by_point: dict[int, list[int]] = {}
     for li in sorted(tlset):
         for p in glines[li].pts:
             lines_by_point.setdefault(p, []).append(li)
     nodes = 0
+    # line pair x * nl + y (x < y) -> the reguli met so far through x and y;
+    # each regulus is one frozenset shared by all of its pairs
+    reguli: dict[int, list[frozenset]] = {}
+
+    def regulus_of(x: int, y: int, z: int) -> frozenset:
+        """The regulus through three pairwise skew lines, computed once."""
+        for r in reguli.get(x * nl + y if x < y else y * nl + x, ()):
+            if z in r:
+                return r
+        r = frozenset(g._regulus_lines(x, y, z))
+        members = sorted(r)
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                reguli.setdefault(u * nl + v, []).append(r)
+        return r
 
     def closure(chosen: list[int], covered: int, new: int):
         """Add new plus all regulus-forced lines; None on conflict."""
         chosen = list(chosen)
-        covered_local = covered
+        seen = set(chosen)
+        seen.add(new)
         queue = [new]
         while queue:
             li = queue.pop()
             m = glines[li].mask
-            if covered_local & m:
+            if covered & m or li not in tlset:
                 return None, None
-            if li not in tlset:
-                return None, None
-            covered_local |= m
+            covered |= m
             chosen.append(li)
             if len(chosen) > target:
                 return None, None
             # reguli through pairs of existing lines and the new line
-            lnew = glines[li]
             for a in range(len(chosen) - 1):
+                la = chosen[a]
                 for b in range(a + 1, len(chosen) - 1):
-                    la, lb = glines[chosen[a]], glines[chosen[b]]
-                    opp = []
-                    for p in la.pts:
-                        for x in lb.pts:
-                            t = pair_to_line[(p, x) if p < x else (x, p)]
-                            if glines[t].mask & lnew.mask:
-                                opp.append(t)
-                                break
-                    if len(opp) < 3:
-                        return None, None
-                    o1, o2, o3 = (glines[opp[0]], glines[opp[1]],
-                                  glines[opp[2]])
-                    for p in o1.pts:
-                        for x in o2.pts:
-                            t = pair_to_line[(p, x) if p < x else (x, p)]
-                            if glines[t].mask & o3.mask:
-                                if t not in tlset:
-                                    return None, None
-                                if t not in chosen and t not in queue:
-                                    tm = glines[t].mask
-                                    if covered_local & tm:
-                                        return None, None
-                                    queue.append(t)
-                                break
-        return chosen, covered_local
+                    for t in regulus_of(la, chosen[b], li):
+                        if t not in tlset:
+                            return None, None
+                        if t not in seen:
+                            if covered & glines[t].mask:
+                                return None, None
+                            seen.add(t)
+                            queue.append(t)
+        return chosen, covered
 
     def search(chosen: list[int], covered: int):
         nonlocal nodes

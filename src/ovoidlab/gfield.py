@@ -189,26 +189,8 @@ class FieldCtx:
     def elements(self):
         return range(self.size)
 
-    def mul_table(self) -> list[list[int]]:
-        """Dense q x q product table (small fields only)."""
-        return [[self.mul(a, b) for b in range(self.size)]
-                for a in range(self.size)]
-
     def __repr__(self):
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#x})"
-
-
-# Module-level aliases matching the operation names used elsewhere.
-def f_add(a: int, b: int) -> int:
-    return a ^ b
-
-
-def f_mul(ctx: FieldCtx, a: int, b: int) -> int:
-    return ctx.mul(a, b)
-
-
-def f_inv(ctx: FieldCtx, a: int) -> int:
-    return ctx.inv(a)
 
 
 # -- GF(2) linear solves (used for extension-field coordinates) ----------

@@ -96,23 +96,29 @@ class GeometryTables:
                 return li
         return None
 
+    def _transversal_lines(self, l1: int, l2: int, l3: int) -> list[int]:
+        """Transversals of three lines, one per point of l1; unchecked, so
+        the caller guarantees the lines are pairwise skew."""
+        b, mask3 = self.lines[l2], self.lines[l3].mask
+        return [self._transversal_through(p, b, mask3)
+                for p in self.lines[l1].pts]
+
+    def _regulus_lines(self, l1: int, l2: int, l3: int) -> list[int]:
+        """The q+1 lines of the regulus through three pairwise skew lines
+        (unchecked): the transversals of three of their transversals."""
+        opp = self._transversal_lines(l1, l2, l3)
+        return self._transversal_lines(opp[0], opp[1], opp[2])
+
     def transversals(self, l1: int, l2: int, l3: int) -> list[int]:
         """The q+1 lines meeting each of three pairwise skew lines."""
         self._check_skew(l1, l2, l3)
-        a, b, c = self.lines[l1], self.lines[l2], self.lines[l3]
-        out = []
-        for p in a.pts:
-            t = self._transversal_through(p, b, c.mask)
-            if t is not None:
-                out.append(t)
-        return sorted(set(out))
+        return sorted(self._transversal_lines(l1, l2, l3))
 
     def regulus(self, l1: int, l2: int, l3: int):
         """(R, R_opp): the unique regulus through the three lines and its
         opposite (their transversal set)."""
         opp = self.transversals(l1, l2, l3)
-        reg = self.transversals(opp[0], opp[1], opp[2])
-        return tuple(reg), tuple(opp)
+        return tuple(sorted(self._transversal_lines(*opp[:3]))), tuple(opp)
 
 
 def build_geometry(n: int, *, force: bool = False,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoPolarity
+from .errors import InvariantViolation, NoPolarity
 from .gfield import mat_det, nullspace
 from .projspace import GeometryTables, Line
 
@@ -94,7 +94,10 @@ def perp_line(l: Line, f: SymplecticForm, g: GeometryTables) -> Line:
     w1 = f.point_perp_normal(g, u)
     w2 = f.point_perp_normal(g, v)
     basis = nullspace(g.ctx, [w1, w2], 4)
-    assert len(basis) == 2, "nondegenerate form must give a 2-dim perp"
+    if len(basis) != 2:
+        raise InvariantViolation(
+            f"perp of line {l.index} has dimension {len(basis)}, want 2 "
+            "(degenerate form)")
     p1 = g.index_of(basis[0])
     p2 = g.index_of(basis[1])
     return g.line_through(p1, p2)

@@ -167,3 +167,43 @@ def test_cli_all_command(capsys):
     doc = json.loads(out)
     assert set(doc) == {"geometry", "fibration", "reports"}
     assert all(r["pass"] for r in doc["reports"])
+
+
+@pytest.mark.parametrize("failing_call, message", [
+    (0, "Singer generator has projective order"),
+    (1, "T generator has wrong projective order"),
+    (2, "K generator has wrong projective order"),
+])
+def test_cli_singer_order_failure_exits_2(capsys, monkeypatch, failing_call,
+                                          message):
+    from ovoidlab import fibration
+    real = fibration._perm_order_transitive_cycle
+    calls = []
+
+    def broken(perm, start):
+        calls.append(start)
+        return 0 if len(calls) - 1 == failing_call else real(perm, start)
+
+    monkeypatch.setattr(fibration, "_perm_order_transitive_cycle", broken)
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--no-cache",
+                             "--suite", "lemma5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_cli_all_builds_singer_context_once(capsys, monkeypatch):
+    from ovoidlab import cli
+    counts = {"singer_context": 0, "t_orbit_fibration": 0}
+    for name in counts:
+        real = getattr(cli, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    code, _, _ = run_cli(capsys, "all", "--n", "2", "--no-cache")
+    assert code == 0
+    assert counts == {"singer_context": 1, "t_orbit_fibration": 1}

@@ -1,6 +1,7 @@
 import pytest
 
-from ovoidlab.errors import NoPolarity
+from ovoidlab import symplectic
+from ovoidlab.errors import InvariantViolation, NoPolarity
 from ovoidlab.gfield import mat_det
 from ovoidlab.ovoids import Ovoid, tangent_lines
 from ovoidlab.symplectic import (enumerate_dual_grids, is_isotropic_line,
@@ -43,6 +44,15 @@ def test_perp_involution_all_lines_q4(geo2):
             assert mp.index == ln.index
         else:
             assert not mp.mask & ln.mask
+
+
+def test_perp_line_degenerate_raises_typed_error(geo2, monkeypatch):
+    # a one-dimensional "perp" can only come from a degenerate form; the
+    # check must survive python -O, so it is a raise, not an assert
+    monkeypatch.setattr(symplectic, "nullspace",
+                        lambda ctx, rows, width: [(0, 0, 0, 1)])
+    with pytest.raises(InvariantViolation):
+        perp_line(geo2.lines[0], standard_form(), geo2)
 
 
 @pytest.mark.parametrize("fix,count", [("geo2", 136), ("geo3", 2080)])
