@@ -23,7 +23,7 @@ import struct
 from pathlib import Path
 
 from .gfield import FieldCtx
-from .projspace import GeometryTables, build_geometry
+from .projspace import GeometryTables, build_geometry, point_coords
 
 MAGIC = b"OVGE"
 VERSION = 1
@@ -57,12 +57,14 @@ def save_geometry(g: GeometryTables, cache_dir: Path) -> Path:
 
 
 def load_geometry(path: Path) -> GeometryTables:
-    """Reconstruct tables from a cache file; derived incidence maps are
-    recomputed from the stored arrays."""
-    from .projspace import Line, Plane, Point
+    """Reconstruct tables from a cache file, validating the stored arrays
+    before the incidence maps are derived from them.
 
+    Raises ValueError on a file that is not a well-formed v1 cache of a
+    PG(3,q) point-line incidence."""
     data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
+    head = 4 + struct.calcsize("<IIQQ")
+    if data[:4] != MAGIC or len(data) < head + struct.calcsize("<III"):
         raise ValueError(f"{path}: not an ovoidlab geometry cache")
     version, n, modulus, generator = struct.unpack_from("<IIQQ", data, 4)
     if version != VERSION:
@@ -71,70 +73,51 @@ def load_geometry(path: Path) -> GeometryTables:
     if ctx.generator != generator:
         raise ValueError(f"{path}: generator mismatch")
     q = ctx.size
-    off = 4 + struct.calcsize("<IIQQ")
-    n_points, n_lines, n_planes = struct.unpack_from("<III", data, off)
-    off += struct.calcsize("<III")
+    n_points, n_lines, n_planes = struct.unpack_from("<III", data, head)
+    off = head + struct.calcsize("<III")
 
     expect = (n_points + n_planes) * 4 + n_lines * (q + 1)
     if len(data) != off + 4 * expect:
         raise ValueError(f"{path}: truncated or padded cache")
+    coords = point_coords(q)
+    canon = b"".join(struct.pack("<4I", *c) for c in coords)
+    if data[off:off + 16 * n_points] != canon:
+        raise ValueError(f"{path}: point coordinates are not the points "
+                         f"of PG(3,{q}) in lex order")
+    # plane i has normal coords[i]; the tables derive the planes from it
+    if data[len(data) - 16 * n_planes:] != canon:
+        raise ValueError(f"{path}: plane normals differ from point coords")
+    if n_lines * q * (q + 1) != n_points * (n_points - 1):
+        raise ValueError(f"{path}: {n_lines} lines cannot join each pair "
+                         "of points exactly once")
+    off += 16 * n_points
+    line_pts = list(struct.iter_unpack(
+        f"<{q + 1}I", memoryview(data)[off:off + 4 * (q + 1) * n_lines]))
+    for li, pts in enumerate(line_pts):
+        if pts[-1] >= n_points or any(a >= b for a, b in zip(pts, pts[1:])):
+            raise ValueError(f"{path}: points of line {li} are out of range "
+                             "or not strictly increasing")
 
-    points = []
-    point_index = {}
-    for i in range(n_points):
-        coords = struct.unpack_from("<4I", data, off)
-        off += 16
-        points.append(Point(i, coords))
-        point_index[coords] = i
-
-    lines = []
-    pair_to_line = {}
-    for i in range(n_lines):
-        pts = struct.unpack_from(f"<{q + 1}I", data, off)
-        off += 4 * (q + 1)
-        mask = 0
-        for p in pts:
-            mask |= 1 << p
-        lines.append(Line(i, (pts[0], pts[1]), pts, mask))
-        for a in range(q + 1):
-            for b in range(a + 1, q + 1):
-                pair_to_line[(pts[a], pts[b])] = i
-
-    point_to_lines = [[] for _ in range(n_points)]
-    for ln in lines:
-        for p in ln.pts:
-            point_to_lines[p].append(ln.index)
-    point_to_lines = [sorted(ls) for ls in point_to_lines]
-
-    mt = [[ctx.mul(a, b) for b in range(q)] for a in range(q)]
-    planes = []
-    for i in range(n_planes):
-        nvec = struct.unpack_from("<4I", data, off)
-        off += 16
-        m0, m1, m2, m3 = (mt[c] for c in nvec)
-        pts = []
-        mask = 0
-        for idx, p in enumerate(points):
-            x0, x1, x2, x3 = p.coords
-            if m0[x0] ^ m1[x1] ^ m2[x2] ^ m3[x3] == 0:
-                pts.append(idx)
-                mask |= 1 << idx
-        planes.append(Plane(i, nvec, tuple(pts), mask))
-
-    return GeometryTables(ctx, points, lines, planes,
-                          point_index, pair_to_line, point_to_lines)
+    g = GeometryTables.from_arrays(ctx, coords, line_pts)
+    if len(g.pair_to_line) != n_points * (n_points - 1) // 2:
+        raise ValueError(f"{path}: some pair of points lies on two lines")
+    return g
 
 
 def load_or_build(n: int, cache_dir: Path | None, *,
                   force: bool = False) -> GeometryTables:
     if cache_dir is None:
         return build_geometry(n, force=force)
-    path = Path(cache_dir) / cache_filename(n, FieldCtx(n).modulus)
+    modulus = FieldCtx(n).modulus
+    path = Path(cache_dir) / cache_filename(n, modulus)
     if path.exists():
         try:
-            return load_geometry(path)
+            g = load_geometry(path)
         except (ValueError, OSError):
             pass  # fall through to a clean rebuild
+        else:
+            if (g.ctx.n, g.ctx.modulus) == (n, modulus):
+                return g
     g = build_geometry(n, force=force)
     try:
         save_geometry(g, Path(cache_dir))

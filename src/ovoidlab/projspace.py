@@ -9,7 +9,7 @@ reports and caches are reproducible for a fixed modulus table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .errors import DuplicatePoint, NotSkew, SamePoint, SizeGuard
 from .gfield import FieldCtx
@@ -55,6 +55,45 @@ class GeometryTables:
         self.point_to_lines = point_to_lines
         self.n_points = len(points)
         self.all_one = (1 << self.n_points) - 1
+
+    @classmethod
+    def from_arrays(cls, ctx: FieldCtx, coords, line_pts) -> GeometryTables:
+        """Tables from the normalized point coordinates in lex order and the
+        sorted point tuples of the lines in index order; the one place
+        where every incidence table is derived.
+
+        Plane i has normal coords[i]: normalized plane normals are the
+        same 4-tuples as the points, in the same order.
+        """
+        q = ctx.size
+        points = [Point(i, c) for i, c in enumerate(coords)]
+        point_index = {c: i for i, c in enumerate(coords)}
+        lines: list[Line] = []
+        pair_to_line: dict[tuple[int, int], int] = {}
+        point_to_lines: list[list[int]] = [[] for _ in coords]
+        for li, pts in enumerate(line_pts):
+            mask = 0
+            for p in pts:
+                mask |= 1 << p
+                point_to_lines[p].append(li)
+            lines.append(Line(li, (pts[0], pts[1]), pts, mask))
+            pair_to_line.update(dict.fromkeys(combinations(pts, 2), li))
+
+        # plane points = zero set of the normal's linear form
+        mt = [[ctx.mul(a, b) for b in range(q)] for a in range(q)]
+        planes: list[Plane] = []
+        for i, nvec in enumerate(coords):
+            m0, m1, m2, m3 = (mt[c] for c in nvec)
+            pts = []
+            mask = 0
+            for idx, (x0, x1, x2, x3) in enumerate(coords):
+                if m0[x0] ^ m1[x1] ^ m2[x2] ^ m3[x3] == 0:
+                    pts.append(idx)
+                    mask |= 1 << idx
+            planes.append(Plane(i, nvec, tuple(pts), mask))
+
+        return cls(ctx, points, lines, planes,
+                   point_index, pair_to_line, point_to_lines)
 
     # -- coordinate helpers ----------------------------------------------
 
@@ -121,6 +160,12 @@ class GeometryTables:
         return tuple(sorted(self._transversal_lines(*opp[:3]))), tuple(opp)
 
 
+def point_coords(q: int) -> list[tuple[int, int, int, int]]:
+    """Normalized coordinates of the points of PG(3,q) in lex order."""
+    return [vec for vec in product(range(q), repeat=4)
+            if next((c for c in vec if c), None) == 1]
+
+
 def build_geometry(n: int, *, force: bool = False,
                    ctx: FieldCtx | None = None) -> GeometryTables:
     """Construct the complete PG(3,q) tables for q = 2^n."""
@@ -132,31 +177,23 @@ def build_geometry(n: int, *, force: bool = False,
         ctx = FieldCtx(n)
     q = ctx.size
 
-    # points in lex order of normalized coords
-    points: list[Point] = []
-    point_index: dict[tuple[int, int, int, int], int] = {}
-    for vec in product(range(q), repeat=4):
-        nz = next((c for c in vec if c), None)
-        if nz != 1:
-            continue
-        idx = len(points)
-        points.append(Point(idx, vec))
-        point_index[vec] = idx
-    npts = len(points)
+    coords = point_coords(q)
+    index = {vec: i for i, vec in enumerate(coords)}
+    npts = len(coords)
 
-    # lines: first unseen pair (i, j) is the lexicographically least
-    # generating pair of its line
+    # lines: first unjoined pair (i, j) is the lexicographically least
+    # generating pair of its line; bit j of joined[i] marks i, j on a line
     mul = ctx.mul
     inv = ctx.inv
-    lines: list[Line] = []
-    pair_to_line: dict[tuple[int, int], int] = {}
+    joined = [0] * npts
+    line_pts: list[tuple[int, ...]] = []
     nonzero = range(1, q)
     for i in range(npts):
-        u = points[i].coords
+        u = coords[i]
         for j in range(i + 1, npts):
-            if (i, j) in pair_to_line:
+            if joined[i] >> j & 1:
                 continue
-            v = points[j].coords
+            v = coords[j]
             pts = [i, j]
             for c in nonzero:
                 w = tuple(a ^ mul(c, b) for a, b in zip(u, v))
@@ -165,40 +202,10 @@ def build_geometry(n: int, *, force: bool = False,
                 if f != 1:
                     s = inv(f)
                     w = tuple(mul(s, x) for x in w)
-                pts.append(point_index[w])
-            pts.sort()
-            li = len(lines)
-            mask = 0
+                pts.append(index[w])
+            mask = sum(1 << p for p in pts)
             for p in pts:
-                mask |= 1 << p
-            lines.append(Line(li, (pts[0], pts[1]), tuple(pts), mask))
-            for a in range(q + 1):
-                pa = pts[a]
-                for b in range(a + 1, q + 1):
-                    pair_to_line[(pa, pts[b])] = li
+                joined[p] |= mask
+            line_pts.append(tuple(sorted(pts)))
 
-    point_to_lines: list[list[int]] = [[] for _ in range(npts)]
-    for ln in lines:
-        for p in ln.pts:
-            point_to_lines[p].append(ln.index)
-    point_to_lines = [sorted(ls) for ls in point_to_lines]
-
-    # planes: normalized normals in lex order; points = zero set of the form
-    mt = [[mul(a, b) for b in range(q)] for a in range(q)]
-    planes: list[Plane] = []
-    coords_list = [p.coords for p in points]
-    for nvec in product(range(q), repeat=4):
-        nz = next((c for c in nvec if c), None)
-        if nz != 1:
-            continue
-        m0, m1, m2, m3 = (mt[c] for c in nvec)
-        pts = []
-        mask = 0
-        for idx, (x0, x1, x2, x3) in enumerate(coords_list):
-            if m0[x0] ^ m1[x1] ^ m2[x2] ^ m3[x3] == 0:
-                pts.append(idx)
-                mask |= 1 << idx
-        planes.append(Plane(len(planes), nvec, tuple(pts), mask))
-
-    return GeometryTables(ctx, points, lines, planes,
-                          point_index, pair_to_line, point_to_lines)
+    return GeometryTables.from_arrays(ctx, coords, line_pts)

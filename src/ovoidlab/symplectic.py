@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvariantViolation, NoPolarity
 from .gfield import mat_det, nullspace
-from .projspace import GeometryTables, Line
+from .projspace import GeometryTables, Line, Plane
 
 # index pairs of the six free entries of an alternating 4x4 matrix
 _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -68,55 +69,58 @@ def standard_form() -> SymplecticForm:
     ))
 
 
+def perp_plane(x: int, f: SymplecticForm, g: GeometryTables) -> Plane:
+    """The plane x^perp of point x: the plane whose normal is x G."""
+    normal = f.point_perp_normal(g, g.points[x].coords)
+    if not any(normal):
+        raise InvariantViolation(
+            f"point {x} has a zero perp normal (degenerate form)")
+    return g.planes[g.index_of(normal)]
+
+
+# each suite reads the map of one form at a time; a small cache keeps
+# peak memory flat while holding few geometries alive
+@lru_cache(maxsize=2)
+def polar_lines(f: SymplecticForm, g: GeometryTables) -> tuple[int, ...]:
+    """Entry i is the index of the polar line of line i.
+
+    l^perp is the meet of the perp planes of l's two generators; its two
+    least points name it.  A line is isotropic iff it is its own polar.
+    """
+    perp = [perp_plane(x, f, g).mask for x in range(g.n_points)]
+    out = []
+    for ln in g.lines:
+        meet = perp[ln.gens[0]] & perp[ln.gens[1]]
+        if meet.bit_count() != g.q + 1:
+            raise InvariantViolation(
+                f"perp of line {ln.index} has {meet.bit_count()} points, "
+                f"want {g.q + 1}")
+        p1 = (meet & -meet).bit_length() - 1
+        meet &= meet - 1
+        p2 = (meet & -meet).bit_length() - 1
+        out.append(g.pair_to_line[(p1, p2)])
+    return tuple(out)
+
+
 def is_isotropic_line(l: Line, f: SymplecticForm, g: GeometryTables) -> bool:
-    """A line is isotropic iff its two generators pair to zero."""
-    u = g.points[l.gens[0]].coords
-    v = g.points[l.gens[1]].coords
-    return f.eval(g, u, v) == 0
+    """A line is isotropic iff it is its own polar."""
+    return polar_lines(f, g)[l.index] == l.index
 
 
 def isotropic_lines(f: SymplecticForm, g: GeometryTables) -> list[int]:
     """Sorted indices of all lines of W(q) for this form."""
-    out = []
-    pts = g.points
-    for ln in g.lines:
-        u = pts[ln.gens[0]].coords
-        v = pts[ln.gens[1]].coords
-        if f.eval(g, u, v) == 0:
-            out.append(ln.index)
-    return out
+    return [i for i, j in enumerate(polar_lines(f, g)) if i == j]
 
 
 def perp_line(l: Line, f: SymplecticForm, g: GeometryTables) -> Line:
     """The polar line of l: all x with <x, y> = 0 for every y on l."""
-    u = g.points[l.gens[0]].coords
-    v = g.points[l.gens[1]].coords
-    w1 = f.point_perp_normal(g, u)
-    w2 = f.point_perp_normal(g, v)
-    basis = nullspace(g.ctx, [w1, w2], 4)
-    if len(basis) != 2:
-        raise InvariantViolation(
-            f"perp of line {l.index} has dimension {len(basis)}, want 2 "
-            "(degenerate form)")
-    p1 = g.index_of(basis[0])
-    p2 = g.index_of(basis[1])
-    return g.line_through(p1, p2)
+    return g.lines[polar_lines(f, g)[l.index]]
 
 
 def enumerate_dual_grids(f: SymplecticForm, g: GeometryTables) -> list[DualGrid]:
-    """All unordered pairs {m, m^perp} over non-isotropic m, by least index."""
-    out = []
-    seen = set()
-    for ln in g.lines:
-        if ln.index in seen:
-            continue
-        if is_isotropic_line(ln, f, g):
-            continue
-        mp = perp_line(ln, f, g)
-        seen.add(mp.index)
-        a, b = sorted((ln.index, mp.index))
-        out.append(DualGrid(a, b))
-    return out
+    """All unordered pairs {m, m^perp} over non-isotropic m, by least index:
+    the 2-cycles of the polar map."""
+    return [DualGrid(i, j) for i, j in enumerate(polar_lines(f, g)) if i < j]
 
 
 def polarity_from_ovoid(theta, g: GeometryTables) -> SymplecticForm:

@@ -14,13 +14,13 @@ from .errors import NoPolarity, OvoidlabError
 from .fibration import (Fibration, SingerContext, common_tangent_spread,
                         is_regular_spread, t_orbit_fibration,
                         tangency_profile, tangent_member)
-from .gf2code import (code_C, code_D, in_span, point_orbit_sums,
-                      radical_codim_check, t_orbit_sum, BitMat, CodeSummary)
+from .gf2code import (code_C, code_D, point_orbit_sums, radical_codim_check,
+                      t_orbit_sum, CodeSummary)
 from .ovoids import Ovoid, is_ovoid, tangent_lines
 from .projspace import GeometryTables
 from .symplectic import (SymplecticForm, enumerate_dual_grids,
                          is_isotropic_line, isotropic_lines, perp_line,
-                         polarity_from_ovoid)
+                         perp_plane, polarity_from_ovoid)
 
 MAX_WITNESSES = 20
 
@@ -239,10 +239,11 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
     if codim != 1:
         rec.fail(f"radical codimension is {codim}, expected 1")
 
-    # no single dual grid lies in the pairwise-sum span
-    sums = BitMat((D.rows[0] ^ r for r in D.rows[1:]), width=D.width)
-    for idx, row in enumerate(D.rows):
-        if in_span(row, sums):
+    # no single dual grid lies in the pairwise-sum span S: D = S + <row_0>
+    # and row_i = row_0 + (row_0 + row_i), so row_i lies in S exactly when
+    # row_0 does, that is when the codimension is 0
+    if codim == 0:
+        for idx in range(len(D.rows)):
             rec.fail(f"dual grid row {idx} lies in the pairwise-sum span",
                      (idx,))
 
@@ -304,9 +305,7 @@ def verify_segre(theta: Ovoid, g: GeometryTables) -> VerificationReport:
         union = 0
         for li in through:
             union |= g.lines[li].mask
-        normal = g.normalize(form.point_perp_normal(g, g.points[x].coords))
-        plane = next(pl for pl in g.planes if pl.normal == normal)
-        if union != plane.mask:
+        if union != perp_plane(x, form, g).mask:
             rec.fail(f"tangents through {x} do not cover its perp plane",
                      (x,))
 

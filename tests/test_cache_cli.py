@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import pytest
 
@@ -25,10 +27,76 @@ def test_cache_round_trip_q8(geo3, tmp_path):
 def test_cache_loaded_tables_usable(geo2, tmp_path):
     loaded = geocache.load_geometry(geocache.save_geometry(geo2, tmp_path))
     assert loaded.pair_to_line == geo2.pair_to_line
+    assert loaded.point_index == geo2.point_index
+    assert loaded.point_to_lines == geo2.point_to_lines
     for ln, ln2 in zip(loaded.lines, geo2.lines):
         assert ln.pts == ln2.pts and ln.mask == ln2.mask
     for pl, pl2 in zip(loaded.planes, geo2.planes):
         assert pl.pts == pl2.pts
+        assert pl.mask == pl2.mask
+
+
+@pytest.mark.parametrize("fix,digest", [
+    ("geo1", "5201ef28a0f44e8c3d00bc2403442f525959736d325accd45a30bc63e7a0f756"),
+    ("geo2", "aeacd40c02b64a88af77e3dc7df671ef89e91e0b7acaec5d548fd76503c3ce6d"),
+    ("geo3", "1df2687f1810056a47fa7c77b6ea68586898b7ae2f87eeb27c4d7b457d99ce5d"),
+])
+def test_serialized_geometry_is_pinned(fix, digest, request):
+    data = geocache.serialize_geometry(request.getfixturevalue(fix))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# byte offsets inside a serialized q = 4 cache: 85 points, 357 lines of 5
+_HEAD = 4 + struct.calcsize("<IIQQ") + struct.calcsize("<III")
+_LINES = _HEAD + 16 * 85
+_PLANES = _LINES + 4 * 5 * 357
+
+
+def _put(data: bytearray, off: int, *values):
+    struct.pack_into(f"<{len(values)}I", data, off, *values)
+
+
+def _point_out_of_range(d):
+    _put(d, _LINES + 4 * 4, 999)           # last point of line 0
+
+
+def _line_not_increasing(d):
+    a, b = struct.unpack_from("<2I", d, _LINES)
+    _put(d, _LINES, b, a)                  # first two points of line 0
+
+
+def _plane_normal_differs(d):
+    _put(d, _PLANES + 16 * 7 + 12, 3)      # last coordinate of plane 7
+
+
+def _points_permuted(d):
+    for off in (_HEAD, _PLANES):           # swap points 0 and 1 in both
+        d[off:off + 32] = d[off + 16:off + 32] + d[off:off + 16]
+
+
+def _pair_on_two_lines(d):
+    d[_LINES + 20:_LINES + 40] = d[_LINES:_LINES + 20]   # line 1 := line 0
+
+
+def _header_truncated(d):
+    del d[12:]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_point_out_of_range, "out of range"),
+    (_line_not_increasing, "not strictly increasing"),
+    (_plane_normal_differs, "plane normals differ"),
+    (_points_permuted, "point coordinates"),
+    (_pair_on_two_lines, "lies on two lines"),
+    (_header_truncated, "not an ovoidlab geometry cache"),
+])
+def test_cache_rejects_corruption(corrupt, message, geo2, tmp_path):
+    data = bytearray(geocache.serialize_geometry(geo2))
+    corrupt(data)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=message):
+        geocache.load_geometry(bad)
 
 
 def test_cache_rejects_garbage(tmp_path):
@@ -44,6 +112,14 @@ def test_load_or_build_uses_cache(tmp_path):
     assert len(files) == 1
     g2 = geocache.load_or_build(2, tmp_path, force=False)
     assert geocache.serialize_geometry(g1) == geocache.serialize_geometry(g2)
+
+
+def test_load_or_build_rebuilds_cache_of_another_degree(geo1, geo2, tmp_path):
+    path = tmp_path / geocache.cache_filename(2, geo2.ctx.modulus)
+    path.write_bytes(geocache.serialize_geometry(geo1))
+    g = geocache.load_or_build(2, tmp_path)
+    assert g.q == 4
+    assert path.read_bytes() == geocache.serialize_geometry(geo2)
 
 
 def test_export_json(geo2):
@@ -69,6 +145,20 @@ def test_cli_geometry_json(capsys, tmp_path):
     doc = json.loads(out)
     assert doc == {"q": 4, "n": 2, "modulus": 7, "generator": doc["generator"],
                    "points": 85, "lines": 357, "planes": 85}
+
+
+def test_cli_rebuilds_corrupt_cache(capsys, geo2, tmp_path):
+    data = bytearray(geocache.serialize_geometry(geo2))
+    _put(data, _LINES, 999)                # first point of line 0
+    path = tmp_path / geocache.cache_filename(2, geo2.ctx.modulus)
+    path.write_bytes(bytes(data))
+    code, out, err = run_cli(capsys, "geometry", "--n", "2",
+                             "--cache-dir", str(tmp_path))
+    assert code == 0 and "Traceback" not in err
+    assert out == run_cli(capsys, "geometry", "--n", "2", "--no-cache")[1]
+    loaded = geocache.load_geometry(path)
+    assert geocache.serialize_geometry(loaded) == \
+        geocache.serialize_geometry(geo2)
 
 
 def test_cli_geometry_text(capsys, tmp_path):

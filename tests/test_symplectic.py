@@ -1,11 +1,10 @@
 import pytest
 
-from ovoidlab import symplectic
 from ovoidlab.errors import InvariantViolation, NoPolarity
 from ovoidlab.gfield import mat_det
 from ovoidlab.ovoids import Ovoid, tangent_lines
-from ovoidlab.symplectic import (enumerate_dual_grids, is_isotropic_line,
-                                 isotropic_lines, perp_line,
+from ovoidlab.symplectic import (SymplecticForm, enumerate_dual_grids,
+                                 is_isotropic_line, isotropic_lines, perp_line,
                                  polarity_from_ovoid, standard_form)
 
 
@@ -46,13 +45,19 @@ def test_perp_involution_all_lines_q4(geo2):
             assert not mp.mask & ln.mask
 
 
-def test_perp_line_degenerate_raises_typed_error(geo2, monkeypatch):
-    # a one-dimensional "perp" can only come from a degenerate form; the
-    # check must survive python -O, so it is a raise, not an assert
-    monkeypatch.setattr(symplectic, "nullspace",
-                        lambda ctx, rows, width: [(0, 0, 0, 1)])
+def test_perp_line_degenerate_raises_typed_error(geo2):
+    # an alternating form of rank 2 has a radical, whose points have no
+    # perp plane; the check must survive python -O, so it is a raise, not
+    # an assert
+    degenerate = SymplecticForm(gram=(
+        (0, 1, 0, 0),
+        (1, 0, 0, 0),
+        (0, 0, 0, 0),
+        (0, 0, 0, 0),
+    ))
+    assert mat_det(geo2.ctx, degenerate.gram) == 0
     with pytest.raises(InvariantViolation):
-        perp_line(geo2.lines[0], standard_form(), geo2)
+        perp_line(geo2.lines[0], degenerate, geo2)
 
 
 @pytest.mark.parametrize("fix,count", [("geo2", 136), ("geo3", 2080)])

@@ -168,6 +168,35 @@ def test_codes_mutation_t_perm_elsewhere(form2, sc2):
     assert not r.passed and r.failures
 
 
+def test_codes_zero_row_report_is_pinned(form2, sc2, monkeypatch):
+    # a zero row in D puts every dual grid row in the pairwise-sum span;
+    # the report is the one the former per-row span test produced
+    from ovoidlab import verify
+    from ovoidlab.gf2code import BitMat
+    real = verify.code_D
+
+    def with_zero_row(f, g):
+        d = real(f, g)
+        return BitMat([0] + d.rows, width=d.width)
+
+    monkeypatch.setattr(verify, "code_D", with_zero_row)
+    r = verify_radical_and_corollary3(form2, sc2).to_dict()
+    r.pop("elapsed_ms")
+    assert r == {
+        "theorem": "radical_corollary3",
+        "q": 4,
+        "pass": False,
+        "counters": {"lines_of_W": 85, "dual_grids": 136, "dim_C": 50,
+                     "dim_C_perp": 35, "dim_D": 34,
+                     "dim_pairwise_sum_span": 34, "radical_codim": 0,
+                     "failures_total": 138},
+        "failures": [{"witness": "radical codimension is 0, expected 1",
+                      "indices": []}]
+        + [{"witness": f"dual grid row {i} lies in the pairwise-sum span",
+            "indices": [i]} for i in range(19)],
+    }
+
+
 # --- segre mutations -------------------------------------------------------
 
 def test_segre_mutation_swapped_point(quadric2, geo2):
