@@ -18,8 +18,8 @@ from .fibration import (Fibration, SingerContext, Spread,
                         common_tangent_spread, fibrate_ovoid,
                         find_regular_spread_in_complex, is_regular_spread,
                         k_stabilizer, singer_context, t_orbit_fibration)
-from .gf2code import (BitMat, CodeSummary, char_vector, code_C, code_D,
-                      in_span, radical_codim_check, span_rank, t_orbit_sum)
+from .gf2code import (BitMat, char_vector, code_C, code_D, in_span,
+                      radical_codim_check, span_rank, t_orbit_sum)
 from .verify import (VerificationReport, verify_lemma5, verify_main_theorem,
                      verify_proposition1, verify_radical_and_corollary3,
                      verify_segre)
@@ -36,7 +36,7 @@ __all__ = [
     "SingerContext", "Fibration", "Spread", "singer_context",
     "t_orbit_fibration", "common_tangent_spread", "is_regular_spread",
     "k_stabilizer", "fibrate_ovoid", "find_regular_spread_in_complex",
-    "BitMat", "CodeSummary", "char_vector", "span_rank", "in_span",
+    "BitMat", "char_vector", "span_rank", "in_span",
     "code_C", "code_D", "radical_codim_check", "t_orbit_sum",
     "VerificationReport", "verify_proposition1", "verify_lemma5",
     "verify_main_theorem", "verify_radical_and_corollary3", "verify_segre",

@@ -13,13 +13,16 @@ Layout (all integers little-endian, fixed width):
 
 Caches are optional acceleration: every consumer succeeds cold, and a
 loaded geometry is bit-identical to a fresh build for the same (version,
-n, modulus).
+n, modulus).  A file is written under a temporary name and renamed into
+place, so concurrent writers never leave a torn file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import sys
 from pathlib import Path
 
 from .gfield import FieldCtx
@@ -52,7 +55,15 @@ def save_geometry(g: GeometryTables, cache_dir: Path) -> Path:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / cache_filename(g.ctx.n, g.ctx.modulus)
-    path.write_bytes(serialize_geometry(g))
+    # a reader sees the old file or the whole new one, never a partial write
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(serialize_geometry(g))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -113,16 +124,18 @@ def load_or_build(n: int, cache_dir: Path | None, *,
     if path.exists():
         try:
             g = load_geometry(path)
-        except (ValueError, OSError):
-            pass  # fall through to a clean rebuild
+        except (ValueError, OSError) as exc:
+            reason = exc
         else:
             if (g.ctx.n, g.ctx.modulus) == (n, modulus):
                 return g
+            reason = f"header names n={g.ctx.n}, modulus {g.ctx.modulus:#x}"
+        print(f"cache: rebuilding {path}: {reason}", file=sys.stderr)
     g = build_geometry(n, force=force)
     try:
         save_geometry(g, Path(cache_dir))
-    except OSError:
-        pass  # cache is best-effort
+    except OSError as exc:  # the cache is best-effort
+        print(f"cache: cannot save {path}: {exc}", file=sys.stderr)
     return g
 
 

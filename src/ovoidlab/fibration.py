@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 from .errors import (InvariantViolation, NotAFibration, NotASpread,
                      NotRegular, SpreadNotTangent)
-from .gfield import (ExtFieldCtx, FieldCtx, mat_det, mat_identity, mat_mul,
-                     mat_pow, mult_matrix, nullspace)
+from .gfield import ExtFieldCtx, mat_pow, mult_matrix, nullspace
 from .ovoids import Ovoid, is_ovoid, tangent_lines
 from .projspace import GeometryTables
 
@@ -137,23 +136,23 @@ def tangent_member(line_mask: int, f: Fibration) -> int | None:
     return found
 
 
+def common_tangents(f: Fibration, g: GeometryTables) -> list[int]:
+    """Sorted indices of the lines tangent to every member."""
+    return [ln.index for ln in g.lines
+            if all((ln.mask & ov.mask).bit_count() == 1 for ov in f.members)]
+
+
 def common_tangent_spread(f: Fibration, g: GeometryTables) -> Spread:
     """Lines tangent to every member; must be q^2+1 pairwise skew lines."""
     q = g.q
-    out = []
-    for ln in g.lines:
-        if all((ln.mask & ov.mask).bit_count() == 1 for ov in f.members):
-            out.append(ln.index)
+    out = common_tangents(f, g)
     if len(out) != q * q + 1:
         raise NotAFibration(
             f"common tangent set has {len(out)} lines, expected {q * q + 1}")
-    acc = 0
-    for li in out:
-        m = g.lines[li].mask
-        if acc & m:
-            raise NotAFibration("common tangent lines are not pairwise skew")
-        acc |= m
-    return Spread(tuple(sorted(out)))
+    # q^2+1 distinct lines cover every point exactly when they are skew
+    if not _is_spread(out, g):
+        raise NotAFibration("common tangent lines are not pairwise skew")
+    return Spread(tuple(out))
 
 
 def _is_spread(lines, g: GeometryTables) -> bool:
@@ -250,7 +249,7 @@ def k_stabilizer(s: Spread, g: GeometryTables) -> list[tuple]:
     for a in range(ctx.size):
         vec = [x ^ mul(a, y) for x, y in zip(basis[0], basis[1])]
         cands.append(to_mat(vec))
-    mats = [m for m in cands if mat_det(ctx, m) != 0]
+    mats = [m for m in cands if not nullspace(ctx, m, 4)]
     if len(mats) != g.q + 1:
         raise NotRegular(f"fixing group has order {len(mats)}, want {g.q + 1}")
     # closure check up to scalars, via the induced point permutations

@@ -8,7 +8,6 @@ sparse representation at these sizes (|P| <= 4369 for q <= 16).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmptyMatrix, IndexOutOfRange, LengthMismatch
@@ -97,24 +96,6 @@ def code_D(f: SymplecticForm, g: GeometryTables) -> BitMat:
                   width=g.n_points)
 
 
-@dataclass(frozen=True)
-class CodeSummary:
-    dim_C: int
-    dim_C_perp: int
-    dim_D: int
-    dim_pairwise_sum_span: int
-    radical_codim: int
-
-    def to_dict(self) -> dict:
-        return {
-            "dim_C": self.dim_C,
-            "dim_C_perp": self.dim_C_perp,
-            "dim_D": self.dim_D,
-            "dim_pairwise_sum_span": self.dim_pairwise_sum_span,
-            "radical_codim": self.radical_codim,
-        }
-
-
 def radical_codim_check(d: BitMat) -> tuple[int, int, int]:
     """(dim D, dim of the pairwise-sum span, codimension).
 
@@ -139,15 +120,11 @@ def point_orbit_sums(sc: SingerContext) -> tuple[int, ...]:
     out = []
     t_perm = sc.t_perm
     for p in range(g.n_points):
-        par = {}
+        acc = 0
         cur = p
         for _ in range(order):
-            par[cur] = par.get(cur, 0) ^ 1
+            acc ^= 1 << cur
             cur = t_perm[cur]
-        acc = 0
-        for pt, bit in par.items():
-            if bit:
-                acc |= 1 << pt
         out.append(acc)
     return tuple(out)
 

@@ -260,12 +260,8 @@ class ExtFieldCtx:
             pows.append(big.mul(pows[-1], root))
         omega = big.generator
         basis = tuple(big.pow(omega, i) for i in range(4))
-
-        def embed(a: int) -> int:
-            return reduce(lambda x, k: x ^ pows[k],
-                          (k for k in range(n) if (a >> k) & 1), 0)
-
-        cols = [big.mul(embed(1 << k), basis[i])
+        # column i*n + k is x^k * w^i; x^k embeds as pows[k]
+        cols = [big.mul(pows[k], basis[i])
                 for i in range(4) for k in range(n)]
         solver = _GF2Solver(cols)
         return ExtFieldCtx(base=base, big=big, root=root,
@@ -303,16 +299,6 @@ def mat_identity(dim: int = 4) -> tuple[tuple[int, ...], ...]:
                  for i in range(dim))
 
 
-def mat_vec(ctx: FieldCtx, m, v) -> tuple[int, ...]:
-    out = []
-    for row in m:
-        acc = 0
-        for a, b in zip(row, v):
-            acc ^= ctx.mul(a, b)
-        out.append(acc)
-    return tuple(out)
-
-
 def mat_mul(ctx: FieldCtx, a, b):
     dim = len(a)
     bt = list(zip(*b))
@@ -329,26 +315,6 @@ def mat_pow(ctx: FieldCtx, m, e: int):
         m = mat_mul(ctx, m, m)
         e >>= 1
     return r
-
-
-def mat_det(ctx: FieldCtx, m) -> int:
-    rows = [list(r) for r in m]
-    dim = len(rows)
-    det = 1
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if rows[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-        det = ctx.mul(det, rows[col][col])
-        inv = ctx.inv(rows[col][col])
-        for r in range(col + 1, dim):
-            if rows[r][col]:
-                f = ctx.mul(rows[r][col], inv)
-                for c in range(col, dim):
-                    rows[r][c] ^= ctx.mul(f, rows[col][c])
-    return det
 
 
 def nullspace(ctx: FieldCtx, rows: list, ncols: int) -> list[tuple[int, ...]]:

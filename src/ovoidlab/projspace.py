@@ -97,7 +97,7 @@ class GeometryTables:
 
     # -- coordinate helpers ----------------------------------------------
 
-    def normalize(self, vec) -> tuple[int, int, int, int]:
+    def normalize(self, vec) -> tuple[int, ...]:
         for c in vec:
             if c:
                 if c == 1:

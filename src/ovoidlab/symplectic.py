@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation, NoPolarity
-from .gfield import mat_det, nullspace
+from .gfield import nullspace
 from .projspace import GeometryTables, Line, Plane
 
 # index pairs of the six free entries of an alternating 4x4 matrix
@@ -18,7 +18,7 @@ class SymplecticForm:
     """Alternating nondegenerate bilinear form given by its Gram matrix.
 
     In characteristic 2 "alternating" means zero diagonal and a symmetric
-    matrix; nondegeneracy is det != 0.
+    matrix; nondegeneracy is a trivial kernel.
     """
 
     gram: tuple[tuple[int, int, int, int], ...]
@@ -149,16 +149,10 @@ def polarity_from_ovoid(theta, g: GeometryTables) -> SymplecticForm:
     basis = nullspace(g.ctx, rows, 6)
     if len(basis) != 1:
         raise NoPolarity(f"tangent system has nullity {len(basis)}, want 1")
-    coeffs = basis[0]
-    first = next(c for c in coeffs if c)
-    if first != 1:
-        s = g.ctx.inv(first)
-        coeffs = tuple(mul(s, c) for c in coeffs)
     gram = [[0] * 4 for _ in range(4)]
-    for c, (i, j) in zip(coeffs, _UPPER):
+    for c, (i, j) in zip(g.normalize(basis[0]), _UPPER):
         gram[i][j] = c
         gram[j][i] = c
-    form = SymplecticForm(tuple(tuple(r) for r in gram))
-    if mat_det(g.ctx, form.gram) == 0:
+    if nullspace(g.ctx, gram, 4):
         raise NoPolarity("tangent system solution is degenerate")
-    return form
+    return SymplecticForm(tuple(tuple(r) for r in gram))

@@ -8,19 +8,19 @@ are deterministic for identical inputs, elapsed_ms aside.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import NoPolarity, OvoidlabError
-from .fibration import (Fibration, SingerContext, common_tangent_spread,
+from .errors import NoPolarity, NotASpread, OvoidlabError
+from .fibration import (Fibration, SingerContext, Spread,
+                        common_tangent_spread, common_tangents,
                         is_regular_spread, t_orbit_fibration,
                         tangency_profile, tangent_member)
-from .gf2code import (code_C, code_D, point_orbit_sums, radical_codim_check,
-                      t_orbit_sum, CodeSummary)
-from .ovoids import Ovoid, is_ovoid, tangent_lines
+from .gf2code import code_C, code_D, radical_codim_check, t_orbit_sum
+from .ovoids import Ovoid, tangent_lines
 from .projspace import GeometryTables
 from .symplectic import (SymplecticForm, enumerate_dual_grids,
-                         is_isotropic_line, isotropic_lines, perp_line,
-                         perp_plane, polarity_from_ovoid)
+                         isotropic_lines, perp_line, perp_plane,
+                         polarity_from_ovoid)
 
 MAX_WITNESSES = 20
 
@@ -87,21 +87,18 @@ def verify_proposition1(f: Fibration, g: GeometryTables) -> VerificationReport:
     q = g.q
     counters: dict = {}
 
-    common = [ln.index for ln in g.lines
-              if all((ln.mask & ov.mask).bit_count() == 1
-                     for ov in f.members)]
+    common = common_tangents(f, g)
     counters["spread"] = len(common)
     spread_set = set(common)
     if len(common) != q * q + 1:
         rec.fail(f"common tangent set has {len(common)} lines, "
                  f"expected {q * q + 1}")
     else:
-        from .fibration import Spread, _is_spread
-        sp = Spread(tuple(sorted(common)))
-        if not _is_spread(sp.lines, g):
+        try:
+            if not is_regular_spread(Spread(tuple(common)), g):
+                rec.fail("common tangent spread fails regulus closure")
+        except NotASpread:
             rec.fail("common tangent lines do not form a spread")
-        elif not is_regular_spread(sp, g):
-            rec.fail("common tangent spread fails regulus closure")
 
     # tangent complexes pairwise intersect exactly in the spread
     try:
@@ -232,10 +229,9 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
     counters["dual_grids"] = len(grids)
 
     dim_d, dim_sum, codim = radical_codim_check(D)
-    summary = CodeSummary(dim_C=C.rank, dim_C_perp=g.n_points - C.rank,
-                          dim_D=dim_d, dim_pairwise_sum_span=dim_sum,
-                          radical_codim=codim)
-    counters.update(summary.to_dict())
+    counters.update(dim_C=C.rank, dim_C_perp=g.n_points - C.rank,
+                    dim_D=dim_d, dim_pairwise_sum_span=dim_sum,
+                    radical_codim=codim)
     if codim != 1:
         rec.fail(f"radical codimension is {codim}, expected 1")
 

@@ -122,6 +122,55 @@ def test_load_or_build_rebuilds_cache_of_another_degree(geo1, geo2, tmp_path):
     assert path.read_bytes() == geocache.serialize_geometry(geo2)
 
 
+def test_failed_write_keeps_previous_cache(geo2, tmp_path, monkeypatch):
+    path = tmp_path / geocache.cache_filename(2, geo2.ctx.modulus)
+    path.write_bytes(b"previous cache")
+    real_open = open
+
+    class HalfWriter:
+        """A file whose write stores half the data, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(geocache, "open",
+                        lambda *a, **k: HalfWriter(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        geocache.save_geometry(geo2, tmp_path)
+    assert path.read_bytes() == b"previous cache"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_load_or_build_reports_rebuild_and_failed_save(geo1, geo2, tmp_path,
+                                                      capsys):
+    path = tmp_path / geocache.cache_filename(2, geo2.ctx.modulus)
+    path.write_bytes(geocache.serialize_geometry(geo1))
+    geocache.load_or_build(2, tmp_path)
+    assert capsys.readouterr().err == (
+        f"cache: rebuilding {path}: header names n=1, modulus 0x3\n")
+    geocache.load_or_build(2, tmp_path)           # a hit prints nothing
+    assert capsys.readouterr().err == ""
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_bytes(b"")
+    g = geocache.load_or_build(2, not_a_dir)
+    err = capsys.readouterr().err
+    assert g.q == 4 and err.count("\n") == 1
+    assert err.startswith(f"cache: cannot save "
+                          f"{not_a_dir / path.name}: ")
+
+
 def test_export_json(geo2):
     doc = json.loads(geocache.export_geometry_json(geo2))
     assert doc["q"] == 4
@@ -155,6 +204,9 @@ def test_cli_rebuilds_corrupt_cache(capsys, geo2, tmp_path):
     code, out, err = run_cli(capsys, "geometry", "--n", "2",
                              "--cache-dir", str(tmp_path))
     assert code == 0 and "Traceback" not in err
+    assert err.startswith(f"cache: rebuilding {path}: ")
+    assert "points of line 0 are out of range" in err
+    assert err.count("\n") == 1
     assert out == run_cli(capsys, "geometry", "--n", "2", "--no-cache")[1]
     loaded = geocache.load_geometry(path)
     assert geocache.serialize_geometry(loaded) == \

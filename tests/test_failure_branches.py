@@ -1,0 +1,119 @@
+"""Failure branches of Proposition 1, the common-tangent spread and the
+Segre polarity that genuine inputs never reach."""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from ovoidlab import fibration, symplectic, verify
+from ovoidlab.errors import NoPolarity, NotAFibration, NotRegular
+from ovoidlab.fibration import Fibration, common_tangent_spread, k_stabilizer
+from ovoidlab.ovoids import Ovoid
+from ovoidlab.symplectic import polarity_from_ovoid
+from ovoidlab.verify import verify_proposition1
+
+REPORTS = json.loads(
+    (Path(__file__).parent / "data" / "prop1_q4_reports.json").read_text())
+
+
+def swap_points(ov: Ovoid, off_point: int) -> Ovoid:
+    pts = (off_point,) + ov.pts[1:]
+    return dataclasses.replace(
+        ov, pts=pts, mask=ov.mask ^ (1 << ov.pts[0]) ^ (1 << off_point))
+
+
+def corrupted(name: str, f: Fibration, g) -> Fibration:
+    m = f.members
+    if name == "swapped_point":
+        return Fibration((swap_points(m[0], m[1].pts[0]),
+                          swap_points(m[1], m[0].pts[0])) + m[2:])
+    if name == "last_dropped":
+        return Fibration(m[:-1])
+    if name == "last_is_member0":
+        return Fibration(m[:-1] + (m[0],))
+    if name == "no_members":
+        return Fibration(())
+    if name == "member0_only":
+        return Fibration(m[:1])
+    if name == "theta0_is_plane0":
+        return Fibration((Ovoid.from_points(g.planes[0].pts),) + m[1:])
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_prop1_report_is_pinned(name, fib2, geo2):
+    report = verify_proposition1(corrupted(name, fib2, geo2), geo2).to_dict()
+    report.pop("elapsed_ms")
+    assert json.dumps(report, indent=1) == json.dumps(REPORTS[name], indent=1)
+
+
+def swapped_line_set(spread, g) -> list[int]:
+    """q^2+1 lines, one of them meeting another spread line."""
+    swap = next(ln.index for ln in g.lines if ln.index not in spread.lines)
+    return sorted(spread.lines[1:] + (swap,))
+
+
+def regulus_reversed(spread, g) -> list[int]:
+    """A genuine spread that is not regular (q > 3)."""
+    reg, opp = g.regulus(*spread.lines[:3])
+    return sorted((set(spread.lines) - set(reg)) | set(opp))
+
+
+@pytest.mark.parametrize("lines, witness, other", [
+    (swapped_line_set, "common tangent lines do not form a spread",
+     "common tangent spread fails regulus closure"),
+    (regulus_reversed, "common tangent spread fails regulus closure",
+     "common tangent lines do not form a spread"),
+])
+def test_prop1_spread_witnesses(lines, witness, other, fib2, geo2, spread2,
+                                monkeypatch):
+    common = lines(spread2, geo2)
+    assert len(common) == geo2.q ** 2 + 1
+    monkeypatch.setattr(verify, "common_tangents", lambda f, g: common)
+    r = verify_proposition1(fib2, geo2)
+    witnesses = [x["witness"] for x in r.failures]
+    assert not r.passed
+    assert witness in witnesses and other not in witnesses
+
+
+def test_common_tangent_spread_rejects_meeting_lines(fib2, geo2, spread2,
+                                                     monkeypatch):
+    common = swapped_line_set(spread2, geo2)
+    monkeypatch.setattr(fibration, "common_tangents", lambda f, g: common)
+    with pytest.raises(NotAFibration, match="not pairwise skew"):
+        common_tangent_spread(fib2, geo2)
+
+
+def test_polarity_rejects_degenerate_solution(quadric2, geo2, monkeypatch):
+    # the tangent system is forced to return the rank-2 form x1 y2 + x2 y1
+    real = symplectic.nullspace
+    calls = []
+
+    def first_call_degenerate(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            return [(1, 0, 0, 0, 0, 0)]
+        return real(*args)
+
+    monkeypatch.setattr(symplectic, "nullspace", first_call_degenerate)
+    with pytest.raises(NoPolarity, match="degenerate"):
+        polarity_from_ovoid(quadric2, geo2)
+
+
+def test_k_stabilizer_drops_singular_candidates(spread2, geo2, monkeypatch):
+    # the line-fixing space is forced to <I, E_00>: of its q+1 projective
+    # points, E_00 and I + E_00 are singular, leaving q-1 collineations
+    real = fibration.nullspace
+    ident = tuple(int(i == j) for i in range(4) for j in range(4))
+    e00 = (1,) + (0,) * 15
+
+    def singular_line_fixers(ctx, rows, ncols):
+        if ncols == 16:
+            return [ident, e00]
+        return real(ctx, rows, ncols)
+
+    monkeypatch.setattr(fibration, "nullspace", singular_line_fixers)
+    with pytest.raises(NotRegular, match="order 3, want 5"):
+        k_stabilizer(spread2, geo2)

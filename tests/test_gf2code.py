@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -193,3 +194,40 @@ def test_sigma_of_dual_grid_weight(sc2, form2, fib2, geo2):
         s = (t_orbit_sum(geo2.lines[dg.m], sc2)
              ^ t_orbit_sum(geo2.lines[dg.m_perp], sc2))
         assert s.bit_count() == 2 * 17
+
+
+def orbit_sums_oracle(sc):
+    """Per-point parity dict over the first q^2+1 iterates of t."""
+    g = sc.geometry
+    out = []
+    for p in range(g.n_points):
+        par = {}
+        cur = p
+        for _ in range(g.q * g.q + 1):
+            par[cur] = par.get(cur, 0) ^ 1
+            cur = sc.t_perm[cur]
+        out.append(sum(1 << pt for pt, bit in par.items() if bit))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t_perm",
+                         ["genuine", "swapped", "identity", "two_cycle"])
+def test_point_orbit_sums_match_parity_oracle(n, t_perm, request):
+    # a corrupted t revisits points, so each bit must be a parity, not a
+    # membership flag; in a 2-cycle one point is met q^2/2 + 1 times and
+    # the other q^2/2 times
+    from ovoidlab import ExtFieldCtx, singer_context
+    from ovoidlab.gf2code import point_orbit_sums
+    g = request.getfixturevalue(f"geo{n}")
+    sc = (request.getfixturevalue(f"sc{n}") if n > 1
+          else singer_context(g, ExtFieldCtx.build(1)))
+    perm = list(sc.t_perm)
+    if t_perm == "swapped":
+        perm[0], perm[1] = perm[1], perm[0]
+    elif t_perm == "identity":
+        perm = list(range(g.n_points))
+    elif t_perm == "two_cycle":
+        perm = [1, 0] + list(range(2, g.n_points))
+    sc = dataclasses.replace(sc, t_perm=tuple(perm))
+    assert point_orbit_sums(sc) == orbit_sums_oracle(sc)

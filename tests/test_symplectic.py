@@ -1,11 +1,32 @@
 import pytest
 
 from ovoidlab.errors import InvariantViolation, NoPolarity
-from ovoidlab.gfield import mat_det
 from ovoidlab.ovoids import Ovoid, tangent_lines
 from ovoidlab.symplectic import (SymplecticForm, enumerate_dual_grids,
                                  is_isotropic_line, isotropic_lines, perp_line,
                                  polarity_from_ovoid, standard_form)
+
+
+def mat_det(ctx, m) -> int:
+    """Determinant over GF(q) by elimination; an oracle independent of the
+    package's nullspace."""
+    rows = [list(r) for r in m]
+    dim = len(rows)
+    det = 1
+    for col in range(dim):
+        piv = next((r for r in range(col, dim) if rows[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+        det = ctx.mul(det, rows[col][col])
+        inv = ctx.inv(rows[col][col])
+        for r in range(col + 1, dim):
+            if rows[r][col]:
+                f = ctx.mul(rows[r][col], inv)
+                for c in range(col, dim):
+                    rows[r][c] ^= ctx.mul(f, rows[col][c])
+    return det
 
 
 def test_standard_form_values(geo2):
@@ -150,3 +171,12 @@ def test_dual_grid_sub_gq_structure(quadric2, geo2):
                 lm = geo2.lines[li].mask
                 assert (lm & b.mask).bit_count() == 1
                 assert (lm & a.mask).bit_count() == 1
+
+
+def test_polarity_gram_is_normalized(fib2, quadric2, geo2):
+    # the tangent system fixes the form up to a scalar; the first nonzero
+    # of its six free entries is scaled to 1
+    for theta in fib2.members + (quadric2,):
+        gram = polarity_from_ovoid(theta, geo2).gram
+        free = [gram[i][j] for i in range(4) for j in range(i + 1, 4)]
+        assert next(c for c in free if c) == 1
