@@ -26,7 +26,8 @@ import sys
 from pathlib import Path
 
 from .gfield import FieldCtx
-from .projspace import GeometryTables, build_geometry, point_coords
+from .projspace import (SUPPORTED_N, GeometryTables, build_geometry,
+                        check_degree, point_coords)
 
 MAGIC = b"OVGE"
 VERSION = 1
@@ -76,49 +77,53 @@ def load_geometry(path: Path) -> GeometryTables:
     data = Path(path).read_bytes()
     head = 4 + struct.calcsize("<IIQQ")
     if data[:4] != MAGIC or len(data) < head + struct.calcsize("<III"):
-        raise ValueError(f"{path}: not an ovoidlab geometry cache")
+        raise ValueError("not an ovoidlab geometry cache")
     version, n, modulus, generator = struct.unpack_from("<IIQQ", data, 4)
     if version != VERSION:
-        raise ValueError(f"{path}: cache version {version}, expected {VERSION}")
+        raise ValueError(f"cache version {version}, expected {VERSION}")
+    # checked first: the modulus test alone doubles in time with each degree
+    if n not in SUPPORTED_N:
+        raise ValueError(f"header degree n={n} is outside the supported "
+                         f"range {SUPPORTED_N[0]}..{SUPPORTED_N[-1]}")
     ctx = FieldCtx(n, modulus)
     if ctx.generator != generator:
-        raise ValueError(f"{path}: generator mismatch")
+        raise ValueError("generator mismatch")
     q = ctx.size
     n_points, n_lines, n_planes = struct.unpack_from("<III", data, head)
     off = head + struct.calcsize("<III")
 
     expect = (n_points + n_planes) * 4 + n_lines * (q + 1)
     if len(data) != off + 4 * expect:
-        raise ValueError(f"{path}: truncated or padded cache")
+        raise ValueError("truncated or padded cache")
     coords = point_coords(q)
     canon = b"".join(struct.pack("<4I", *c) for c in coords)
     if data[off:off + 16 * n_points] != canon:
-        raise ValueError(f"{path}: point coordinates are not the points "
+        raise ValueError("point coordinates are not the points "
                          f"of PG(3,{q}) in lex order")
     # plane i has normal coords[i]; the tables derive the planes from it
     if data[len(data) - 16 * n_planes:] != canon:
-        raise ValueError(f"{path}: plane normals differ from point coords")
+        raise ValueError("plane normals differ from point coords")
     if n_lines * q * (q + 1) != n_points * (n_points - 1):
-        raise ValueError(f"{path}: {n_lines} lines cannot join each pair "
+        raise ValueError(f"{n_lines} lines cannot join each pair "
                          "of points exactly once")
     off += 16 * n_points
     line_pts = list(struct.iter_unpack(
         f"<{q + 1}I", memoryview(data)[off:off + 4 * (q + 1) * n_lines]))
     for li, pts in enumerate(line_pts):
         if pts[-1] >= n_points or any(a >= b for a, b in zip(pts, pts[1:])):
-            raise ValueError(f"{path}: points of line {li} are out of range "
+            raise ValueError(f"points of line {li} are out of range "
                              "or not strictly increasing")
 
     g = GeometryTables.from_arrays(ctx, coords, line_pts)
     if len(g.pair_to_line) != n_points * (n_points - 1) // 2:
-        raise ValueError(f"{path}: some pair of points lies on two lines")
+        raise ValueError("some pair of points lies on two lines")
     return g
 
 
-def load_or_build(n: int, cache_dir: Path | None, *,
-                  force: bool = False) -> GeometryTables:
+def load_or_build(n: int, cache_dir: Path | None) -> GeometryTables:
     if cache_dir is None:
-        return build_geometry(n, force=force)
+        return build_geometry(n)
+    check_degree(n)  # before FieldCtx(n) names the file
     modulus = FieldCtx(n).modulus
     path = Path(cache_dir) / cache_filename(n, modulus)
     if path.exists():
@@ -131,7 +136,7 @@ def load_or_build(n: int, cache_dir: Path | None, *,
                 return g
             reason = f"header names n={g.ctx.n}, modulus {g.ctx.modulus:#x}"
         print(f"cache: rebuilding {path}: {reason}", file=sys.stderr)
-    g = build_geometry(n, force=force)
+    g = build_geometry(n)
     try:
         save_geometry(g, Path(cache_dir))
     except OSError as exc:  # the cache is best-effort

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import cache as geocache
-from .errors import OvoidlabError, SizeGuard
+from .errors import OvoidlabError
 from .fibration import (common_tangent_spread, find_regular_spread_in_complex,
                         singer_context, t_orbit_fibration)
 from .gfield import ExtFieldCtx
@@ -43,15 +43,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--n", type=int, required=True,
-                        help="extension degree, q = 2^n")
+                        help="extension degree, q = 2^n, n in 1..4")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--cache-dir", type=Path, default=None,
                         help="geometry cache directory "
                              "(default: $OVOIDLAB_CACHE or ~/.cache/ovoidlab)")
         sp.add_argument("--no-cache", action="store_true",
                         help="build cold, never touch the cache")
-        sp.add_argument("--force", action="store_true",
-                        help="override the desk-scale size guard")
         sp.add_argument("--seed", type=int, default=0,
                         help="accepted for interface stability; "
                              "no command reads it")
@@ -90,7 +88,7 @@ def _load_geometry(args):
     cache_dir = None
     if not args.no_cache:
         cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
-    return geocache.load_or_build(args.n, cache_dir, force=args.force)
+    return geocache.load_or_build(args.n, cache_dir)
 
 
 def _emit(doc, fmt: str) -> None:
@@ -168,18 +166,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 2
     if getattr(args, "budget", 1) <= 0:
         print("error: --budget must be > 0", file=sys.stderr)
         return 2
 
     try:
         g = _load_geometry(args)
-    except SizeGuard as exc:
-        print(f"error: {exc} (use --force to override)", file=sys.stderr)
-        return 2
     except OvoidlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

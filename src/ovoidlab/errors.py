@@ -14,7 +14,8 @@ class ZeroElement(OvoidlabError):
 
 
 class SizeGuard(OvoidlabError):
-    """Requested geometry exceeds the desk-scale guard (use force=True)."""
+    """Requested degree n lies outside the supported range 1..4: PG(3,32)
+    would already need 572 M point pairs in its line table."""
 
 
 class SamePoint(OvoidlabError):

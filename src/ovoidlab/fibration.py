@@ -26,8 +26,12 @@ def point_permutation(g: GeometryTables, m) -> list[int]:
     return perm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingerContext:
+    """A Singer generator with its subgroups T and K, as matrices and as
+    point permutations; hashed by identity, so caches keyed on it never
+    hash the permutations."""
+
     geometry: GeometryTables
     ext: ExtFieldCtx
     gen: tuple                    # Singer generator matrix over GF(q)
@@ -363,8 +367,9 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
     def search(chosen: list[int], covered: int):
         nonlocal nodes
         if len(chosen) == target:
+            # closure keeps the chosen lines pairwise disjoint
             sp = Spread(tuple(sorted(chosen)))
-            if _is_spread(sp.lines, g) and is_regular_spread(sp, g):
+            if is_regular_spread(sp, g):
                 return sp.lines
             return None
         if nodes >= budget:

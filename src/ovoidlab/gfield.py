@@ -13,27 +13,20 @@ from functools import reduce
 
 from .errors import ZeroElement, ZeroInverse
 
-# One irreducible polynomial per degree needed: n in 1..8 and 4n in 4..32.
+# One irreducible polynomial per degree needed: n in 1..4 and 4n in 4..16.
 # Fixed so that every downstream point/line index is reproducible.
 MODULI = {
     1: 0b11,            # x + 1
     2: 0b111,           # x^2 + x + 1
     3: 0b1011,          # x^3 + x + 1
     4: 0b10011,         # x^4 + x + 1
-    5: 0x25,            # x^5 + x^2 + 1
-    6: 0x43,            # x^6 + x + 1
-    7: 0x83,            # x^7 + x + 1
     8: 0x11D,           # x^8 + x^4 + x^3 + x^2 + 1
     12: 0x1053,         # x^12 + x^6 + x^4 + x + 1
     16: 0x1100B,        # x^16 + x^12 + x^3 + x + 1
-    20: 0x100009,       # x^20 + x^3 + 1
-    24: 0x1000087,      # x^24 + x^7 + x^2 + x + 1
-    28: 0x10000009,     # x^28 + x^3 + 1
-    32: 0x100400007,    # x^32 + x^22 + x^2 + x + 1
 }
 
-# exp/log tables are built only below this field size
-_TABLE_LIMIT = 1 << 16
+# exp/log tables hold 2^n entries; GF(2^16) is the largest field needed
+MAX_DEGREE = max(MODULI)
 
 
 def poly_degree(p: int) -> int:
@@ -75,29 +68,14 @@ def is_irreducible(p: int) -> bool:
     return True
 
 
-def _factorize(n: int) -> list[int]:
-    """Distinct prime factors by trial division (n < 2^64 in practice)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class FieldCtx:
-    """GF(2^n) with a fixed irreducible modulus and cached primitive element.
-
-    Small fields (size <= 2^16) get exp/log tables; larger ones fall back
-    to carry-less multiply-and-reduce.
-    """
+    """GF(2^n) with a fixed irreducible modulus, a primitive element and
+    exp/log tables for its multiplicative group (n <= MAX_DEGREE)."""
 
     def __init__(self, n: int, modulus: int | None = None):
+        if n > MAX_DEGREE:
+            raise ValueError(f"degree {n} exceeds the largest tabled "
+                             f"degree {MAX_DEGREE}")
         if modulus is None:
             if n not in MODULI:
                 raise ValueError(f"no built-in modulus for degree {n}")
@@ -109,14 +87,11 @@ class FieldCtx:
         self.n = n
         self.modulus = modulus
         self.size = 1 << n
-        self.exp: list[int] | None = None
-        self.log: list[int] | None = None
-        if self.size <= _TABLE_LIMIT:
-            self.generator = self._find_generator_tabled()
-        else:
-            self.generator = self._find_generator_order_test()
+        self.generator, self.exp, self.log = self._tables()
 
-    def _find_generator_tabled(self) -> int:
+    def _tables(self) -> tuple[int, list[int], list[int]]:
+        """The least primitive element with its exp table (doubled, so a
+        sum of two logs needs no reduction) and log table."""
         order = self.size - 1
         for g in range(2, self.size):
             exp = [0] * (2 * order)
@@ -133,29 +108,9 @@ class FieldCtx:
             if ok and x == 1:
                 for i in range(order, 2 * order):
                     exp[i] = exp[i - order]
-                self.exp, self.log = exp, log
-                return g
+                return g, exp, log
         # GF(2): multiplicative group is trivial
-        self.exp, self.log = [1, 1], [0, 0]
-        return 1
-
-    def _find_generator_order_test(self) -> int:
-        order = self.size - 1
-        primes = _factorize(order)
-        g = 2
-        while True:
-            if all(self._pow_raw(g, order // p) != 1 for p in primes):
-                return g
-            g += 1
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = poly_mulmod(r, a, self.modulus)
-            a = poly_mulmod(a, a, self.modulus)
-            e >>= 1
-        return r
+        return 1, [1, 1], [0, 0]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -166,25 +121,17 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.exp is not None:
-            return self.exp[self.log[a] + self.log[b]]
-        return poly_mulmod(a, b, self.modulus)
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        if self.exp is not None:
-            return self.exp[(self.size - 1) - self.log[a]] if self.log[a] else 1
-        return self._pow_raw(a, self.size - 2)
+        return self.exp[(self.size - 1) - self.log[a]] if self.log[a] else 1
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e else 1
-        if self.exp is not None:
-            return self.exp[(self.log[a] * e) % (self.size - 1)]
-        if e < 0:
-            return self._pow_raw(self.inv(a), -e)
-        return self._pow_raw(a, e)
+        return self.exp[(self.log[a] * e) % (self.size - 1)]
 
     def elements(self):
         return range(self.size)

@@ -14,8 +14,16 @@ from itertools import combinations, product
 from .errors import DuplicatePoint, NotSkew, SamePoint, SizeGuard
 from .gfield import FieldCtx
 
-# Table sizes grow as q^4; anything past n = 8 is an accident.
-SIZE_GUARD_N = 8
+# Tables grow as q^4: at q = 32, pair_to_line alone would hold 572 M
+# point pairs, so PG(3,2^n) is built for these n only.
+SUPPORTED_N = range(1, 5)
+
+
+def check_degree(n: int) -> None:
+    """Raise SizeGuard unless n lies in SUPPORTED_N."""
+    if n not in SUPPORTED_N:
+        raise SizeGuard(f"n={n} is outside the supported range "
+                        f"{SUPPORTED_N[0]}..{SUPPORTED_N[-1]}")
 
 
 @dataclass(frozen=True)
@@ -166,15 +174,10 @@ def point_coords(q: int) -> list[tuple[int, int, int, int]]:
             if next((c for c in vec if c), None) == 1]
 
 
-def build_geometry(n: int, *, force: bool = False,
-                   ctx: FieldCtx | None = None) -> GeometryTables:
-    """Construct the complete PG(3,q) tables for q = 2^n."""
-    if n < 1:
-        raise SizeGuard("n must be >= 1")
-    if n > SIZE_GUARD_N and not force:
-        raise SizeGuard(f"n={n} exceeds the desk-scale guard ({SIZE_GUARD_N})")
-    if ctx is None:
-        ctx = FieldCtx(n)
+def build_geometry(n: int) -> GeometryTables:
+    """Construct the complete PG(3,q) tables for q = 2^n, n in SUPPORTED_N."""
+    check_degree(n)
+    ctx = FieldCtx(n)
     q = ctx.size
 
     coords = point_coords(q)

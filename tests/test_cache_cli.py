@@ -82,6 +82,13 @@ def _header_truncated(d):
     del d[12:]
 
 
+def _header_degree_41(d):
+    # x^41 + x^3 + 1 is irreducible: only the range check stops a slow
+    # modulus test and an unbuildable field
+    struct.pack_into("<IQ", d, 8, 41, (1 << 41) | 0b1001)
+    del d[_HEAD:]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_point_out_of_range, "out of range"),
     (_line_not_increasing, "not strictly increasing"),
@@ -89,6 +96,7 @@ def _header_truncated(d):
     (_points_permuted, "point coordinates"),
     (_pair_on_two_lines, "lies on two lines"),
     (_header_truncated, "not an ovoidlab geometry cache"),
+    (_header_degree_41, "header degree n=41 is outside the supported range"),
 ])
 def test_cache_rejects_corruption(corrupt, message, geo2, tmp_path):
     data = bytearray(geocache.serialize_geometry(geo2))
@@ -107,10 +115,10 @@ def test_cache_rejects_garbage(tmp_path):
 
 
 def test_load_or_build_uses_cache(tmp_path):
-    g1 = geocache.load_or_build(2, tmp_path, force=False)
+    g1 = geocache.load_or_build(2, tmp_path)
     files = list(tmp_path.iterdir())
     assert len(files) == 1
-    g2 = geocache.load_or_build(2, tmp_path, force=False)
+    g2 = geocache.load_or_build(2, tmp_path)
     assert geocache.serialize_geometry(g1) == geocache.serialize_geometry(g2)
 
 
@@ -205,6 +213,7 @@ def test_cli_rebuilds_corrupt_cache(capsys, geo2, tmp_path):
                              "--cache-dir", str(tmp_path))
     assert code == 0 and "Traceback" not in err
     assert err.startswith(f"cache: rebuilding {path}: ")
+    assert err.count(str(path)) == 1
     assert "points of line 0 are out of range" in err
     assert err.count("\n") == 1
     assert out == run_cli(capsys, "geometry", "--n", "2", "--no-cache")[1]
@@ -289,6 +298,15 @@ def test_cli_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, "frobnicate", "--n", "2")[0] == 2
     assert run_cli(capsys, "verify", "--n", "0")[0] == 2
     assert run_cli(capsys, "verify", "--n", "9", "--no-cache")[0] == 2
+    # out-of-range degrees fail before any field, table or cache file
+    for argv in (("--n", "5", "--no-cache"),
+                 ("--n", "9", "--cache-dir", str(tmp_path))):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: n=") and err.count("\n") == 1
+        assert "outside the supported range 1..4" in err
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
     assert run_cli(capsys, "search-spread", "--n", "2", "--no-cache",
                    "--budget", "0")[0] == 2
 

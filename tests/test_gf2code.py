@@ -196,6 +196,12 @@ def test_sigma_of_dual_grid_weight(sc2, form2, fib2, geo2):
         assert s.bit_count() == 2 * 17
 
 
+def test_singer_context_hashes_by_identity(sc2):
+    # point_orbit_sums caches on the context: an identity hash keeps each
+    # lookup from hashing the three point permutations
+    assert hash(sc2) == object.__hash__(sc2)
+
+
 def orbit_sums_oracle(sc):
     """Per-point parity dict over the first q^2+1 iterates of t."""
     g = sc.geometry

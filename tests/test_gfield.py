@@ -125,6 +125,38 @@ def test_modulus_table_irreducible():
         assert is_irreducible(m)
 
 
+def test_moduli_cover_exactly_the_supported_degrees():
+    from ovoidlab.gfield import MODULI
+    assert set(MODULI) == {d for n in range(1, 5) for d in (n, 4 * n)}
+
+
+def test_largest_extension_is_tabled():
+    ext = ExtFieldCtx.build(4)
+    assert (ext.base.size, ext.big.size) == (16, 1 << 16)
+    for ctx in (ext.base, ext.big):
+        assert len(ctx.log) == ctx.size
+        assert len(ctx.exp) == 2 * (ctx.size - 1)
+        rng = random.Random(ctx.n)
+        for _ in range(200):
+            a, b = rng.randrange(1, ctx.size), rng.randrange(1, ctx.size)
+            assert ctx.mul(a, b) == schoolbook_mul(a, b, ctx.modulus)
+            assert ctx.mul(a, ctx.inv(a)) == 1
+            assert ctx.pow(a, ctx.size - 1) == 1
+
+
+def test_degree_above_tables_rejected_before_modulus_test(monkeypatch):
+    from ovoidlab import gfield
+
+    def modulus_tested(p):
+        raise AssertionError(f"is_irreducible({p:#x}) was called")
+
+    monkeypatch.setattr(gfield, "is_irreducible", modulus_tested)
+    with pytest.raises(ValueError, match="exceeds the largest tabled"):
+        FieldCtx(41, (1 << 41) | 0b1001)
+    with pytest.raises(ValueError, match="exceeds the largest tabled"):
+        FieldCtx(17)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_subfield_embed_is_field_hom(n):
     ext = ExtFieldCtx.build(n)

@@ -146,6 +146,8 @@ def test_size_guard():
     with pytest.raises(SizeGuard):
         build_geometry(0)
     with pytest.raises(SizeGuard):
+        build_geometry(5)
+    with pytest.raises(SizeGuard):
         build_geometry(9)
 
 
