@@ -6,6 +6,7 @@ fibrations, plus a budgeted search for regular spreads inside a complex."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (InvariantViolation, NotAFibration, NotASpread,
                      NotRegular, SpreadNotTangent)
@@ -42,10 +43,11 @@ class SingerContext:
     k_perm: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fibration:
     """q+1 pairwise disjoint ovoids covering every point, labeled by
-    least contained point index."""
+    least contained point index; hashed and compared by identity, so
+    tables cached on it never hash the members."""
 
     members: tuple[Ovoid, ...]
 
@@ -86,8 +88,10 @@ def _perm_order_transitive_cycle(perm, start) -> int:
     return k
 
 
+@lru_cache(maxsize=2)
 def t_orbit_fibration(sc: SingerContext) -> Fibration:
-    """The point T-orbits, each an elliptic ovoid, as a fibration."""
+    """The point T-orbits, each an elliptic ovoid, as a fibration; built
+    once per Singer context."""
     g = sc.geometry
     q = g.q
     seen = [False] * g.n_points
@@ -140,10 +144,28 @@ def tangent_member(line_mask: int, f: Fibration) -> int | None:
     return found
 
 
+# the suites read one fibration at a time; a small cache keeps peak
+# memory flat while holding few geometries alive
+@lru_cache(maxsize=2)
+def tangency_table(f: Fibration, g: GeometryTables
+                   ) -> tuple[tuple[tuple[int, int, int], ...],
+                              tuple[int | None, ...]]:
+    """(profiles, labels): entry i holds tangency_profile and
+    tangent_member of line i.
+
+    Built from the member masks, not from a per-point label, because the
+    members of a corrupted fibration can overlap.
+    """
+    masks = [ln.mask for ln in g.lines]
+    return (tuple(tangency_profile(m, f) for m in masks),
+            tuple(tangent_member(m, f) for m in masks))
+
+
 def common_tangents(f: Fibration, g: GeometryTables) -> list[int]:
     """Sorted indices of the lines tangent to every member."""
-    return [ln.index for ln in g.lines
-            if all((ln.mask & ov.mask).bit_count() == 1 for ov in f.members)]
+    every = (len(f.members), 0, 0)
+    return [i for i, prof in enumerate(tangency_table(f, g)[0])
+            if prof == every]
 
 
 def common_tangent_spread(f: Fibration, g: GeometryTables) -> Spread:

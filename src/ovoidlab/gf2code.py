@@ -29,8 +29,9 @@ def char_vector(s, g: GeometryTables) -> int:
 class BitMat:
     """Row span over GF(2) with a cached echelon form and rank.
 
-    Appending rows invalidates the cache; the echelon uses highest-bit
-    pivots so reduction is a simple left-to-right sweep.
+    Appending rows invalidates the cache; the echelon holds one row per
+    highest-bit pivot, in descending pivot order, so reduction is a simple
+    left-to-right sweep.
     """
 
     def __init__(self, rows=(), width: int = 0):
@@ -49,15 +50,17 @@ class BitMat:
 
     def _build_echelon(self) -> list[tuple[int, int]]:
         if self._echelon is None:
-            ech: list[tuple[int, int]] = []
+            # clear each row's top bit until it is a new pivot
+            pivots: dict[int, int] = {}
             for r in self.rows:
-                for piv, val in ech:
-                    if (r >> piv) & 1:
-                        r ^= val
-                if r:
-                    ech.append((r.bit_length() - 1, r))
-                    ech.sort(key=lambda t: -t[0])
-            self._echelon = ech
+                while r:
+                    top = r.bit_length() - 1
+                    val = pivots.get(top)
+                    if val is None:
+                        pivots[top] = r
+                        break
+                    r ^= val
+            self._echelon = sorted(pivots.items(), reverse=True)
         return self._echelon
 
     @property
@@ -82,6 +85,14 @@ def span_rank(m: BitMat) -> int:
 
 def in_span(v: int, m: BitMat) -> bool:
     return m.contains(v)
+
+
+def orthogonal(a: BitMat, b: BitMat) -> bool:
+    """True iff every row of a meets every row of b in an even number of
+    points; decided on the two echelon bases, which span the same rows."""
+    b_basis = [val for _, val in b._build_echelon()]
+    return not any((x & y).bit_count() & 1
+                   for _, x in a._build_echelon() for y in b_basis)
 
 
 def code_C(f: SymplecticForm, g: GeometryTables) -> BitMat:

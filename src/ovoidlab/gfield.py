@@ -130,6 +130,8 @@ class FieldCtx:
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
+            if e < 0:
+                raise ZeroInverse("0 has no multiplicative inverse")
             return 0 if e else 1
         return self.exp[(self.log[a] * e) % (self.size - 1)]
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .errors import NoPolarity, NotASpread, OvoidlabError
 from .fibration import (Fibration, SingerContext, Spread,
                         common_tangent_spread, common_tangents,
-                        is_regular_spread, t_orbit_fibration,
-                        tangency_profile, tangent_member)
-from .gf2code import code_C, code_D, radical_codim_check, t_orbit_sum
+                        is_regular_spread, t_orbit_fibration, tangency_table)
+from .gf2code import (code_C, code_D, orthogonal, radical_codim_check,
+                      t_orbit_sum)
 from .ovoids import Ovoid, tangent_lines
 from .projspace import GeometryTables
 from .symplectic import (SymplecticForm, enumerate_dual_grids,
@@ -114,11 +114,12 @@ def verify_proposition1(f: Fibration, g: GeometryTables) -> VerificationReport:
 
     want = (1, q // 2, q // 2)
     lines_checked = 0
+    profiles = tangency_table(f, g)[0]
     for ln in g.lines:
         if ln.index in spread_set:
             continue
         lines_checked += 1
-        prof = tangency_profile(ln.mask, f)
+        prof = profiles[ln.index]
         if prof != want:
             rec.fail(f"line {ln.index} has profile {prof}, "
                      f"expected {want}", (ln.index,))
@@ -141,6 +142,7 @@ def verify_lemma5(sc: SingerContext) -> VerificationReport:
         rec.fail(f"T-orbit setup failed: {exc}")
         return _finish("lemma5", g, rec, counters, start)
 
+    labels = tangency_table(fib, g)[1]
     in_spread = not_in_spread = 0
     weight_hist: dict[int, int] = {}
     for ln in g.lines:
@@ -154,7 +156,7 @@ def verify_lemma5(sc: SingerContext) -> VerificationReport:
                          (ln.index,))
         else:
             not_in_spread += 1
-            lbl = tangent_member(ln.mask, fib)
+            lbl = labels[ln.index]
             if lbl is None:
                 rec.fail(f"line {ln.index} has no unique tangent orbit",
                          (ln.index,))
@@ -179,6 +181,7 @@ def verify_main_theorem(f: Fibration, g: GeometryTables,
     rec = _Recorder()
     counters: dict = {}
     choices = range(len(f.members)) if theta0 is None else (theta0,)
+    labels = tangency_table(f, g)[1]
     grids_checked = 0
     choices_done = 0
     for t0 in choices:
@@ -190,8 +193,7 @@ def verify_main_theorem(f: Fibration, g: GeometryTables,
         choices_done += 1
         for dg in enumerate_dual_grids(form, g):
             grids_checked += 1
-            j = tangent_member(g.lines[dg.m].mask, f)
-            k = tangent_member(g.lines[dg.m_perp].mask, f)
+            j, k = labels[dg.m], labels[dg.m_perp]
             if j is None or k is None:
                 rec.fail(f"dual grid ({dg.m},{dg.m_perp}) of W(theta_{t0}) "
                          "has a line without a unique tangent member",
@@ -243,22 +245,24 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
             rec.fail(f"dual grid row {idx} lies in the pairwise-sum span",
                      (idx,))
 
-    # D subset C-perp, row by row, with strict containment
-    for di, drow in enumerate(D.rows):
-        for ci, crow in enumerate(C.rows):
-            if (drow & crow).bit_count() & 1:
-                rec.fail(f"dual grid {di} meets W(q)-line {ci} oddly",
-                         (di, ci))
-                break
+    # D subset C-perp, with strict containment; the generator pairs are
+    # swept only to name the witnesses
+    if not orthogonal(D, C):
+        for di, drow in enumerate(D.rows):
+            for ci, crow in enumerate(C.rows):
+                if (drow & crow).bit_count() & 1:
+                    rec.fail(f"dual grid {di} meets W(q)-line {ci} oddly",
+                             (di, ci))
+                    break
     if not dim_d < g.n_points - C.rank:
         rec.fail(f"dim D = {dim_d} is not strictly below "
                  f"dim C-perp = {g.n_points - C.rank}")
 
     # sigma of each dual grid is E_i + E_j, 0 < i != j
+    labels = tangency_table(fib, g)[1]
     for dg in grids:
         s = t_orbit_sum(g.lines[dg.m], sc) ^ t_orbit_sum(g.lines[dg.m_perp], sc)
-        i = tangent_member(g.lines[dg.m].mask, fib)
-        j = tangent_member(g.lines[dg.m_perp].mask, fib)
+        i, j = labels[dg.m], labels[dg.m_perp]
         if i is None or j is None or i == j or i == 0 or j == 0:
             rec.fail(f"dual grid ({dg.m},{dg.m_perp}) has orbit labels "
                      f"({i},{j})", (dg.m, dg.m_perp))

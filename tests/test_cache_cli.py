@@ -367,3 +367,25 @@ def test_cli_all_builds_singer_context_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "all", "--n", "2", "--no-cache")
     assert code == 0
     assert counts == {"singer_context": 1, "t_orbit_fibration": 1}
+
+
+def test_cli_verify_reads_one_tangency_table(capsys, monkeypatch):
+    # the suites read a table built once per fibration instead of sweeping
+    # the members per dual grid line, and share the CLI's T-orbits
+    from ovoidlab import fibration
+    seen = []
+    real = fibration.tangent_member
+
+    def counted(mask, f):
+        seen.append(f)
+        return real(mask, f)
+
+    monkeypatch.setattr(fibration, "tangent_member", counted)
+    fibration.t_orbit_fibration.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--n", "2", "--suite", "all",
+                         "--no-cache")
+    assert code == 0
+    assert fibration.t_orbit_fibration.cache_info().misses == 1
+    fibrations = {id(f) for f in seen}
+    assert len(seen) <= 357 * len(fibrations)  # PG(3,4) has 357 lines
+    assert len(fibrations) == 1

@@ -1,5 +1,6 @@
-"""Failure branches of Proposition 1, the common-tangent spread and the
-Segre polarity that genuine inputs never reach."""
+"""Failure branches of the suites, the common-tangent spread and the
+Segre polarity that genuine inputs never reach, with the suite reports on
+corrupted q = 4 inputs pinned in tests/data."""
 
 import dataclasses
 import json
@@ -10,12 +11,33 @@ import pytest
 from ovoidlab import fibration, symplectic, verify
 from ovoidlab.errors import NoPolarity, NotAFibration, NotRegular
 from ovoidlab.fibration import Fibration, common_tangent_spread, k_stabilizer
+from ovoidlab.gf2code import BitMat
 from ovoidlab.ovoids import Ovoid
 from ovoidlab.symplectic import polarity_from_ovoid
-from ovoidlab.verify import verify_proposition1
+from ovoidlab.verify import (verify_lemma5, verify_main_theorem,
+                             verify_proposition1,
+                             verify_radical_and_corollary3)
 
-REPORTS = json.loads(
-    (Path(__file__).parent / "data" / "prop1_q4_reports.json").read_text())
+DATA = Path(__file__).parent / "data"
+
+
+def pinned(name: str) -> dict:
+    return json.loads((DATA / name).read_text())
+
+
+REPORTS = pinned("prop1_q4_reports.json")
+MAIN_REPORTS = pinned("main_q4_reports.json")
+SINGER_REPORTS = pinned("lemma5_codes_q4_reports.json")
+
+
+def as_pinned(report) -> dict:
+    out = report.to_dict()
+    out.pop("elapsed_ms")
+    return out
+
+
+def assert_pinned(got: dict, want: dict) -> None:
+    assert json.dumps(got, indent=1) == json.dumps(want, indent=1)
 
 
 def swap_points(ov: Ovoid, off_point: int) -> Ovoid:
@@ -44,9 +66,73 @@ def corrupted(name: str, f: Fibration, g) -> Fibration:
 
 @pytest.mark.parametrize("name", list(REPORTS))
 def test_prop1_report_is_pinned(name, fib2, geo2):
-    report = verify_proposition1(corrupted(name, fib2, geo2), geo2).to_dict()
-    report.pop("elapsed_ms")
-    assert json.dumps(report, indent=1) == json.dumps(REPORTS[name], indent=1)
+    assert_pinned(as_pinned(verify_proposition1(corrupted(name, fib2, geo2),
+                                                geo2)), REPORTS[name])
+
+
+def main_report(key: str, f: Fibration, g) -> dict:
+    """key is "<corruption>/<theta0>", theta0 "all" for None.  A raise is
+    recorded by its type: an empty fibration with theta0=0 raises
+    IndexError."""
+    name, theta0 = key.split("/")
+    try:
+        return as_pinned(verify_main_theorem(
+            corrupted(name, f, g), g,
+            theta0=None if theta0 == "all" else int(theta0)))
+    except IndexError as exc:
+        return {"raises": type(exc).__name__}
+
+
+@pytest.mark.parametrize("key", list(MAIN_REPORTS))
+def test_main_report_is_pinned(key, fib2, geo2):
+    assert_pinned(main_report(key, fib2, geo2), MAIN_REPORTS[key])
+
+
+def swapped_t(sc, a: int, b: int):
+    perm = list(sc.t_perm)
+    perm[a], perm[b] = perm[b], perm[a]
+    return dataclasses.replace(sc, t_perm=tuple(perm))
+
+
+def swapped_form(form):
+    """The form conjugated by the coordinate swap x0 <-> x2."""
+    swap = (2, 1, 0, 3)
+    return dataclasses.replace(form, gram=tuple(
+        tuple(form.gram[swap[i]][swap[j]] for j in range(4))
+        for i in range(4)))
+
+
+def singer_report(key: str, sc, form, monkeypatch) -> dict:
+    """key is "<lemma5|codes>/<corruption>"; the last two corruptions
+    replace C by the swapped form's code and flip bit 0 of D's row 0."""
+    suite, case = key.split("/")
+    if case == "t_perm_0_1":
+        sc = swapped_t(sc, 0, 1)
+    elif case == "t_perm_5_6":
+        sc = swapped_t(sc, 5, 6)
+    elif case == "C_of_swapped_form":
+        real_c = verify.code_C
+        monkeypatch.setattr(verify, "code_C",
+                            lambda f, g: real_c(swapped_form(form), g))
+    elif case == "D_row0_bit0_flipped":
+        real_d = verify.code_D
+
+        def flipped(f, g):
+            d = real_d(f, g)
+            return BitMat([d.rows[0] ^ 1] + d.rows[1:], width=d.width)
+
+        monkeypatch.setattr(verify, "code_D", flipped)
+    else:
+        raise AssertionError(case)
+    if suite == "lemma5":
+        return as_pinned(verify_lemma5(sc))
+    return as_pinned(verify_radical_and_corollary3(form, sc))
+
+
+@pytest.mark.parametrize("key", list(SINGER_REPORTS))
+def test_lemma5_and_codes_report_is_pinned(key, sc2, form2, monkeypatch):
+    assert_pinned(singer_report(key, sc2, form2, monkeypatch),
+                  SINGER_REPORTS[key])
 
 
 def swapped_line_set(spread, g) -> list[int]:

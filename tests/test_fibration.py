@@ -1,14 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovoidlab.errors import (NotAFibration, NotASpread, NotRegular,
                              SpreadNotTangent)
-from ovoidlab.fibration import (Spread, common_tangent_spread, fibrate_ovoid,
+from ovoidlab.fibration import (Fibration, Spread, common_tangent_spread,
+                                common_tangents, fibrate_ovoid,
                                 find_regular_spread_in_complex,
                                 is_regular_spread, k_stabilizer,
                                 point_permutation, t_orbit_fibration,
-                                tangency_profile)
+                                tangency_profile, tangency_table,
+                                tangent_member)
 from ovoidlab.gfield import mat_identity
-from ovoidlab.ovoids import elliptic_quadric, is_ovoid, tangent_lines
+from ovoidlab.ovoids import Ovoid, elliptic_quadric, is_ovoid, tangent_lines
+
+from test_failure_branches import REPORTS as CORRUPTIONS, corrupted
 
 
 def perm_order(perm, start=0):
@@ -188,6 +194,57 @@ def test_profile_helpers(fib2, geo2, spread2):
             assert tangency_profile(ln.mask, fib2) == (q + 1, 0, 0)
         else:
             assert tangency_profile(ln.mask, fib2) == (1, q // 2, q // 2)
+
+
+def test_fibration_hashes_by_identity(fib2):
+    # tangency_table caches on the fibration: an identity hash keeps each
+    # lookup from hashing the members
+    assert hash(fib2) == object.__hash__(fib2)
+    assert Fibration(fib2.members) != fib2
+
+
+def assert_table_matches_kernels(f: Fibration, g) -> None:
+    """Every line's table entry against the per-mask kernels, and the
+    common tangents against a direct sweep of the members."""
+    profiles, labels = tangency_table(f, g)
+    assert len(profiles) == len(labels) == len(g.lines)
+    for ln in g.lines:
+        assert profiles[ln.index] == tangency_profile(ln.mask, f)
+        assert labels[ln.index] == tangent_member(ln.mask, f)
+    assert common_tangents(f, g) == [
+        ln.index for ln in g.lines
+        if all((ln.mask & ov.mask).bit_count() == 1 for ov in f.members)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["genuine"] + list(CORRUPTIONS))
+def test_tangency_table_matches_kernels(name, n, request):
+    f = request.getfixturevalue(f"fib{n}")
+    g = request.getfixturevalue(f"geo{n}")
+    if name != "genuine":
+        f = corrupted(name, f, g)
+    assert_table_matches_kernels(f, g)
+
+
+@st.composite
+def overlapping_members(draw, g):
+    """Random member point sets; about half contain 3 or more points of
+    some line, a meet genuine ovoids never have."""
+    members = []
+    for _ in range(draw(st.integers(0, 6))):
+        pts = set(draw(st.lists(st.integers(0, g.n_points - 1),
+                                max_size=25)))
+        if draw(st.booleans()):
+            ln = g.lines[draw(st.integers(0, len(g.lines) - 1))]
+            pts |= set(ln.pts[:draw(st.integers(3, g.q + 1))])
+        members.append(Ovoid.from_points(pts))
+    return Fibration(tuple(members))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tangency_table_on_random_masks(geo2, data):
+    assert_table_matches_kernels(data.draw(overlapping_members(geo2)), geo2)
 
 
 def test_search_finds_spread_q2(geo1):

@@ -2,11 +2,16 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovoidlab.errors import EmptyMatrix, IndexOutOfRange, LengthMismatch
 from ovoidlab.gf2code import (BitMat, char_vector, code_C, code_D, in_span,
-                              radical_codim_check, span_rank, t_orbit_sum)
-from ovoidlab.symplectic import enumerate_dual_grids
+                              orthogonal, radical_codim_check, span_rank,
+                              t_orbit_sum)
+from ovoidlab.symplectic import enumerate_dual_grids, standard_form
+
+from test_failure_branches import swapped_form
 
 
 def rank_oracle(rows, width):
@@ -28,6 +33,106 @@ def rank_oracle(rows, width):
         if row == len(work):
             break
     return rank
+
+
+def sorted_insert_echelon(rows) -> list[tuple[int, int]]:
+    """The former BitMat echelon, kept as an oracle: reduce each row by
+    every pivot so far, insert it, re-sort by descending pivot."""
+    ech: list[tuple[int, int]] = []
+    for r in rows:
+        for piv, val in ech:
+            if (r >> piv) & 1:
+                r ^= val
+        if r:
+            ech.append((r.bit_length() - 1, r))
+            ech.sort(key=lambda t: -t[0])
+    return ech
+
+
+def oracle_reduce(ech, v: int) -> int:
+    for piv, val in ech:
+        if (v >> piv) & 1:
+            v ^= val
+    return v
+
+
+def assert_echelon_matches_oracle(m: BitMat, probes=()) -> None:
+    """Same rank and pivots as the oracle, the same reduced form of every
+    probe (unique once the pivots are fixed), and a basis of the span."""
+    ech = sorted_insert_echelon(m.rows)
+    got = m._build_echelon()
+    assert m.rank == len(ech)
+    assert [p for p, _ in got] == [p for p, _ in ech]
+    assert all(val.bit_length() - 1 == p for p, val in got)
+    assert all(oracle_reduce(ech, val) == 0 for _, val in got)
+    for v in list(probes) + m.rows:
+        assert m.reduce(v) == oracle_reduce(ech, v)
+        assert m.contains(v) == (oracle_reduce(ech, v) == 0)
+
+
+@st.composite
+def bitmats(draw, width=None):
+    """A BitMat whose rows include XOR combinations of earlier rows, so
+    the rank falls short of the row count, plus probe vectors in and out
+    of the span."""
+    if width is None:
+        width = draw(st.integers(1, 80))
+    vec = st.integers(0, (1 << width) - 1)
+    base = draw(st.lists(vec, max_size=12))
+    subsets = draw(st.lists(st.integers(0, (1 << len(base)) - 1),
+                            max_size=12))
+    combos = [0] * len(subsets)
+    for i, s in enumerate(subsets):
+        for k, r in enumerate(base):
+            if s >> k & 1:
+                combos[i] ^= r
+    rows = draw(st.permutations(base + combos))
+    probes = draw(st.lists(vec, max_size=6)) + combos
+    return BitMat(rows, width=width), probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(bitmats())
+def test_echelon_matches_sorted_insert_oracle(case):
+    m, probes = case
+    assert_echelon_matches_oracle(m, probes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_code_echelons_match_sorted_insert_oracle(n, request):
+    g = request.getfixturevalue(f"geo{n}")
+    form = standard_form()
+    c, d = code_C(form, g), code_D(form, g)
+    sums = BitMat((d.rows[0] ^ r for r in d.rows[1:]), width=d.width)
+    for m in (c, d, sums):
+        assert_echelon_matches_oracle(m, c.rows[:5] + [g.all_one])
+
+
+def pairwise_orthogonal(a: BitMat, b: BitMat) -> bool:
+    """The generator-pair loop the basis test replaced."""
+    return all((x & y).bit_count() % 2 == 0 for x in a.rows for y in b.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda w: st.tuples(bitmats(w),
+                                                      bitmats(w))))
+def test_orthogonal_matches_pair_loop(pair):
+    # narrow widths make orthogonal pairs common
+    (a, _), (b, _) = pair
+    assert orthogonal(a, b) == pairwise_orthogonal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orthogonal_on_codes(n, request):
+    g = request.getfixturevalue(f"geo{n}")
+    form = standard_form()
+    c, d = code_C(form, g), code_D(form, g)
+    flipped = BitMat(d.rows[:-1] + [d.rows[-1] ^ 1], width=d.width)
+    for a, b in ((d, c), (c, d), (d, code_C(swapped_form(form), g)),
+                 (flipped, c)):
+        assert orthogonal(a, b) == pairwise_orthogonal(a, b)
+    assert orthogonal(d, c)
+    assert not orthogonal(flipped, c)
 
 
 def test_char_vector(geo2):

@@ -77,6 +77,15 @@ def test_inv_zero_raises():
         FieldCtx(2).inv(0)
 
 
+def test_pow_of_zero():
+    ctx = FieldCtx(3)
+    assert ctx.pow(0, 0) == 1
+    assert ctx.pow(0, 5) == 0
+    for e in (-1, -7):
+        with pytest.raises(ZeroInverse):
+            ctx.pow(0, e)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_distributivity_exhaustive(n):
     ctx = FieldCtx(n)
