@@ -27,7 +27,8 @@ from pathlib import Path
 
 from .gfield import FieldCtx
 from .projspace import (SUPPORTED_N, GeometryTables, build_geometry,
-                        check_degree, point_coords)
+                        check_degree, meet_mask, plane_masks,
+                        point_coords)
 
 MAGIC = b"OVGE"
 VERSION = 1
@@ -72,8 +73,8 @@ def load_geometry(path: Path) -> GeometryTables:
     """Reconstruct tables from a cache file, validating the stored arrays
     before the incidence maps are derived from them.
 
-    Raises ValueError on a file that is not a well-formed v1 cache of a
-    PG(3,q) point-line incidence."""
+    Raises ValueError on a file that is not a well-formed v1 cache of
+    PG(3,q): the lines must be the lines of PG(3,q) in index order."""
     data = Path(path).read_bytes()
     head = 4 + struct.calcsize("<IIQQ")
     if data[:4] != MAGIC or len(data) < head + struct.calcsize("<III"):
@@ -114,9 +115,20 @@ def load_geometry(path: Path) -> GeometryTables:
             raise ValueError(f"points of line {li} are out of range "
                              "or not strictly increasing")
 
-    g = GeometryTables.from_arrays(ctx, coords, line_pts)
+    pmasks = plane_masks(ctx, coords)
+    g = GeometryTables.from_arrays(ctx, coords, line_pts, pmasks)
     if len(g.pair_to_line) != n_points * (n_points - 1) // 2:
         raise ValueError("some pair of points lies on two lines")
+    # strictly increasing lines are distinct; with the line count checked
+    # above, distinct lines of PG(3,q) are all of them, in build order
+    prev = ()
+    for ln in g.lines:
+        if ln.pts <= prev:
+            raise ValueError(f"line {ln.index} is out of lexicographic order")
+        if ln.mask != meet_mask(pmasks, *ln.gens):
+            raise ValueError(f"line {ln.index} is not the line of "
+                             f"PG(3,{q}) through points {ln.gens}")
+        prev = ln.pts
     return g
 
 

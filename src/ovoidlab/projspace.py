@@ -9,7 +9,9 @@ reports and caches are reproducible for a fixed modulus table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
+from operator import xor
 
 from .errors import DuplicatePoint, NotSkew, SamePoint, SizeGuard
 from .gfield import FieldCtx
@@ -65,19 +67,19 @@ class GeometryTables:
         self.all_one = (1 << self.n_points) - 1
 
     @classmethod
-    def from_arrays(cls, ctx: FieldCtx, coords, line_pts) -> GeometryTables:
-        """Tables from the normalized point coordinates in lex order and the
-        sorted point tuples of the lines in index order; the one place
-        where every incidence table is derived.
+    def from_arrays(cls, ctx: FieldCtx, coords, line_pts,
+                    pmasks) -> GeometryTables:
+        """Tables from the normalized point coordinates in lex order, the
+        sorted point tuples of the lines in index order and the plane
+        masks, plane_masks(ctx, coords); the one place where every
+        incidence table is derived.
 
         Plane i has normal coords[i]: normalized plane normals are the
         same 4-tuples as the points, in the same order.
         """
-        q = ctx.size
         points = [Point(i, c) for i, c in enumerate(coords)]
         point_index = {c: i for i, c in enumerate(coords)}
         lines: list[Line] = []
-        pair_to_line: dict[tuple[int, int], int] = {}
         point_to_lines: list[list[int]] = [[] for _ in coords]
         for li, pts in enumerate(line_pts):
             mask = 0
@@ -85,20 +87,12 @@ class GeometryTables:
                 mask |= 1 << p
                 point_to_lines[p].append(li)
             lines.append(Line(li, (pts[0], pts[1]), pts, mask))
-            pair_to_line.update(dict.fromkeys(combinations(pts, 2), li))
+        pair_to_line = {pair: li for li, pts in enumerate(line_pts)
+                        for pair in combinations(pts, 2)}
 
-        # plane points = zero set of the normal's linear form
-        mt = [[ctx.mul(a, b) for b in range(q)] for a in range(q)]
-        planes: list[Plane] = []
-        for i, nvec in enumerate(coords):
-            m0, m1, m2, m3 = (mt[c] for c in nvec)
-            pts = []
-            mask = 0
-            for idx, (x0, x1, x2, x3) in enumerate(coords):
-                if m0[x0] ^ m1[x1] ^ m2[x2] ^ m3[x3] == 0:
-                    pts.append(idx)
-                    mask |= 1 << idx
-            planes.append(Plane(i, nvec, tuple(pts), mask))
+        ids = list(range(len(coords)))
+        planes = [Plane(i, nvec, _members(mask, ids), mask)
+                  for i, (nvec, mask) in enumerate(zip(coords, pmasks))]
 
         return cls(ctx, points, lines, planes,
                    point_index, pair_to_line, point_to_lines)
@@ -174,41 +168,87 @@ def point_coords(q: int) -> list[tuple[int, int, int, int]]:
             if next((c for c in vec if c), None) == 1]
 
 
+def _members(mask: int, ids: list[int]) -> tuple[int, ...]:
+    """The ids[k] for the set bits k of mask, in ascending order; ids is
+    list(range(n_points)), whose ints the tuples reuse instead of making
+    one per entry."""
+    out = []
+    while mask:                        # top bit first: the int shrinks
+        k = mask.bit_length() - 1
+        out.append(ids[k])
+        mask ^= 1 << k
+    out.reverse()
+    return tuple(out)
+
+
+def plane_masks(ctx: FieldCtx, coords) -> list[int]:
+    """Point mask of plane i, the zero set of the form with coefficients
+    coords[i], for every i.
+
+    Bit-sliced: bit j of coordinate k is a mask over the points, and
+    multiplication by a is GF(2)-linear, so bit b of a*x_k is the XOR of
+    the slices j for which bit b of a*2^j is set.  A plane is the
+    complement of the points at which some bit of the form is set."""
+    n = ctx.n
+    slices = [[0] * n for _ in range(4)]
+    for idx, vec in enumerate(coords):
+        for k, c in enumerate(vec):
+            for j in range(n):
+                if c >> j & 1:
+                    slices[k][j] |= 1 << idx
+    images = [[ctx.mul(a, 1 << j) for j in range(n)]
+              for a in range(ctx.size)]
+    # prod[k][a][b]: the points at which bit b of a*x_k is set
+    prod = [[[reduce(xor, (sl[j] for j in range(n) if img[j] >> b & 1), 0)
+              for b in range(n)] for img in images] for sl in slices]
+    full = (1 << len(coords)) - 1
+    masks = []
+    for c0, c1, c2, c3 in coords:
+        nonzero = 0
+        for b0, b1, b2, b3 in zip(prod[0][c0], prod[1][c1],
+                                  prod[2][c2], prod[3][c3]):
+            nonzero |= b0 ^ b1 ^ b2 ^ b3
+        masks.append(full ^ nonzero)
+    return masks
+
+
+def meet_mask(pmasks: list[int], i: int, j: int) -> int:
+    """Point mask of the line through points i != j.
+
+    Point k lies on plane i exactly when point i lies on plane k, so
+    pmasks[i] & pmasks[j] is the set of planes through both points; its
+    two least members meet in the line."""
+    through = pmasks[i] & pmasks[j]
+    a = through & -through
+    through ^= a
+    return (pmasks[a.bit_length() - 1]
+            & pmasks[(through & -through).bit_length() - 1])
+
+
 def build_geometry(n: int) -> GeometryTables:
     """Construct the complete PG(3,q) tables for q = 2^n, n in SUPPORTED_N."""
     check_degree(n)
     ctx = FieldCtx(n)
-    q = ctx.size
-
-    coords = point_coords(q)
-    index = {vec: i for i, vec in enumerate(coords)}
+    coords = point_coords(ctx.size)
+    pmasks = plane_masks(ctx, coords)
     npts = len(coords)
+    ids = list(range(npts))
 
     # lines: first unjoined pair (i, j) is the lexicographically least
     # generating pair of its line; bit j of joined[i] marks i, j on a line
-    mul = ctx.mul
-    inv = ctx.inv
     joined = [0] * npts
     line_pts: list[tuple[int, ...]] = []
-    nonzero = range(1, q)
+    after = (1 << npts) - 1
     for i in range(npts):
-        u = coords[i]
-        for j in range(i + 1, npts):
-            if joined[i] >> j & 1:
-                continue
-            v = coords[j]
-            pts = [i, j]
-            for c in nonzero:
-                w = tuple(a ^ mul(c, b) for a, b in zip(u, v))
-                # normalize in place
-                f = next(x for x in w if x)
-                if f != 1:
-                    s = inv(f)
-                    w = tuple(mul(s, x) for x in w)
-                pts.append(index[w])
-            mask = sum(1 << p for p in pts)
+        after ^= 1 << i                    # the points j > i
+        rest = after & ~joined[i]
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            mask = meet_mask(pmasks, i, j)
+            pts = _members(mask, ids)
             for p in pts:
                 joined[p] |= mask
-            line_pts.append(tuple(sorted(pts)))
+            rest &= ~mask
+            line_pts.append(pts)
 
-    return GeometryTables.from_arrays(ctx, coords, line_pts)
+    return GeometryTables.from_arrays(ctx, coords, line_pts, pmasks)

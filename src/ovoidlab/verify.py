@@ -175,16 +175,24 @@ def verify_main_theorem(f: Fibration, g: GeometryTables,
     """For every dual grid of the W(q) defined by theta_0, the two lines
     are tangent to distinct members, both distinct from theta_0.
 
-    theta0=None sweeps every member as the distinguished ovoid.
+    theta0=None sweeps every member as the distinguished ovoid.  A
+    fibration with no members, or a theta0 naming no member, fails.
     """
     start = time.monotonic()
     rec = _Recorder()
     counters: dict = {}
-    choices = range(len(f.members)) if theta0 is None else (theta0,)
+    n_members = len(f.members)
+    if not n_members:
+        rec.fail("the fibration has no members")
+    choices = range(n_members) if theta0 is None else (theta0,)
     labels = tangency_table(f, g)[1]
     grids_checked = 0
     choices_done = 0
     for t0 in choices:
+        if not 0 <= t0 < n_members:
+            rec.fail(f"theta_0 = {t0} is not a member index (the "
+                     f"fibration has {n_members} members)", (t0,))
+            continue
         try:
             form = polarity_from_ovoid(f.members[t0], g)
         except OvoidlabError as exc:

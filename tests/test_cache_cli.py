@@ -78,6 +78,29 @@ def _pair_on_two_lines(d):
     d[_LINES + 20:_LINES + 40] = d[_LINES:_LINES + 20]   # line 1 := line 0
 
 
+def _line_section(d) -> list[tuple[int, ...]]:
+    return list(struct.iter_unpack("<5I", d[_LINES:_PLANES]))
+
+
+def _put_lines(d, lines):
+    for li, pts in enumerate(lines):
+        _put(d, _LINES + 20 * li, *pts)
+
+
+def _labels_5_6_swapped(d):
+    # a relabeled 2-design with the right counts, each line and the line
+    # list still sorted: only the plane meets tell it from PG(3,4)
+    swap = {5: 6, 6: 5}
+    _put_lines(d, sorted(tuple(sorted(swap.get(p, p) for p in pts))
+                         for pts in _line_section(d)))
+
+
+def _lines_10_200_swapped(d):
+    lines = _line_section(d)
+    lines[10], lines[200] = lines[200], lines[10]
+    _put_lines(d, lines)
+
+
 def _header_truncated(d):
     del d[12:]
 
@@ -95,6 +118,9 @@ def _header_degree_41(d):
     (_plane_normal_differs, "plane normals differ"),
     (_points_permuted, "point coordinates"),
     (_pair_on_two_lines, "lies on two lines"),
+    (_labels_5_6_swapped, r"line 21 is not the line of PG\(3,4\) "
+                          r"through points \(1, 5\)"),
+    (_lines_10_200_swapped, "line 11 is out of lexicographic order"),
     (_header_truncated, "not an ovoidlab geometry cache"),
     (_header_degree_41, "header degree n=41 is outside the supported range"),
 ])
@@ -220,6 +246,32 @@ def test_cli_rebuilds_corrupt_cache(capsys, geo2, tmp_path):
     loaded = geocache.load_geometry(path)
     assert geocache.serialize_geometry(loaded) == \
         geocache.serialize_geometry(geo2)
+
+
+def _without_elapsed(out: str) -> list:
+    reports = json.loads(out)
+    for rep in reports:
+        rep.pop("elapsed_ms")
+    return reports
+
+
+@pytest.mark.parametrize("corrupt", [_labels_5_6_swapped,
+                                     _lines_10_200_swapped])
+def test_cli_verify_rebuilds_relabeled_cache(corrupt, capsys, geo2, tmp_path):
+    # both files pass every count check; read as PG(3,4), the label swap
+    # made `verify` exit 2 and the line swap renumbered lines 10 and 200
+    data = bytearray(geocache.serialize_geometry(geo2))
+    corrupt(data)
+    path = tmp_path / geocache.cache_filename(2, geo2.ctx.modulus)
+    path.write_bytes(bytes(data))
+    argv = ("verify", "--n", "2", "--suite", "all")
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert err.startswith(f"cache: rebuilding {path}: line ")
+    assert err.count("\n") == 1
+    cold = run_cli(capsys, *argv, "--no-cache")[1]
+    assert _without_elapsed(out) == _without_elapsed(cold)
+    assert path.read_bytes() == geocache.serialize_geometry(geo2)
 
 
 def test_cli_geometry_text(capsys, tmp_path):

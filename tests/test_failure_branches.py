@@ -71,21 +71,27 @@ def test_prop1_report_is_pinned(name, fib2, geo2):
 
 
 def main_report(key: str, f: Fibration, g) -> dict:
-    """key is "<corruption>/<theta0>", theta0 "all" for None.  A raise is
-    recorded by its type: an empty fibration with theta0=0 raises
-    IndexError."""
+    """key is "<corruption>/<theta0>", theta0 "all" for None."""
     name, theta0 = key.split("/")
-    try:
-        return as_pinned(verify_main_theorem(
-            corrupted(name, f, g), g,
-            theta0=None if theta0 == "all" else int(theta0)))
-    except IndexError as exc:
-        return {"raises": type(exc).__name__}
+    return as_pinned(verify_main_theorem(
+        corrupted(name, f, g), g,
+        theta0=None if theta0 == "all" else int(theta0)))
 
 
 @pytest.mark.parametrize("key", list(MAIN_REPORTS))
 def test_main_report_is_pinned(key, fib2, geo2):
     assert_pinned(main_report(key, fib2, geo2), MAIN_REPORTS[key])
+
+
+@pytest.mark.parametrize("theta0", [-1, 5])
+def test_main_theorem_fails_on_theta0_out_of_range(theta0, fib2, geo2):
+    rep = verify_main_theorem(fib2, geo2, theta0=theta0)
+    assert not rep.passed
+    assert rep.counters["theta0_choices"] == 0
+    assert rep.failures == [{
+        "witness": f"theta_0 = {theta0} is not a member index "
+                   "(the fibration has 5 members)",
+        "indices": [theta0]}]
 
 
 def swapped_t(sc, a: int, b: int):

@@ -1,10 +1,11 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
 from ovoidlab.errors import DuplicatePoint, NotSkew, SamePoint, SizeGuard
 from ovoidlab.gfield import FieldCtx
-from ovoidlab.projspace import build_geometry
+from ovoidlab.projspace import build_geometry, plane_masks, point_coords
 
 
 def enumerate_subspace_counts(n):
@@ -156,3 +157,90 @@ def test_deterministic_rebuild(geo1):
     assert [p.coords for p in g2.points] == [p.coords for p in geo1.points]
     assert [l.pts for l in g2.lines] == [l.pts for l in geo1.lines]
     assert [pl.normal for pl in g2.planes] == [pl.normal for pl in geo1.planes]
+
+
+# --- the per-pair field-arithmetic derivations, kept as oracles ------------
+
+def pair_enumeration_lines(ctx, coords):
+    """Sorted point tuples of the lines, in order of their least generating
+    pair: each unjoined pair (i, j) spans u + c v for every nonzero c."""
+    index = {vec: i for i, vec in enumerate(coords)}
+    joined = [0] * len(coords)
+    line_pts = []
+    for i, u in enumerate(coords):
+        for j in range(i + 1, len(coords)):
+            if joined[i] >> j & 1:
+                continue
+            pts = [i, j]
+            for c in range(1, ctx.size):
+                w = tuple(a ^ ctx.mul(c, b) for a, b in zip(u, coords[j]))
+                f = next(x for x in w if x)
+                pts.append(index[tuple(ctx.mul(ctx.inv(f), x) for x in w)])
+            mask = sum(1 << p for p in pts)
+            for p in pts:
+                joined[p] |= mask
+            line_pts.append(tuple(sorted(pts)))
+    return line_pts
+
+
+def plane_scan(ctx, coords):
+    """(pts, mask) of each plane: the zero set of its normal's form."""
+    mt = [[ctx.mul(a, b) for b in range(ctx.size)] for a in range(ctx.size)]
+    planes = []
+    for nvec in coords:
+        m0, m1, m2, m3 = (mt[c] for c in nvec)
+        pts = tuple(idx for idx, (x0, x1, x2, x3) in enumerate(coords)
+                    if m0[x0] ^ m1[x1] ^ m2[x2] ^ m3[x3] == 0)
+        planes.append((pts, sum(1 << p for p in pts)))
+    return planes
+
+
+@pytest.mark.parametrize("fix", ["geo1", "geo2", "geo3"])
+def test_lines_match_pair_enumeration(fix, request):
+    g = request.getfixturevalue(fix)
+    coords = [p.coords for p in g.points]
+    want = pair_enumeration_lines(g.ctx, coords)
+    assert [ln.pts for ln in g.lines] == want
+    assert [ln.gens for ln in g.lines] == [pts[:2] for pts in want]
+    assert [ln.mask for ln in g.lines] == [sum(1 << p for p in pts)
+                                           for pts in want]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_planes_match_scan(n, request):
+    ctx = FieldCtx(n)
+    coords = point_coords(ctx.size)
+    want = plane_scan(ctx, coords)
+    assert plane_masks(ctx, coords) == [mask for _, mask in want]
+    g = request.getfixturevalue(f"geo{n}")
+    assert [(pl.pts, pl.mask) for pl in g.planes] == want
+
+
+def test_plane_masks_q16_sample():
+    # the full scan of PG(3,16) is 19 M steps, too slow for tier-1; a
+    # fixed sample of planes is checked by evaluating the form at every point
+    ctx = FieldCtx(4)
+    coords = point_coords(ctx.size)
+    masks = plane_masks(ctx, coords)
+    mul = ctx.mul
+    for i in random.Random(16).sample(range(len(coords)), 12):
+        nvec = coords[i]
+        want = sum(1 << k for k, x in enumerate(coords)
+                   if not mul(nvec[0], x[0]) ^ mul(nvec[1], x[1])
+                   ^ mul(nvec[2], x[2]) ^ mul(nvec[3], x[3]))
+        assert masks[i] == want, i
+
+
+def test_build_makes_no_per_pair_multiplications(monkeypatch):
+    # the slice table needs q * n products; the per-pair enumeration made
+    # 246,804 at q = 8
+    calls = []
+    real = FieldCtx.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "mul", counted)
+    assert len(build_geometry(3).lines) == 4745
+    assert len(calls) <= 64
