@@ -20,7 +20,7 @@ from .fibration import (common_tangent_spread, find_regular_spread_in_complex,
                         singer_context, t_orbit_fibration)
 from .gfield import ExtFieldCtx
 from .ovoids import elliptic_quadric, tits_ovoid, tangent_lines
-from .symplectic import polarity_from_ovoid
+from .symplectic import member_polarity
 from .verify import (verify_lemma5, verify_main_theorem, verify_proposition1,
                      verify_radical_and_corollary3, verify_segre)
 
@@ -150,7 +150,7 @@ def _run_suites(g, sc, fib, suites) -> list[dict]:
         elif name == "main":
             rep = verify_main_theorem(fib, g)
         elif name == "codes":
-            form = polarity_from_ovoid(fib.members[0], g)
+            form = member_polarity(fib, 0, g)
             rep = verify_radical_and_corollary3(form, sc)
         elif name == "segre":
             rep = verify_segre(elliptic_quadric(g), g)

@@ -12,19 +12,7 @@ from .errors import (InvariantViolation, NotAFibration, NotASpread,
                      NotRegular, SpreadNotTangent)
 from .gfield import ExtFieldCtx, mat_pow, mult_matrix, nullspace
 from .ovoids import Ovoid, is_ovoid, tangent_lines
-from .projspace import GeometryTables
-
-
-def point_permutation(g: GeometryTables, m) -> list[int]:
-    """Permutation of point indices induced by an invertible matrix."""
-    mul = g.ctx.mul
-    perm = []
-    for p in g.points:
-        x = p.coords
-        w = tuple(mul(row[0], x[0]) ^ mul(row[1], x[1])
-                  ^ mul(row[2], x[2]) ^ mul(row[3], x[3]) for row in m)
-        perm.append(g.index_of(w))
-    return perm
+from .projspace import GeometryTables, point_permutation
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +108,7 @@ def t_orbit_fibration(sc: SingerContext) -> Fibration:
 def tangency_profile(line_mask: int, f: Fibration) -> tuple[int, int, int]:
     """(tangent, secant, external) counts of one line over the members."""
     tan = sec = ext = 0
+    corrupt = False
     for ov in f.members:
         meet = (line_mask & ov.mask).bit_count()
         if meet == 1:
@@ -129,8 +118,9 @@ def tangency_profile(line_mask: int, f: Fibration) -> tuple[int, int, int]:
         elif meet == 0:
             ext += 1
         else:
-            tan = -1  # impossible for genuine ovoids; flags corruption
-    return tan, sec, ext
+            corrupt = True  # impossible for genuine ovoids
+    # a tangent count of -1 flags corruption, whatever members follow
+    return (-1 if corrupt else tan), sec, ext
 
 
 def tangent_member(line_mask: int, f: Fibration) -> int | None:

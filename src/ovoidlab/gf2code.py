@@ -108,18 +108,30 @@ def code_D(f: SymplecticForm, g: GeometryTables) -> BitMat:
 
 
 def radical_codim_check(d: BitMat) -> tuple[int, int, int]:
-    """(dim D, dim of the pairwise-sum span, codimension).
+    """(dim D, dim of the pairwise-sum span S, codimension).
 
     The span of {row0 + rowi} equals the span of all pairwise sums, so a
     codimension of 1 witnesses that the sum of any two dual grids lies in
     the radical while no single dual grid does.
+
+    One elimination gives all three: with a parity bit appended to every
+    row, row 0 keeps it as its pivot and every later row is reduced by it
+    to row0 + rowi, so the rest of the echelon is a basis of S.  D is S
+    plus row 0, and row 0 adds a dimension unless it reduces to zero by
+    S, that is unless the lone parity bit lies in the span.  The echelon
+    of D follows from the same elimination and is kept for later queries.
     """
     if not d.rows:
         raise EmptyMatrix("code_D matrix has no rows")
-    dim_d = d.rank
-    first = d.rows[0]
-    sums = BitMat((first ^ r for r in d.rows[1:]), width=d.width)
-    dim_sum = sums.rank
+    parity = 1 << d.width
+    dp = BitMat((r | parity for r in d.rows), width=d.width + 1)
+    sums = dp._build_echelon()[1:]
+    rest = dp.reduce(parity)           # row 0 reduced by S
+    if d._echelon is None:
+        extra = [(rest.bit_length() - 1, rest)] if rest else []
+        d._echelon = sorted(sums + extra, reverse=True)
+    dim_sum = len(sums)
+    dim_d = dim_sum + (rest != 0)
     return dim_d, dim_sum, dim_d - dim_sum
 
 

@@ -9,11 +9,12 @@ reports and caches are reproducible for a fixed modulus table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, product
 from operator import xor
 
-from .errors import DuplicatePoint, NotSkew, SamePoint, SizeGuard
+from .errors import (DuplicatePoint, InvariantViolation, NotSkew, SamePoint,
+                     SizeGuard)
 from .gfield import FieldCtx
 
 # Tables grow as q^4: at q = 32, pair_to_line alone would hold 572 M
@@ -111,6 +112,40 @@ class GeometryTables:
     def index_of(self, vec) -> int:
         return self.point_index[self.normalize(vec)]
 
+    @cached_property
+    def vector_index(self) -> list[int]:
+        """Entry v is the index of the point spanned by the vector packed
+        as v, coordinate k in bits (3-k)n .. (4-k)n-1; entry 0, the zero
+        vector, is -1.  Built on first use: q^4 entries."""
+        n, q, mul = self.ctx.n, self.q, self.ctx.mul
+        table = [-1] * q ** 4
+        for s in range(1, q):
+            row = [mul(s, a) for a in range(q)]
+            for p in self.points:
+                c0, c1, c2, c3 = p.coords
+                table[row[c0] << 3 * n | row[c1] << 2 * n
+                      | row[c2] << n | row[c3]] = p.index
+        return table
+
+    @cached_property
+    def dual(self) -> tuple[int, ...]:
+        """Entry m is the line in which the planes indexed by line m's
+        points meet: the polar of m under the form sum x_i y_i.  Built on
+        first use."""
+        masks = [pl.mask for pl in self.planes]
+        out = []
+        for ln in self.lines:
+            meet = masks[ln.gens[0]] & masks[ln.gens[1]]
+            if meet.bit_count() != self.q + 1:
+                raise InvariantViolation(
+                    f"planes of line {ln.index} meet in {meet.bit_count()} "
+                    f"points, want {self.q + 1}")
+            p1 = (meet & -meet).bit_length() - 1
+            meet &= meet - 1
+            p2 = (meet & -meet).bit_length() - 1
+            out.append(self.pair_to_line[(p1, p2)])
+        return tuple(out)
+
     # -- incidence queries -------------------------------------------------
 
     def line_through(self, p1: int, p2: int) -> Line:
@@ -160,6 +195,30 @@ class GeometryTables:
         opposite (their transversal set)."""
         opp = self.transversals(l1, l2, l3)
         return tuple(sorted(self._transversal_lines(*opp[:3]))), tuple(opp)
+
+
+def scaled_columns(ctx: FieldCtx, m) -> list[list[int]]:
+    """cols[j][a] is a times column j of the 4x4 matrix m, packed as in
+    GeometryTables.vector_index, so the packed image m x of a vector x is
+    cols[0][x0] ^ cols[1][x1] ^ cols[2][x2] ^ cols[3][x3]."""
+    n, mul = ctx.n, ctx.mul
+    return [[mul(a, m[0][j]) << 3 * n | mul(a, m[1][j]) << 2 * n
+             | mul(a, m[2][j]) << n | mul(a, m[3][j]) for a in range(ctx.size)]
+            for j in range(4)]
+
+
+def point_permutation(g: GeometryTables, m) -> list[int]:
+    """Permutation of point indices induced by an invertible matrix:
+    entry x is the point of m x.  Raises InvariantViolation when m sends
+    a point to zero, that is when m is singular."""
+    t0, t1, t2, t3 = scaled_columns(g.ctx, m)
+    index = g.vector_index
+    perm = [index[t0[c0] ^ t1[c1] ^ t2[c2] ^ t3[c3]]
+            for c0, c1, c2, c3 in (p.coords for p in g.points)]
+    if -1 in perm:
+        raise InvariantViolation(
+            f"matrix sends point {perm.index(-1)} to zero (singular matrix)")
+    return perm
 
 
 def point_coords(q: int) -> list[tuple[int, int, int, int]]:

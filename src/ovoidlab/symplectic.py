@@ -5,12 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantViolation, NoPolarity
+from .errors import NoPolarity, NotAnOvoid
+from .fibration import Fibration
 from .gfield import nullspace
-from .projspace import GeometryTables, Line, Plane
+from .ovoids import tangent_lines
+from .projspace import (SUPPORTED_N, GeometryTables, Line, point_permutation,
+                        scaled_columns)
 
 # index pairs of the six free entries of an alternating 4x4 matrix
 _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+# the main sweep solves and maps the form of every member, then the codes
+# suite reads the first member's again: the caches hold the q+1 member
+# forms and one more at the largest q
+FORMS_KEPT = 2 ** SUPPORTED_N[-1] + 2
 
 
 @dataclass(frozen=True)
@@ -35,14 +43,6 @@ class SymplecticForm:
                 if row[j] and v[j]:
                     acc ^= mul(ui, mul(row[j], v[j]))
         return acc
-
-    def point_perp_normal(self, g: GeometryTables, x) -> tuple[int, ...]:
-        """Linear form y -> <x, y>, i.e. the normal of the plane x^perp."""
-        mul = g.ctx.mul
-        return tuple(
-            mul(x[0], self.gram[0][j]) ^ mul(x[1], self.gram[1][j])
-            ^ mul(x[2], self.gram[2][j]) ^ mul(x[3], self.gram[3][j])
-            for j in range(4))
 
 
 @dataclass(frozen=True)
@@ -69,36 +69,31 @@ def standard_form() -> SymplecticForm:
     ))
 
 
-def perp_plane(x: int, f: SymplecticForm, g: GeometryTables) -> Plane:
-    """The plane x^perp of point x: the plane whose normal is x G."""
-    normal = f.point_perp_normal(g, g.points[x].coords)
-    if not any(normal):
-        raise InvariantViolation(
-            f"point {x} has a zero perp normal (degenerate form)")
-    return g.planes[g.index_of(normal)]
+def perp_planes(f: SymplecticForm, g: GeometryTables) -> list[int]:
+    """Entry x is the index of the plane x^perp.
+
+    The Gram matrix G is symmetric, so x^perp has normal G x, and plane i
+    has normal coords[i]: the point permutation of G is the perp map.
+    Raises InvariantViolation for a degenerate form.
+    """
+    return point_permutation(g, f.gram)
 
 
-# each suite reads the map of one form at a time; a small cache keeps
-# peak memory flat while holding few geometries alive
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=FORMS_KEPT)
 def polar_lines(f: SymplecticForm, g: GeometryTables) -> tuple[int, ...]:
     """Entry i is the index of the polar line of line i.
 
-    l^perp is the meet of the perp planes of l's two generators; its two
-    least points name it.  A line is isotropic iff it is its own polar.
+    l^perp is the meet of the perp planes of l's two generators a and b,
+    the planes indexed by perp[a] and perp[b], so it is the dual of the
+    line through the points perp[a] and perp[b].  A line is isotropic iff
+    it is its own polar.
     """
-    perp = [perp_plane(x, f, g).mask for x in range(g.n_points)]
+    perp = perp_planes(f, g)
+    dual, pair_to_line = g.dual, g.pair_to_line
     out = []
     for ln in g.lines:
-        meet = perp[ln.gens[0]] & perp[ln.gens[1]]
-        if meet.bit_count() != g.q + 1:
-            raise InvariantViolation(
-                f"perp of line {ln.index} has {meet.bit_count()} points, "
-                f"want {g.q + 1}")
-        p1 = (meet & -meet).bit_length() - 1
-        meet &= meet - 1
-        p2 = (meet & -meet).bit_length() - 1
-        out.append(g.pair_to_line[(p1, p2)])
+        a, b = perp[ln.gens[0]], perp[ln.gens[1]]
+        out.append(dual[pair_to_line[(a, b) if a < b else (b, a)]])
     return tuple(out)
 
 
@@ -123,6 +118,58 @@ def enumerate_dual_grids(f: SymplecticForm, g: GeometryTables) -> list[DualGrid]
     return [DualGrid(i, j) for i, j in enumerate(polar_lines(f, g)) if i < j]
 
 
+def tangent_nullspace(g: GeometryTables, tangents) -> list[tuple[int, ...]]:
+    """A basis of the solutions of "every tangent line is isotropic" in the
+    six free entries of an alternating Gram matrix.
+
+    Its length is the nullity of the full system, but only the rows read
+    until their rank is 5 are eliminated: the one solution they leave is
+    then checked against each remaining tangent, and the first tangent it
+    fails makes the nullity 0.
+    """
+    mul = g.ctx.mul
+    coords = [p.coords for p in g.points]
+    pivots: list[tuple[int, list[int]]] = []   # (column, row scaled to 1)
+    it = iter(tangents)
+    for li in it:
+        u, v = (coords[x] for x in g.lines[li].gens)
+        row = [mul(u[i], v[j]) ^ mul(u[j], v[i]) for (i, j) in _UPPER]
+        for col, prow in pivots:
+            if row[col]:
+                c = row[col]
+                row = [x ^ mul(c, y) for x, y in zip(row, prow)]
+        col = next((k for k, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        inv = g.ctx.inv(row[col])
+        pivots.append((col, [mul(inv, x) for x in row]))
+        if len(pivots) == 5:
+            break
+    basis = nullspace(g.ctx, [prow for _, prow in pivots], 6)
+    if len(basis) != 1:
+        return basis
+    gram = _gram(basis[0])
+    # <u, v> = 0 iff G u = 0 or v lies on the plane with normal G u
+    t0, t1, t2, t3 = scaled_columns(g.ctx, gram)
+    index, planes = g.vector_index, g.planes
+    for li in it:
+        a, b = g.lines[li].gens
+        c0, c1, c2, c3 = coords[a]
+        plane = index[t0[c0] ^ t1[c1] ^ t2[c2] ^ t3[c3]]
+        if plane >= 0 and not planes[plane].mask >> b & 1:
+            return []
+    return basis
+
+
+def _gram(vec) -> list[list[int]]:
+    """The alternating Gram matrix with free entries vec."""
+    gram = [[0] * 4 for _ in range(4)]
+    for c, (i, j) in zip(vec, _UPPER):
+        gram[i][j] = c
+        gram[j][i] = c
+    return gram
+
+
 def polarity_from_ovoid(theta, g: GeometryTables) -> SymplecticForm:
     """Unique symplectic polarity whose isotropic lines are the tangents
     of the ovoid (Segre construction, q even).
@@ -131,28 +178,21 @@ def polarity_from_ovoid(theta, g: GeometryTables) -> SymplecticForm:
     alternating Gram matrix; raises NoPolarity unless the solution space
     is 1-dimensional projectively and nondegenerate.
     """
-    from .errors import NotAnOvoid
-    from .ovoids import tangent_lines  # local import avoids a cycle
-
-    mul = g.ctx.mul
     try:
         tangents = tangent_lines(theta, g)
     except NotAnOvoid as exc:
         raise NoPolarity(f"input is not an ovoid: {exc}") from exc
-    rows = []
-    for li in tangents:
-        ln = g.lines[li]
-        u = g.points[ln.gens[0]].coords
-        v = g.points[ln.gens[1]].coords
-        rows.append(tuple(mul(u[i], v[j]) ^ mul(u[j], v[i])
-                          for (i, j) in _UPPER))
-    basis = nullspace(g.ctx, rows, 6)
+    basis = tangent_nullspace(g, tangents)
     if len(basis) != 1:
         raise NoPolarity(f"tangent system has nullity {len(basis)}, want 1")
-    gram = [[0] * 4 for _ in range(4)]
-    for c, (i, j) in zip(g.normalize(basis[0]), _UPPER):
-        gram[i][j] = c
-        gram[j][i] = c
+    gram = _gram(g.normalize(basis[0]))
     if nullspace(g.ctx, gram, 4):
         raise NoPolarity("tangent system solution is degenerate")
     return SymplecticForm(tuple(tuple(r) for r in gram))
+
+
+@lru_cache(maxsize=FORMS_KEPT)
+def member_polarity(f: Fibration, i: int, g: GeometryTables
+                    ) -> SymplecticForm:
+    """The polarity of member i of the fibration f, solved once per run."""
+    return polarity_from_ovoid(f.members[i], g)

@@ -19,8 +19,8 @@ from .gf2code import (code_C, code_D, orthogonal, radical_codim_check,
 from .ovoids import Ovoid, tangent_lines
 from .projspace import GeometryTables
 from .symplectic import (SymplecticForm, enumerate_dual_grids,
-                         isotropic_lines, perp_line, perp_plane,
-                         polarity_from_ovoid)
+                         isotropic_lines, member_polarity, perp_line,
+                         perp_planes, polar_lines, polarity_from_ovoid)
 
 MAX_WITNESSES = 20
 
@@ -194,21 +194,24 @@ def verify_main_theorem(f: Fibration, g: GeometryTables,
                      f"fibration has {n_members} members)", (t0,))
             continue
         try:
-            form = polarity_from_ovoid(f.members[t0], g)
+            form = member_polarity(f, t0, g)
         except OvoidlabError as exc:
             rec.fail(f"polarity from member {t0} failed: {exc}", (t0,))
             continue
         choices_done += 1
-        for dg in enumerate_dual_grids(form, g):
+        # the dual grids are the 2-cycles m < m^perp of the polar map
+        for m, mp in enumerate(polar_lines(form, g)):
+            if m >= mp:
+                continue
             grids_checked += 1
-            j, k = labels[dg.m], labels[dg.m_perp]
+            j, k = labels[m], labels[mp]
             if j is None or k is None:
-                rec.fail(f"dual grid ({dg.m},{dg.m_perp}) of W(theta_{t0}) "
+                rec.fail(f"dual grid ({m},{mp}) of W(theta_{t0}) "
                          "has a line without a unique tangent member",
-                         (t0, dg.m, dg.m_perp))
+                         (t0, m, mp))
             elif j == k or j == t0 or k == t0:
-                rec.fail(f"dual grid ({dg.m},{dg.m_perp}) of W(theta_{t0}) "
-                         f"has labels ({j},{k})", (t0, dg.m, dg.m_perp))
+                rec.fail(f"dual grid ({m},{mp}) of W(theta_{t0}) "
+                         f"has labels ({j},{k})", (t0, m, mp))
     counters["theta0_choices"] = choices_done
     counters["dual_grids_checked"] = grids_checked
     return _finish("main_theorem", g, rec, counters, start)
@@ -305,6 +308,7 @@ def verify_segre(theta: Ovoid, g: GeometryTables) -> VerificationReport:
                  f"lines ({len(tset)})")
 
     # tangent planes: the q+1 tangents through x cover exactly x^perp
+    perp = perp_planes(form, g)
     for x in theta.pts:
         through = [li for li in g.point_to_lines[x] if li in tset]
         if len(through) != g.q + 1:
@@ -313,7 +317,7 @@ def verify_segre(theta: Ovoid, g: GeometryTables) -> VerificationReport:
         union = 0
         for li in through:
             union |= g.lines[li].mask
-        if union != perp_plane(x, form, g).mask:
+        if union != g.planes[perp[x]].mask:
             rec.fail(f"tangents through {x} do not cover its perp plane",
                      (x,))
 

@@ -441,3 +441,25 @@ def test_cli_verify_reads_one_tangency_table(capsys, monkeypatch):
     fibrations = {id(f) for f in seen}
     assert len(seen) <= 357 * len(fibrations)  # PG(3,4) has 357 lines
     assert len(fibrations) == 1
+
+
+def test_cli_verify_solves_and_maps_each_form_once(capsys, monkeypatch):
+    # q+1 member forms for the main sweep, which the codes suite reads
+    # again, and the elliptic quadric's for Segre: q+2 = 6 of each at
+    # q = 4, where solving member 0 again for the codes suite made 7
+    from ovoidlab import symplectic
+    solves = []
+    real = symplectic.tangent_nullspace
+
+    def counted(g, tangents):
+        solves.append(1)
+        return real(g, tangents)
+
+    monkeypatch.setattr(symplectic, "tangent_nullspace", counted)
+    symplectic.member_polarity.cache_clear()
+    symplectic.polar_lines.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--n", "2", "--suite", "all",
+                         "--no-cache")
+    assert code == 0
+    assert len(solves) <= 6
+    assert symplectic.polar_lines.cache_info().misses <= 6

@@ -180,16 +180,8 @@ def test_common_tangent_spread_rejects_meeting_lines(fib2, geo2, spread2,
 
 def test_polarity_rejects_degenerate_solution(quadric2, geo2, monkeypatch):
     # the tangent system is forced to return the rank-2 form x1 y2 + x2 y1
-    real = symplectic.nullspace
-    calls = []
-
-    def first_call_degenerate(*args):
-        calls.append(args)
-        if len(calls) == 1:
-            return [(1, 0, 0, 0, 0, 0)]
-        return real(*args)
-
-    monkeypatch.setattr(symplectic, "nullspace", first_call_degenerate)
+    monkeypatch.setattr(symplectic, "tangent_nullspace",
+                        lambda g, tangents: [(1, 0, 0, 0, 0, 0)])
     with pytest.raises(NoPolarity, match="degenerate"):
         polarity_from_ovoid(quadric2, geo2)
 

@@ -196,6 +196,18 @@ def test_profile_helpers(fib2, geo2, spread2):
             assert tangency_profile(ln.mask, fib2) == (1, q // 2, q // 2)
 
 
+def test_profile_corruption_flag_is_sticky(geo2):
+    # a member meeting the line in 3 points flags the profile; members
+    # tangent to the line after it must not count the flag back up
+    pts = geo2.lines[0].pts
+    three = Ovoid.from_points(pts[:3])
+    tangent = Ovoid.from_points(pts[3:4])
+    for members in ((three, tangent), (three, tangent, tangent),
+                    (tangent, three, tangent)):
+        assert tangency_profile(geo2.lines[0].mask,
+                                Fibration(members))[0] == -1
+
+
 def test_fibration_hashes_by_identity(fib2):
     # tangency_table caches on the fibration: an identity hash keeps each
     # lookup from hashing the members

@@ -224,6 +224,41 @@ def test_radical_codim_one(ffix, gfix, request):
     assert dim_sum == dim_d - 1
 
 
+def radical_oracle(rows, width) -> tuple[int, int, int]:
+    """The former check: one elimination of D, one of the sums row0 + rowi."""
+    dim_d = rank_oracle(rows, width)
+    dim_sum = rank_oracle([rows[0] ^ r for r in rows[1:]], width)
+    return dim_d, dim_sum, dim_d - dim_sum
+
+
+@settings(max_examples=300, deadline=None)
+@given(bitmats())
+def test_radical_check_matches_two_eliminations(case):
+    m, probes = case
+    if not m.rows:
+        return
+    variants = [m.rows]
+    if len(m.rows) >= 3:
+        # row 0 the sum of rows 1 and 2 lies in the sum span: codim 0
+        variants.append([m.rows[1] ^ m.rows[2]] + m.rows[1:])
+    for rows in variants:
+        d = BitMat(rows, width=m.width)
+        assert radical_codim_check(d) == radical_oracle(rows, m.width)
+        # the echelon the check leaves on D is one of D
+        assert_echelon_matches_oracle(d, probes)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([0b01, 0b10, 0b11], (2, 2, 0)),
+    ([0, 0b10], (1, 1, 0)),
+    ([0b01], (1, 0, 1)),
+    ([0b01, 0b01], (1, 0, 1)),
+])
+def test_radical_codim_small_cases(rows, want):
+    assert radical_codim_check(BitMat(rows, width=2)) == want
+    assert radical_oracle(rows, 2) == want
+
+
 def test_radical_codim_empty():
     with pytest.raises(EmptyMatrix):
         radical_codim_check(BitMat([], width=4))

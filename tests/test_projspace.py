@@ -3,9 +3,12 @@ from itertools import combinations, product
 
 import pytest
 
-from ovoidlab.errors import DuplicatePoint, NotSkew, SamePoint, SizeGuard
-from ovoidlab.gfield import FieldCtx
-from ovoidlab.projspace import build_geometry, plane_masks, point_coords
+from ovoidlab import ExtFieldCtx, singer_context
+from ovoidlab.errors import (DuplicatePoint, InvariantViolation, NotSkew,
+                             SamePoint, SizeGuard)
+from ovoidlab.gfield import FieldCtx, nullspace
+from ovoidlab.projspace import (build_geometry, plane_masks, point_coords,
+                                point_permutation)
 
 
 def enumerate_subspace_counts(n):
@@ -244,3 +247,75 @@ def test_build_makes_no_per_pair_multiplications(monkeypatch):
     monkeypatch.setattr(FieldCtx, "mul", counted)
     assert len(build_geometry(3).lines) == 4745
     assert len(calls) <= 64
+
+
+# --- the collineation kernel against per-point arithmetic ----------------
+
+def oracle_point_permutation(g, m) -> list[int]:
+    """The former kernel: multiply, normalize and look up every point."""
+    mul = g.ctx.mul
+    return [g.index_of(tuple(mul(row[0], x[0]) ^ mul(row[1], x[1])
+                             ^ mul(row[2], x[2]) ^ mul(row[3], x[3])
+                             for row in m))
+            for x in (p.coords for p in g.points)]
+
+
+def random_matrix(q: int, rng) -> tuple:
+    return tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vector_index_matches_normalize(n, request):
+    g = request.getfixturevalue(f"geo{n}")
+    shifts = (3 * n, 2 * n, n, 0)
+    assert g.vector_index[0] == -1
+    for vec in product(range(g.q), repeat=4):
+        if any(vec):
+            packed = sum(c << s for c, s in zip(vec, shifts))
+            assert g.vector_index[packed] == g.index_of(vec)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_point_permutation_matches_oracle(n, request):
+    g = request.getfixturevalue(f"geo{n}")
+    sc = singer_context(g, ExtFieldCtx.build(n))
+    rng = random.Random(100 + n)
+    mats = [sc.gen, sc.t_gen, sc.k_gen]
+    while len(mats) < 13:
+        m = random_matrix(g.q, rng)
+        if not nullspace(g.ctx, m, 4):
+            mats.append(m)
+    for m in mats:
+        perm = point_permutation(g, m)
+        assert perm == oracle_point_permutation(g, m)
+        assert sorted(perm) == list(range(g.n_points))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_point_permutation_rejects_singular_matrices(n, request):
+    # a singular matrix sends its kernel's points to zero, which the
+    # former kernel could not normalize either
+    g = request.getfixturevalue(f"geo{n}")
+    rng = random.Random(200 + n)
+    singular = [((1, 0, 0, 0),) * 4, ((0,) * 4,) * 4]
+    while len(singular) < 8:
+        m = random_matrix(g.q, rng)
+        if nullspace(g.ctx, m, 4):
+            singular.append(m)
+    for m in singular:
+        with pytest.raises(ValueError, match="zero vector"):
+            oracle_point_permutation(g, m)
+        with pytest.raises(InvariantViolation, match="singular matrix"):
+            point_permutation(g, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dual_matches_nullspace(n, request):
+    # the dual of line m: the points y with x . y = 0 for every x on m
+    g = request.getfixturevalue(f"geo{n}")
+    for ln in g.lines:
+        u, v = (g.points[x].coords for x in ln.gens)
+        a, b = nullspace(g.ctx, [u, v], 4)
+        want = g.line_through(g.index_of(a), g.index_of(b)).index
+        assert g.dual[ln.index] == want
+        assert g.dual[want] == ln.index
