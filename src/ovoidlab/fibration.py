@@ -190,24 +190,24 @@ def is_regular_spread(s: Spread, g: GeometryTables, *,
     sample=N checks N random triples instead of all of them.  Three skew
     lines lie in exactly one regulus, so once a regulus is found inside the
     spread all its triples are marked done and skipped: the exhaustive
-    check computes q(q^2+1) reguli instead of one per triple.
+    check walks the line pairs and computes q(q^2+1) reguli instead of one
+    per triple.
     """
     if not _is_spread(s.lines, g):
         raise NotASpread("input is not a spread")
     lines = s.lines
     k = len(lines)
     pos = {li: i for i, li in enumerate(lines)}
+    # done[a * k + b] has bit c set once triple (a, b, c) lies in a regulus
+    # already proved to be inside the spread
+    done = [0] * (k * k)
     if sample is None:
-        triples = ((a, b, c) for a in range(k) for b in range(a + 1, k)
-                   for c in range(b + 1, k))
+        triples = _pair_walk(k, done)
     else:
         import random
         rng = random.Random(seed)
         triples = (tuple(sorted(rng.sample(range(k), 3)))
                    for _ in range(sample))
-    # done[a * k + b] has bit c set once triple (a, b, c) lies in a regulus
-    # already proved to be inside the spread
-    done = [0] * (k * k)
     for a, b, c in triples:
         if done[a * k + b] >> c & 1:
             continue
@@ -223,6 +223,19 @@ def is_regular_spread(s: Spread, g: GeometryTables, *,
             for y in reg[j + 1:]:
                 done[x * k + y] |= mask
     return True
+
+
+def _pair_walk(k: int, done: list[int]):
+    """The triples a < b < c < k, pair by pair, skipping each c whose bit
+    is set in done[a * k + b]; done is read again after every yield."""
+    full = (1 << k) - 1
+    for a in range(k):
+        for b in range(a + 1, k):
+            ab = a * k + b
+            todo = (full >> b + 1 << b + 1) & ~done[ab]
+            while todo:
+                yield a, b, (todo & -todo).bit_length() - 1
+                todo &= ~done[ab]
 
 
 def _line_forms(g: GeometryTables, li: int):
@@ -353,6 +366,23 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
         seen = set(chosen)
         seen.add(new)
         queue = [new]
+        # reguli whose lines this closure has walked; fresh per closure,
+        # since a failed sibling may have walked a regulus it never added
+        walked: set[frozenset] = set()
+
+        def force(r: frozenset) -> bool:
+            """Queue the unseen lines of regulus r; False when one is
+            outside tl or meets a chosen line."""
+            for t in r:
+                if t not in tlset:
+                    return False
+                if t not in seen:
+                    if covered & glines[t].mask:
+                        return False
+                    seen.add(t)
+                    queue.append(t)
+            return True
+
         while queue:
             li = queue.pop()
             m = glines[li].mask
@@ -362,18 +392,21 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
             chosen.append(li)
             if len(chosen) > target:
                 return None, None
-            # reguli through pairs of existing lines and the new line
+            # reguli through pairs of existing lines and the new line; the
+            # lines of a regulus found through (la, li) give no other one
             for a in range(len(chosen) - 1):
                 la = chosen[a]
+                found: set[int] = set()
                 for b in range(a + 1, len(chosen) - 1):
-                    for t in regulus_of(la, chosen[b], li):
-                        if t not in tlset:
+                    lb = chosen[b]
+                    if lb in found:
+                        continue
+                    r = regulus_of(la, lb, li)
+                    found |= r
+                    if r not in walked:
+                        walked.add(r)
+                        if not force(r):
                             return None, None
-                        if t not in seen:
-                            if covered & glines[t].mask:
-                                return None, None
-                            seen.add(t)
-                            queue.append(t)
         return chosen, covered
 
     def search(chosen: list[int], covered: int):

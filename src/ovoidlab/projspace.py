@@ -47,8 +47,12 @@ class Line:
 class Plane:
     index: int
     normal: tuple[int, int, int, int]
-    pts: tuple[int, ...]           # sorted, length q^2+q+1
     mask: int
+
+    @property
+    def pts(self) -> tuple[int, ...]:
+        """The q^2+q+1 points of the plane, sorted, read off the mask."""
+        return _members(self.mask, range(self.mask.bit_length()))
 
 
 class GeometryTables:
@@ -90,9 +94,7 @@ class GeometryTables:
             lines.append(Line(li, (pts[0], pts[1]), pts, mask))
         pair_to_line = {pair: li for li, pts in enumerate(line_pts)
                         for pair in combinations(pts, 2)}
-
-        ids = list(range(len(coords)))
-        planes = [Plane(i, nvec, _members(mask, ids), mask)
+        planes = [Plane(i, nvec, mask)
                   for i, (nvec, mask) in enumerate(zip(coords, pmasks))]
 
         return cls(ctx, points, lines, planes,
@@ -164,20 +166,28 @@ class GeometryTables:
         if a.mask & b.mask or a.mask & c.mask or b.mask & c.mask:
             raise NotSkew(f"lines {l1}, {l2}, {l3} are not pairwise skew")
 
-    def _transversal_through(self, p: int, l2: Line, mask3: int) -> int | None:
-        """Index of the line through p meeting l2 and the mask3 line, if any."""
-        for x in l2.pts:
-            li = self.pair_to_line[(p, x) if p < x else (x, p)]
-            if self.lines[li].mask & mask3:
-                return li
-        return None
-
     def _transversal_lines(self, l1: int, l2: int, l3: int) -> list[int]:
-        """Transversals of three lines, one per point of l1; unchecked, so
-        the caller guarantees the lines are pairwise skew."""
-        b, mask3 = self.lines[l2], self.lines[l3].mask
-        return [self._transversal_through(p, b, mask3)
-                for p in self.lines[l1].pts]
+        """Transversals of three lines, one per plane through l2; unchecked,
+        so the caller guarantees the lines are pairwise skew.
+
+        Plane k contains point p iff point k lies on plane p, so the planes
+        through l2 are the common bits of its generators' plane masks.  Each
+        meets l1 and l3 in one point, and the line through those two points
+        is the transversal in that plane."""
+        planes, lines = self.planes, self.lines
+        a, b = lines[l2].gens
+        m1, m3 = lines[l1].mask, lines[l3].mask
+        pencil = planes[a].mask & planes[b].mask
+        pair_to_line = self.pair_to_line
+        out = []
+        while pencil:
+            k = pencil.bit_length() - 1
+            pencil ^= 1 << k
+            m = planes[k].mask
+            p = (m & m1).bit_length() - 1
+            x = (m & m3).bit_length() - 1
+            out.append(pair_to_line[(p, x) if p < x else (x, p)])
+        return out
 
     def _regulus_lines(self, l1: int, l2: int, l3: int) -> list[int]:
         """The q+1 lines of the regulus through three pairwise skew lines
@@ -227,10 +237,10 @@ def point_coords(q: int) -> list[tuple[int, int, int, int]]:
             if next((c for c in vec if c), None) == 1]
 
 
-def _members(mask: int, ids: list[int]) -> tuple[int, ...]:
+def _members(mask: int, ids) -> tuple[int, ...]:
     """The ids[k] for the set bits k of mask, in ascending order; ids is
-    list(range(n_points)), whose ints the tuples reuse instead of making
-    one per entry."""
+    range(k) for some k above the top bit, or list(range(n_points)),
+    whose ints the tuples reuse instead of making one per entry."""
     out = []
     while mask:                        # top bit first: the int shrinks
         k = mask.bit_length() - 1

@@ -19,8 +19,8 @@ from .gf2code import (code_C, code_D, orthogonal, radical_codim_check,
 from .ovoids import Ovoid, tangent_lines
 from .projspace import GeometryTables
 from .symplectic import (SymplecticForm, enumerate_dual_grids,
-                         isotropic_lines, member_polarity, perp_line,
-                         perp_planes, polar_lines, polarity_from_ovoid)
+                         isotropic_lines, member_polarity, perp_planes,
+                         polar_lines, polarity_from_ovoid)
 
 MAX_WITNESSES = 20
 
@@ -323,10 +323,11 @@ def verify_segre(theta: Ovoid, g: GeometryTables) -> VerificationReport:
 
     # tangent/secant swap under perp for every non-tangent line
     swaps = 0
+    polar = polar_lines(form, g)
     for ln in g.lines:
         if ln.index in tset:
             continue
-        mp = perp_line(ln, form, g)
+        mp = g.lines[polar[ln.index]]
         meets = {(ln.mask & theta.mask).bit_count(),
                  (mp.mask & theta.mask).bit_count()}
         swaps += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -7,8 +8,8 @@ from ovoidlab import ExtFieldCtx, singer_context
 from ovoidlab.errors import (DuplicatePoint, InvariantViolation, NotSkew,
                              SamePoint, SizeGuard)
 from ovoidlab.gfield import FieldCtx, nullspace
-from ovoidlab.projspace import (build_geometry, plane_masks, point_coords,
-                                point_permutation)
+from ovoidlab.projspace import (Plane, build_geometry, plane_masks,
+                                point_coords, point_permutation)
 
 
 def enumerate_subspace_counts(n):
@@ -217,6 +218,17 @@ def test_planes_match_scan(n, request):
     assert plane_masks(ctx, coords) == [mask for _, mask in want]
     g = request.getfixturevalue(f"geo{n}")
     assert [(pl.pts, pl.mask) for pl in g.planes] == want
+
+
+def test_plane_points_follow_the_mask(geo2):
+    # pts is read off the mask, so a replaced mask cannot leave stale points
+    pl = geo2.planes[5]
+    assert pl.pts == tuple(p for p in range(geo2.n_points)
+                           if pl.mask >> p & 1)
+    moved = dataclasses.replace(pl, mask=pl.mask ^ 1 << pl.pts[0])
+    assert moved.pts == pl.pts[1:]
+    assert [f.name for f in dataclasses.fields(Plane)] == ["index", "normal",
+                                                           "mask"]
 
 
 def test_plane_masks_q16_sample():

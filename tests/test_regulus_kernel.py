@@ -1,19 +1,24 @@
 """Differential tests for the regulus kernel.
 
 `oracle_is_regular_spread` is the original triple sweep: it recomputes the
-regulus of every line triple with its own inline transversal search and
-shares no code with `GeometryTables._regulus_lines`.  The fast
-`is_regular_spread` and the memoized spread search must agree with it.
+regulus of every line triple with its own per-point transversal search
+(`oracle_transversals`) and shares no code with
+`GeometryTables._regulus_lines`.  The fast `is_regular_spread` and the
+memoized spread search must agree with it; `oracle_search` is the spread
+search with a closure that recomputes every triple until nothing is new.
 """
 
 import json
 import random
+import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from ovoidlab import (ExtFieldCtx, common_tangent_spread, singer_context,
                       t_orbit_fibration)
+from ovoidlab import fibration
 from ovoidlab.fibration import (Spread, find_regular_spread_in_complex,
                                 is_regular_spread)
 from ovoidlab.ovoids import elliptic_quadric, tangent_lines, tits_ovoid
@@ -21,6 +26,25 @@ from ovoidlab.ovoids import elliptic_quadric, tangent_lines, tits_ovoid
 EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json")
     .read_text())["search-spread"]
+
+
+def oracle_transversals(g, l1, l2, l3):
+    """The unique transversal through each point of l1 meeting l2 and l3."""
+    pair_to_line = g.pair_to_line
+    glines = g.lines
+    out = []
+    for p in glines[l1].pts:
+        for x in glines[l2].pts:
+            li = pair_to_line[(p, x) if p < x else (x, p)]
+            if glines[li].mask & glines[l3].mask:
+                out.append(li)
+                break
+    return out
+
+
+def oracle_regulus(g, l1, l2, l3):
+    """The regulus: transversals of three of the lines' transversals."""
+    return oracle_transversals(g, *oracle_transversals(g, l1, l2, l3)[:3])
 
 
 def oracle_is_regular_spread(s, g, *, sample=None, seed=0):
@@ -35,28 +59,72 @@ def oracle_is_regular_spread(s, g, *, sample=None, seed=0):
         rng = random.Random(seed)
         triples = (tuple(sorted(rng.sample(range(k), 3)))
                    for _ in range(sample))
-    pair_to_line = g.pair_to_line
-    glines = g.lines
     for a, b, c in triples:
-        l1, l2, l3 = glines[lines[a]], glines[lines[b]], glines[lines[c]]
-        # opposite regulus: the unique transversal through each point of l1
-        opp = []
-        for p in l1.pts:
-            for x in l2.pts:
-                li = pair_to_line[(p, x) if p < x else (x, p)]
-                if glines[li].mask & l3.mask:
-                    opp.append(li)
-                    break
-        # the regulus itself: transversals of three opposite lines
-        o1, o2, o3 = glines[opp[0]], glines[opp[1]], glines[opp[2]]
-        for p in o1.pts:
-            for x in o2.pts:
-                li = pair_to_line[(p, x) if p < x else (x, p)]
-                if glines[li].mask & o3.mask:
-                    if li not in members:
-                        return False
-                    break
+        if not set(oracle_regulus(g, lines[a], lines[b], lines[c])) \
+                <= members:
+            return False
     return True
+
+
+def oracle_search(tl, g, budget):
+    """The spread search of find_regular_spread_in_complex with a plain
+    closure: every triple of the grown line set, until nothing is new."""
+    tlset = set(tl)
+    glines = g.lines
+    target = g.q * g.q + 1
+    by_point = {}
+    for li in sorted(tlset):
+        for p in glines[li].pts:
+            by_point.setdefault(p, []).append(li)
+    memo = {}
+    nodes = 0
+
+    def closure(chosen, new):
+        grown = chosen | {new}
+        while True:
+            if not grown <= tlset or len(grown) > target:
+                return None
+            covered = 0
+            for li in grown:
+                if covered & glines[li].mask:
+                    return None
+                covered |= glines[li].mask
+            more = set()
+            for t in combinations(sorted(grown), 3):
+                if t not in memo:
+                    memo[t] = set(oracle_regulus(g, *t))
+                more |= memo[t]
+            if more <= grown:
+                return grown
+            grown |= more
+
+    def search(chosen):
+        nonlocal nodes
+        if len(chosen) == target:
+            sp = Spread(tuple(sorted(chosen)))
+            return sp.lines if oracle_is_regular_spread(sp, g) else None
+        if nodes >= budget:
+            return None
+        covered = 0
+        for li in chosen:
+            covered |= glines[li].mask
+        uncovered = g.all_one & ~covered
+        p = (uncovered & -uncovered).bit_length() - 1
+        for li in by_point.get(p, ()):
+            if glines[li].mask & covered:
+                continue
+            nodes += 1
+            if nodes >= budget:
+                return None
+            grown = closure(chosen, li)
+            if grown is None:
+                continue
+            res = search(grown)
+            if res is not None:
+                return res
+        return None
+
+    return search(set()), nodes
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +153,14 @@ def test_singer_spread_verdict_matches_oracle(request, q):
     assert oracle_is_regular_spread(spread, g) is True
 
 
+# starts 0 and 7, then six more drawn with a fixed seed; a start below 15
+# names three of the 17 spread lines at q = 4
+REVERSED_STARTS = [0, 7] + random.Random(9).sample(
+    [s for s in range(15) if s not in (0, 7)], 6)
+
+
 @pytest.mark.parametrize("q", ["q4", "q8"])
-@pytest.mark.parametrize("start", [0, 7])
+@pytest.mark.parametrize("start", REVERSED_STARTS)
 def test_reversed_spread_verdict_matches_oracle(request, q, start):
     g, spread = _spreads(request, q)
     mutated = _reversed(spread, g, start)
@@ -136,12 +210,33 @@ def test_exhaustive_check_computes_each_regulus_once(spread3, geo3,
     assert len(calls) == len(set(calls)) == q * (q * q + 1)
 
 
-def test_kernel_matches_brute_force(geo2):
+def test_pair_walk_yields_one_triple_per_regulus(spread3, geo3,
+                                                 monkeypatch):
+    # the walk reads done again after each triple, so it never offers a
+    # triple of a regulus already found: q(q^2+1) triples, where the
+    # triple sweep offered all C(q^2+1, 3)
+    offered = []
+    walk = fibration._pair_walk
+
+    def counting(k, done):
+        for t in walk(k, done):
+            offered.append(t)
+            yield t
+
+    monkeypatch.setattr(fibration, "_pair_walk", counting)
+    assert is_regular_spread(spread3, geo3)
+    q = geo3.q
+    assert len(offered) == len(set(offered)) == q * (q * q + 1)
+
+
+@pytest.mark.parametrize("fix", ["geo1", "geo2", "geo3"])
+def test_kernel_matches_brute_force(request, fix):
     # the opposite regulus is every line meeting all three; the regulus is
     # every line meeting all of those
+    g = request.getfixturevalue(fix)
     rng = random.Random(0)
-    lines = geo2.lines
-    q = geo2.q
+    lines = g.lines
+    q = g.q
 
     def meeting_all(idx):
         return sorted(ln.index for ln in lines
@@ -156,9 +251,9 @@ def test_kernel_matches_brute_force(geo2):
         opp = meeting_all((l1, l2, l3))
         reg = meeting_all(opp)
         assert len(opp) == len(reg) == q + 1 and {l1, l2, l3} <= set(reg)
-        assert sorted(geo2._transversal_lines(l1, l2, l3)) == opp
-        assert sorted(geo2._regulus_lines(l1, l2, l3)) == reg
-        assert geo2.regulus(l1, l2, l3) == (tuple(reg), tuple(opp))
+        assert sorted(g._transversal_lines(l1, l2, l3)) == opp
+        assert sorted(g._regulus_lines(l1, l2, l3)) == reg
+        assert g.regulus(l1, l2, l3) == (tuple(reg), tuple(opp))
         checked += 1
 
 
@@ -172,3 +267,82 @@ def test_search_result_pinned(request, key):
     want = EXPECTED[key]
     assert want["found"] and nodes == want["nodes"] == 4
     assert list(sp) == want["spread"]
+
+
+def _search_input(request, key):
+    n, kind = key.split("-")
+    g = request.getfixturevalue(f"geo{n}")
+    theta = tits_ovoid(g) if kind == "tits" else elliptic_quadric(g)
+    return g, tangent_lines(theta, g)
+
+
+@pytest.mark.parametrize("key", ["2-elliptic", "3-tits"])
+def test_search_computes_each_regulus_once(request, key, monkeypatch):
+    g, tl = _search_input(request, key)
+    calls, checks = [], []
+    kernel = type(g)._regulus_lines
+    check = fibration.is_regular_spread
+
+    def counting(self, *lines):
+        out = kernel(self, *lines)
+        calls.append(frozenset(out))
+        return out
+
+    def checking(*args, **kwargs):
+        checks.append(len(calls))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(type(g), "_regulus_lines", counting)
+    monkeypatch.setattr(fibration, "is_regular_spread", checking)
+    sp, _ = find_regular_spread_in_complex(tl, g, budget=1000)
+    assert sp is not None and len(checks) == 1
+    search = calls[:checks[0]]
+    q = g.q
+    assert len(search) == len(set(search))
+    assert len(calls) <= 2 * q * (q * q + 1)
+
+
+@pytest.mark.parametrize("key", ["2-elliptic", "3-tits"])
+def test_closure_looks_up_and_walks_each_regulus_once(request, key):
+    # the closure skips the lines of a regulus already found through the
+    # pair (chosen[a], new): 408 and 14,560 lookups, q-1 per line pair of
+    # the spread, where one per triple made C(q^2+1, 3); and it walks the
+    # lines of each regulus at most once
+    g, tl = _search_input(request, key)
+    lookups = 0
+    walks = []                      # per closure, the reguli walked
+
+    def hook(frame, event, arg):
+        nonlocal lookups
+        if event != "call":
+            return
+        name = frame.f_code.co_name
+        if name == "regulus_of":
+            lookups += 1
+        elif name == "closure":
+            walks.append([])
+        elif name == "force":
+            walks[-1].append(frame.f_locals["r"])
+
+    sys.setprofile(hook)
+    try:
+        sp, _ = find_regular_spread_in_complex(tl, g, budget=1000)
+    finally:
+        sys.setprofile(None)
+    k = g.q * g.q + 1
+    assert sp is not None and 0 < lookups <= (g.q - 1) * k * (k - 1) // 2
+    assert walks and all(len(w) == len(set(w)) for w in walks)
+
+
+@pytest.mark.parametrize("drop", [6, 12, 20])
+@pytest.mark.parametrize("seed", range(4))
+def test_search_matches_oracle_on_pruned_complexes(quadric2, geo2, drop,
+                                                   seed):
+    # dropping tangent lines makes closures fail, so sibling branches
+    # walk reguli that the branch taken later never added; with 20 lines
+    # dropped, some searches find no spread
+    tl = tangent_lines(quadric2, geo2)
+    rng = random.Random(seed)
+    pruned = sorted(set(tl) - set(rng.sample(tl, drop)))
+    got = find_regular_spread_in_complex(pruned, geo2, budget=300)
+    assert got == oracle_search(pruned, geo2, 300)

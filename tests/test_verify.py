@@ -218,6 +218,16 @@ def test_segre_mutation_short_set(quadric2, geo2):
     assert not r.passed and r.failures
 
 
+def test_segre_reads_the_polar_map_once(quadric2, geo2):
+    # one read for the isotropic lines and one for the perp swap, where a
+    # perp_line call per non-tangent line made 274 at q = 4
+    from ovoidlab.symplectic import polar_lines
+    polar_lines.cache_clear()
+    assert verify_segre(quadric2, geo2).passed
+    info = polar_lines.cache_info()
+    assert info.hits + info.misses == 2
+
+
 # --- report contract -------------------------------------------------------
 
 def test_q2_advisory(geo1, sc1_factory=None):
