@@ -117,7 +117,7 @@ def load_geometry(path: Path) -> GeometryTables:
 
     pmasks = plane_masks(ctx, coords)
     g = GeometryTables.from_arrays(ctx, coords, line_pts, pmasks)
-    if len(g.pair_to_line) != n_points * (n_points - 1) // 2:
+    if len(g.line_of) != n_lines:
         raise ValueError("some pair of points lies on two lines")
     # strictly increasing lines are distinct; with the line count checked
     # above, distinct lines of PG(3,q) are all of them, in build order
@@ -125,7 +125,7 @@ def load_geometry(path: Path) -> GeometryTables:
     for ln in g.lines:
         if ln.pts <= prev:
             raise ValueError(f"line {ln.index} is out of lexicographic order")
-        if ln.mask != meet_mask(pmasks, *ln.gens):
+        if ln.mask != meet_mask(pmasks.__getitem__, *ln.gens):
             raise ValueError(f"line {ln.index} is not the line of "
                              f"PG(3,{q}) through points {ln.gens}")
         prev = ln.pts

@@ -15,7 +15,8 @@ class ZeroElement(OvoidlabError):
 
 class SizeGuard(OvoidlabError):
     """Requested degree n lies outside the supported range 1..4: PG(3,32)
-    would already need 572 M point pairs in its line table."""
+    would already need q^4 = 1 M vector_index entries and 1.1 M line
+    masks of 33,825 bits each."""
 
 
 class SamePoint(OvoidlabError):

@@ -332,7 +332,8 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
     line set tl (JSON-friendly result; NotFound is not a disproof).
 
     Extends partial spreads by the line through the least uncovered point,
-    propagating regulus closure; returns (spread_lines | None, nodes).
+    propagating regulus closure; returns (spread_lines | None, nodes),
+    with nodes <= budget.
     """
     tlset = set(tl)
     q = g.q
@@ -433,8 +434,8 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
             if ext_chosen is None:
                 continue
             res = search(ext_chosen, ext_covered)
-            if res is not None:
-                return res
+            if res is not None or nodes >= budget:
+                return res             # found, or the budget is spent
         return None
 
     result = search([], 0)

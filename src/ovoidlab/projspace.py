@@ -17,8 +17,9 @@ from .errors import (DuplicatePoint, InvariantViolation, NotSkew, SamePoint,
                      SizeGuard)
 from .gfield import FieldCtx
 
-# Tables grow as q^4: at q = 32, pair_to_line alone would hold 572 M
-# point pairs, so PG(3,2^n) is built for these n only.
+# Tables grow with q: at q = 32 the lazy vector_index would hold q^4 = 1 M
+# entries and the 1.1 M line masks 33,825 bits each (about 4.6 GB), so
+# PG(3,2^n) is built for these n only.
 SUPPORTED_N = range(1, 5)
 
 
@@ -59,14 +60,14 @@ class GeometryTables:
     """Immutable indexed tables for one PG(3,q); all queries are pure."""
 
     def __init__(self, ctx: FieldCtx, points, lines, planes,
-                 point_index, pair_to_line, point_to_lines):
+                 point_index, line_of, point_to_lines):
         self.ctx = ctx
         self.q = ctx.size
         self.points = points
         self.lines = lines
         self.planes = planes
         self.point_index = point_index
-        self.pair_to_line = pair_to_line
+        self.line_of = line_of          # line point mask -> line index
         self.point_to_lines = point_to_lines
         self.n_points = len(points)
         self.all_one = (1 << self.n_points) - 1
@@ -85,6 +86,7 @@ class GeometryTables:
         points = [Point(i, c) for i, c in enumerate(coords)]
         point_index = {c: i for i, c in enumerate(coords)}
         lines: list[Line] = []
+        line_of: dict[int, int] = {}
         point_to_lines: list[list[int]] = [[] for _ in coords]
         for li, pts in enumerate(line_pts):
             mask = 0
@@ -92,13 +94,12 @@ class GeometryTables:
                 mask |= 1 << p
                 point_to_lines[p].append(li)
             lines.append(Line(li, (pts[0], pts[1]), pts, mask))
-        pair_to_line = {pair: li for li, pts in enumerate(line_pts)
-                        for pair in combinations(pts, 2)}
+            line_of[mask] = li
         planes = [Plane(i, nvec, mask)
                   for i, (nvec, mask) in enumerate(zip(coords, pmasks))]
 
         return cls(ctx, points, lines, planes,
-                   point_index, pair_to_line, point_to_lines)
+                   point_index, line_of, point_to_lines)
 
     # -- coordinate helpers ----------------------------------------------
 
@@ -130,31 +131,21 @@ class GeometryTables:
         return table
 
     @cached_property
-    def dual(self) -> tuple[int, ...]:
-        """Entry m is the line in which the planes indexed by line m's
-        points meet: the polar of m under the form sum x_i y_i.  Built on
-        first use."""
-        masks = [pl.mask for pl in self.planes]
-        out = []
-        for ln in self.lines:
-            meet = masks[ln.gens[0]] & masks[ln.gens[1]]
-            if meet.bit_count() != self.q + 1:
-                raise InvariantViolation(
-                    f"planes of line {ln.index} meet in {meet.bit_count()} "
-                    f"points, want {self.q + 1}")
-            p1 = (meet & -meet).bit_length() - 1
-            meet &= meet - 1
-            p2 = (meet & -meet).bit_length() - 1
-            out.append(self.pair_to_line[(p1, p2)])
-        return tuple(out)
+    def pair_to_line(self) -> dict[tuple[int, int], int]:
+        """Point pair (a, b), a < b, -> index of the line through both.
+        Built on first use, with one entry per pair of points; queries
+        read line_of instead, which has one entry per line."""
+        return {pair: ln.index for ln in self.lines
+                for pair in combinations(ln.pts, 2)}
 
     # -- incidence queries -------------------------------------------------
 
     def line_through(self, p1: int, p2: int) -> Line:
         if p1 == p2:
             raise SamePoint(f"point {p1} repeated")
-        key = (p1, p2) if p1 < p2 else (p2, p1)
-        return self.lines[self.pair_to_line[key]]
+        planes = self.planes
+        mask = meet_mask(lambda k: planes[k].mask, p1, p2)
+        return self.lines[self.line_of[mask]]
 
     def is_collinear(self, p1: int, p2: int, p3: int) -> bool:
         if len({p1, p2, p3}) != 3:
@@ -167,26 +158,25 @@ class GeometryTables:
             raise NotSkew(f"lines {l1}, {l2}, {l3} are not pairwise skew")
 
     def _transversal_lines(self, l1: int, l2: int, l3: int) -> list[int]:
-        """Transversals of three lines, one per plane through l2; unchecked,
-        so the caller guarantees the lines are pairwise skew.
+        """Transversals of three lines, one through each point of l2;
+        unchecked, so the caller guarantees the lines are pairwise skew.
 
-        Plane k contains point p iff point k lies on plane p, so the planes
-        through l2 are the common bits of its generators' plane masks.  Each
-        meets l1 and l3 in one point, and the line through those two points
-        is the transversal in that plane."""
+        Plane k contains point y iff point k lies on plane y, so the planes
+        through l1 are the common bits of its generators' plane masks, and
+        the one through a point y of l2 is their common bit with y's plane
+        mask.  The transversal through y is the meet of that plane with
+        the plane through l3 and y."""
         planes, lines = self.planes, self.lines
-        a, b = lines[l2].gens
-        m1, m3 = lines[l1].mask, lines[l3].mask
-        pencil = planes[a].mask & planes[b].mask
-        pair_to_line = self.pair_to_line
+        a, b = lines[l1].gens
+        c, d = lines[l3].gens
+        pencil1 = planes[a].mask & planes[b].mask
+        pencil3 = planes[c].mask & planes[d].mask
+        line_of = self.line_of
         out = []
-        while pencil:
-            k = pencil.bit_length() - 1
-            pencil ^= 1 << k
-            m = planes[k].mask
-            p = (m & m1).bit_length() - 1
-            x = (m & m3).bit_length() - 1
-            out.append(pair_to_line[(p, x) if p < x else (x, p)])
+        for y in lines[l2].pts:
+            m = planes[y].mask
+            out.append(line_of[planes[(pencil1 & m).bit_length() - 1].mask
+                               & planes[(pencil3 & m).bit_length() - 1].mask])
         return out
 
     def _regulus_lines(self, l1: int, l2: int, l3: int) -> list[int]:
@@ -281,17 +271,18 @@ def plane_masks(ctx: FieldCtx, coords) -> list[int]:
     return masks
 
 
-def meet_mask(pmasks: list[int], i: int, j: int) -> int:
-    """Point mask of the line through points i != j.
+def meet_mask(pmask, i: int, j: int) -> int:
+    """Point mask of the line through points i != j, where pmask(k) is
+    the point mask of plane k.
 
     Point k lies on plane i exactly when point i lies on plane k, so
-    pmasks[i] & pmasks[j] is the set of planes through both points; its
+    pmask(i) & pmask(j) is the set of planes through both points; its
     two least members meet in the line."""
-    through = pmasks[i] & pmasks[j]
+    through = pmask(i) & pmask(j)
     a = through & -through
     through ^= a
-    return (pmasks[a.bit_length() - 1]
-            & pmasks[(through & -through).bit_length() - 1])
+    return (pmask(a.bit_length() - 1)
+            & pmask((through & -through).bit_length() - 1))
 
 
 def build_geometry(n: int) -> GeometryTables:
@@ -302,6 +293,7 @@ def build_geometry(n: int) -> GeometryTables:
     pmasks = plane_masks(ctx, coords)
     npts = len(coords)
     ids = list(range(npts))
+    pmask = pmasks.__getitem__
 
     # lines: first unjoined pair (i, j) is the lexicographically least
     # generating pair of its line; bit j of joined[i] marks i, j on a line
@@ -313,7 +305,7 @@ def build_geometry(n: int) -> GeometryTables:
         rest = after & ~joined[i]
         while rest:
             j = (rest & -rest).bit_length() - 1
-            mask = meet_mask(pmasks, i, j)
+            mask = meet_mask(pmask, i, j)
             pts = _members(mask, ids)
             for p in pts:
                 joined[p] |= mask

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NoPolarity, NotAnOvoid
+from .errors import InvariantViolation, NoPolarity, NotAnOvoid
 from .fibration import Fibration
 from .gfield import nullspace
 from .ovoids import tangent_lines
@@ -84,16 +84,20 @@ def polar_lines(f: SymplecticForm, g: GeometryTables) -> tuple[int, ...]:
     """Entry i is the index of the polar line of line i.
 
     l^perp is the meet of the perp planes of l's two generators a and b,
-    the planes indexed by perp[a] and perp[b], so it is the dual of the
-    line through the points perp[a] and perp[b].  A line is isotropic iff
-    it is its own polar.
+    the planes indexed by perp[a] and perp[b].  A line is isotropic iff
+    it is its own polar.  Raises InvariantViolation when a meet is not a
+    line, which no table of PG(3,q) allows.
     """
     perp = perp_planes(f, g)
-    dual, pair_to_line = g.dual, g.pair_to_line
+    planes, line_of = g.planes, g.line_of
     out = []
     for ln in g.lines:
-        a, b = perp[ln.gens[0]], perp[ln.gens[1]]
-        out.append(dual[pair_to_line[(a, b) if a < b else (b, a)]])
+        a, b = ln.gens
+        li = line_of.get(planes[perp[a]].mask & planes[perp[b]].mask)
+        if li is None:
+            raise InvariantViolation(
+                f"perp planes of line {ln.index} do not meet in a line")
+        out.append(li)
     return tuple(out)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -72,6 +73,30 @@ def test_steiner_property_every_pair_one_line(fix, request):
         assert len(ln.pts) == g.q + 1
         for a, b in combinations(ln.pts, 2):
             assert g.pair_to_line[(a, b)] == ln.index
+
+
+@pytest.mark.parametrize("fix", ["geo1", "geo2", "geo3"])
+def test_line_index_matches_pair_table(fix, request):
+    # line_of, keyed on point masks, has one entry per line and answers
+    # every point pair as the pair table does
+    g = request.getfixturevalue(fix)
+    assert len(g.line_of) == len(g.lines)
+    assert all(g.line_of[ln.mask] == ln.index for ln in g.lines)
+    pair_to_line = g.pair_to_line
+    for a, b in combinations(range(g.n_points), 2):
+        assert g.line_through(a, b).index == pair_to_line[(a, b)]
+
+
+def test_build_keeps_no_per_pair_table():
+    # a table with one entry per pair of points (170,820 at q = 8) peaked
+    # at 16.8 MiB; the line index and masks peak near 2.7 MiB
+    tracemalloc.start()
+    try:
+        build_geometry(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def test_double_count(geo2):
@@ -323,11 +348,17 @@ def test_point_permutation_rejects_singular_matrices(n, request):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dual_matches_nullspace(n, request):
-    # the dual of line m: the points y with x . y = 0 for every x on m
+    # the dual of line m: the points y with x . y = 0 for every x on m,
+    # looked up as the meet of the planes indexed by m's generators
     g = request.getfixturevalue(f"geo{n}")
+
+    def dual(li):
+        a, b = g.lines[li].gens
+        return g.line_of[g.planes[a].mask & g.planes[b].mask]
+
     for ln in g.lines:
         u, v = (g.points[x].coords for x in ln.gens)
         a, b = nullspace(g.ctx, [u, v], 4)
         want = g.line_through(g.index_of(a), g.index_of(b)).index
-        assert g.dual[ln.index] == want
-        assert g.dual[want] == ln.index
+        assert dual(ln.index) == want
+        assert dual(want) == ln.index

@@ -120,7 +120,7 @@ def oracle_search(tl, g, budget):
             if grown is None:
                 continue
             res = search(grown)
-            if res is not None:
+            if res is not None or nodes >= budget:
                 return res
         return None
 
@@ -346,3 +346,13 @@ def test_search_matches_oracle_on_pruned_complexes(quadric2, geo2, drop,
     pruned = sorted(set(tl) - set(rng.sample(tl, drop)))
     got = find_regular_spread_in_complex(pruned, geo2, budget=300)
     assert got == oracle_search(pruned, geo2, 300)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_search_stops_at_its_budget(geo3, seed):
+    # without most closures' lines the search runs out of budget several
+    # levels deep; no ancestor may count a node after that
+    tl = tangent_lines(tits_ovoid(geo3), geo3)
+    pruned = sorted(set(tl) - set(random.Random(seed).sample(tl, 60)))
+    sp, nodes = find_regular_spread_in_complex(pruned, geo3, budget=300)
+    assert sp is None and nodes == 300
