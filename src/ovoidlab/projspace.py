@@ -221,6 +221,17 @@ def point_permutation(g: GeometryTables, m) -> list[int]:
     return perm
 
 
+def line_permutation(g: GeometryTables, point_perm) -> list[int]:
+    """Permutation of line indices induced by a collineation given by its
+    point permutation: entry i is the line through the images of line i's
+    two generators, the meet of the planes through both.  For any other
+    point map an entry need not be the image of the line's point set."""
+    pmask = [pl.mask for pl in g.planes].__getitem__
+    line_of = g.line_of
+    return [line_of[meet_mask(pmask, point_perm[a], point_perm[b])]
+            for a, b in (ln.gens for ln in g.lines)]
+
+
 def point_coords(q: int) -> list[tuple[int, int, int, int]]:
     """Normalized coordinates of the points of PG(3,q) in lex order."""
     return [vec for vec in product(range(q), repeat=4)

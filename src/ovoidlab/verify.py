@@ -15,7 +15,7 @@ from .fibration import (Fibration, SingerContext, Spread,
                         common_tangent_spread, common_tangents,
                         is_regular_spread, t_orbit_fibration, tangency_table)
 from .gf2code import (code_C, code_D, orthogonal, radical_codim_check,
-                      t_orbit_sum)
+                      t_module_counters, t_orbit_sum)
 from .ovoids import Ovoid, tangent_lines
 from .projspace import GeometryTables
 from .symplectic import (SymplecticForm, enumerate_dual_grids,
@@ -241,8 +241,17 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
     counters["lines_of_W"] = len(C.rows)
     counters["dual_grids"] = len(grids)
 
-    dim_d, dim_sum, codim = radical_codim_check(D)
-    counters.update(dim_C=C.rank, dim_C_perp=g.n_points - C.rank,
+    # the T-module ranks when T provably maps both row sets onto
+    # themselves, else one elimination of each code
+    fast = t_module_counters(form, sc, fib, C, D)
+    if fast is None:
+        dim_d, dim_sum, _ = radical_codim_check(D)
+        dim_c = C.rank
+        d_in_c_perp = orthogonal(D, C)
+    else:
+        dim_c, dim_d, dim_sum, d_in_c_perp = fast
+    codim = dim_d - dim_sum
+    counters.update(dim_C=dim_c, dim_C_perp=g.n_points - dim_c,
                     dim_D=dim_d, dim_pairwise_sum_span=dim_sum,
                     radical_codim=codim)
     if codim != 1:
@@ -258,16 +267,16 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
 
     # D subset C-perp, with strict containment; the generator pairs are
     # swept only to name the witnesses
-    if not orthogonal(D, C):
+    if not d_in_c_perp:
         for di, drow in enumerate(D.rows):
             for ci, crow in enumerate(C.rows):
                 if (drow & crow).bit_count() & 1:
                     rec.fail(f"dual grid {di} meets W(q)-line {ci} oddly",
                              (di, ci))
                     break
-    if not dim_d < g.n_points - C.rank:
+    if not dim_d < g.n_points - dim_c:
         rec.fail(f"dim D = {dim_d} is not strictly below "
-                 f"dim C-perp = {g.n_points - C.rank}")
+                 f"dim C-perp = {g.n_points - dim_c}")
 
     # sigma of each dual grid is E_i + E_j, 0 < i != j
     labels = tangency_table(fib, g)[1]

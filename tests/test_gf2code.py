@@ -357,12 +357,13 @@ def orbit_sums_oracle(sc):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("t_perm",
-                         ["genuine", "swapped", "identity", "two_cycle"])
+@pytest.mark.parametrize("t_perm", ["genuine", "swapped", "identity",
+                                    "two_cycle", "not_injective"])
 def test_point_orbit_sums_match_parity_oracle(n, t_perm, request):
     # a corrupted t revisits points, so each bit must be a parity, not a
     # membership flag; in a 2-cycle one point is met q^2/2 + 1 times and
-    # the other q^2/2 times
+    # the other q^2/2 times.  A map that is no permutation sends a point
+    # onto a cycle it is not on, which the walk from it never closes
     from ovoidlab import ExtFieldCtx, singer_context
     from ovoidlab.gf2code import point_orbit_sums
     g = request.getfixturevalue(f"geo{n}")
@@ -375,5 +376,7 @@ def test_point_orbit_sums_match_parity_oracle(n, t_perm, request):
         perm = list(range(g.n_points))
     elif t_perm == "two_cycle":
         perm = [1, 0] + list(range(2, g.n_points))
+    elif t_perm == "not_injective":
+        perm[0] = perm[1]
     sc = dataclasses.replace(sc, t_perm=tuple(perm))
     assert point_orbit_sums(sc) == orbit_sums_oracle(sc)

@@ -107,9 +107,9 @@ def test_map_is_memoized_per_form_and_geometry(form2, geo2):
 
 
 def test_meet_of_wrong_size_raises_typed_error():
-    # corrupt the plane indexed by a generator of line 0: its meet with
-    # the plane of the other generator, from which the dual map is
-    # derived, is no longer a line
+    # corrupt the plane indexed by a generator of line 0: polar_lines
+    # meets the perp planes of each line's two generators, and one of
+    # those meets now includes the corrupted plane and is no longer a line
     g = build_geometry(1)
     a, b = g.lines[0].gens
     pl = g.planes[a]
