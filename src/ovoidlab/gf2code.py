@@ -13,7 +13,7 @@ from functools import lru_cache
 from .errors import (EmptyMatrix, IndexOutOfRange, InvariantViolation,
                      LengthMismatch)
 from .fibration import Fibration, SingerContext
-from .gfield import FieldCtx
+from .gfield import FieldCtx, echelon
 from .projspace import (GeometryTables, Line, line_permutation,
                         point_permutation)
 from .symplectic import (SymplecticForm, enumerate_dual_grids,
@@ -200,30 +200,6 @@ def _evaluate(row, zs, width: int) -> list[int]:
     return vec
 
 
-def _basis(rows, f: FieldCtx) -> list[list[int]]:
-    """Echelon rows over f spanning rows, each scaled to 1 at its pivot;
-    later rows are zero at every earlier pivot."""
-    exp, log, order = f.exp, f.log, f.size - 1
-    width = len(rows[0]) if rows else 0
-    basis: list[tuple[int, list[int]]] = []
-    for row in rows:
-        for col, prow in basis:
-            a = row[col]
-            if a:
-                la = log[a]
-                row = [x ^ exp[la + log[y]] if y else x
-                       for x, y in zip(row, prow)]
-        for col, a in enumerate(row):
-            if a:
-                inv = order - log[a]
-                basis.append((col, [exp[inv + log[y]] if y else 0
-                                    for y in row]))
-                break
-        if len(basis) == width:
-            break
-    return [prow for _, prow in basis]
-
-
 def _dot(u, v, f: FieldCtx) -> int:
     exp, log = f.exp, f.log
     acc = 0
@@ -258,19 +234,18 @@ def t_module_dims(sc: SingerContext, coords, c_gens, d_gens
     for s, size in _cyclotomic_cosets(order):
         zs = [zeta[s * k % order] for k in range(order)]
         d_eval = [_evaluate(r, zs, q + 1) for r in d_rows]
-        d_basis = _basis(d_eval, big)
-        rank_d = len(d_basis)
-        dim_c += size * len(_basis([_evaluate(r, zs, q + 1)
-                                    for r in c_rows], big))
-        dim_d += size * rank_d
+        d_basis = echelon(big, d_eval)
+        dim_c += size * len(echelon(big, [_evaluate(r, zs, q + 1)
+                                          for r in c_rows]))
+        dim_d += size * len(d_basis)
         if s == 0:
-            dim_s += len(_basis([v + [1] for v in d_eval], big)) - 1
+            dim_s += len(echelon(big, [v + [1] for v in d_eval])) - 1
         else:
-            dim_s += size * rank_d
+            dim_s += size * len(d_basis)
         if perp:
             zs_inv = zs[:1] + zs[:0:-1]
             c_inv = [_evaluate(r, zs_inv, q + 1) for r in c_rows]
-            perp = not any(_dot(u, v, big) for u in d_basis for v in c_inv)
+            perp = not any(_dot(u, v, big) for _, u in d_basis for v in c_inv)
     return dim_c, dim_d, dim_s, perp
 
 

@@ -8,7 +8,7 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ZeroElement, ZeroInverse
@@ -142,33 +142,8 @@ class FieldCtx:
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#x})"
 
 
-# -- GF(2) linear solves (used for extension-field coordinates) ----------
-
-class _GF2Solver:
-    """Solve sum of chosen columns = v over GF(2), columns given as ints."""
-
-    def __init__(self, cols: list[int]):
-        self.width = len(cols)
-        self.basis: list[tuple[int, int, int]] = []  # (pivot, value, combo)
-        for idx, col in enumerate(cols):
-            cur, combo = col, 1 << idx
-            for piv, val, cb in self.basis:
-                if (cur >> piv) & 1:
-                    cur ^= val
-                    combo ^= cb
-            if cur == 0:
-                raise ValueError("columns are GF(2)-dependent")
-            self.basis.append((cur.bit_length() - 1, cur, combo))
-
-    def solve(self, v: int) -> int:
-        combo = 0
-        for piv, val, cb in self.basis:
-            if (v >> piv) & 1:
-                v ^= val
-                combo ^= cb
-        if v:
-            raise ValueError("vector outside column span")
-        return combo
+# the prime field, over which extension-field coordinates are solved
+_GF2 = FieldCtx(1)
 
 
 @dataclass(frozen=True)
@@ -182,7 +157,6 @@ class ExtFieldCtx:
     embed_pows: tuple[int, ...]    # root^0 .. root^(n-1)
     omega: int
     basis: tuple[int, int, int, int]
-    _solver: _GF2Solver = field(repr=False, compare=False, default=None)
 
     @staticmethod
     def build(n: int) -> "ExtFieldCtx":
@@ -209,13 +183,11 @@ class ExtFieldCtx:
             pows.append(big.mul(pows[-1], root))
         omega = big.generator
         basis = tuple(big.pow(omega, i) for i in range(4))
-        # column i*n + k is x^k * w^i; x^k embeds as pows[k]
-        cols = [big.mul(pows[k], basis[i])
-                for i in range(4) for k in range(n)]
-        solver = _GF2Solver(cols)
-        return ExtFieldCtx(base=base, big=big, root=root,
-                           embed_pows=tuple(pows), omega=omega,
-                           basis=basis, _solver=solver)
+        ext = ExtFieldCtx(base=base, big=big, root=root,
+                          embed_pows=tuple(pows), omega=omega, basis=basis)
+        if len(ext._solutions(0)) != 1:
+            raise ValueError("columns are GF(2)-dependent")
+        return ext
 
     def embed(self, a: int) -> int:
         """Field homomorphism GF(2^n) -> GF(2^{4n})."""
@@ -225,12 +197,23 @@ class ExtFieldCtx:
                 acc ^= self.embed_pows[k]
         return acc
 
+    def _solutions(self, v: int) -> list[tuple[int, ...]]:
+        """GF(2) nullspace of the columns x^k * w^i (column i*n + k) of the
+        big field's bits with v appended.  Independent columns span the
+        big field, so it is then one vector: v's coordinates, then a 1."""
+        cols = [self.big.mul(x, b)
+                for b in self.basis for x in self.embed_pows] + [v]
+        rows = [[c >> bit & 1 for c in cols] for bit in range(self.big.n)]
+        return nullspace(_GF2, rows, len(cols))
+
     def coords(self, v: int) -> tuple[int, int, int, int]:
         """Coordinates of v in the basis {1, w, w^2, w^3} over GF(q)."""
+        if not 0 <= v < self.big.size:
+            raise ValueError("vector outside column span")
         n = self.base.n
-        combo = self._solver.solve(v)
-        mask = (1 << n) - 1
-        return tuple((combo >> (i * n)) & mask for i in range(4))
+        x = self._solutions(v)[0]
+        return tuple(sum(x[i * n + k] << k for k in range(n))
+                     for i in range(4))
 
 
 def mult_matrix(omega: int, ext: ExtFieldCtx) -> tuple[tuple[int, ...], ...]:
@@ -266,32 +249,58 @@ def mat_pow(ctx: FieldCtx, m, e: int):
     return r
 
 
-def nullspace(ctx: FieldCtx, rows: list, ncols: int) -> list[tuple[int, ...]]:
-    """Basis of the right nullspace of the given matrix over GF(q)."""
-    work = [list(r) for r in rows if any(r)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(work)) if work[r][col]), None)
-        if piv is None:
+def echelon(ctx: FieldCtx, rows, stop: int | None = None
+            ) -> list[tuple[int, list[int]]]:
+    """(pivot column, row scaled to 1 there) pairs spanning the rows read,
+    each row zero at every earlier pivot.
+
+    Rows are read in order, and no more once the rank reaches stop (the
+    row width when stop is None), so an iterator of rows is left just past
+    the last row read.
+    """
+    exp, log, order = ctx.exp, ctx.log, ctx.size - 1
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if stop is None:
+            stop = len(row)
+        for col, prow in basis:
+            a = row[col]
+            if a:
+                la = log[a]
+                row = [x ^ exp[la + log[y]] if y else x
+                       for x, y in zip(row, prow)]
+        col = next((k for k, a in enumerate(row) if a), None)
+        if col is None:
             continue
-        work[row], work[piv] = work[piv], work[row]
-        inv = ctx.inv(work[row][col])
-        work[row] = [ctx.mul(inv, x) for x in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col]:
-                f = work[r][col]
-                work[r] = [a ^ ctx.mul(f, b) for a, b in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(work):
+        inv = order - log[row[col]]
+        basis.append((col, [exp[inv + log[y]] if y else 0 for y in row]))
+        if len(basis) == stop:
             break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
+    return basis
+
+
+def nullspace(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of the right nullspace of the given matrix over GF(q), one
+    vector per free column of its reduced echelon form."""
+    basis = echelon(ctx, rows)
+    exp, log = ctx.exp, ctx.log
+    # clear each pivot column upward; a later row is already zero there
+    for k, (col, prow) in enumerate(basis):
+        for i in range(k):
+            pcol, row = basis[i]
+            a = row[col]
+            if a:
+                la = log[a]
+                basis[i] = (pcol, [x ^ exp[la + log[y]] if y else x
+                                   for x, y in zip(row, prow)])
+    pivots = {col: row for col, row in basis}
+    out = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [0] * ncols
         vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = work[r][fc]
-        basis.append(tuple(vec))
-    return basis
+        for pc, row in pivots.items():
+            vec[pc] = row[fc]
+        out.append(tuple(vec))
+    return out

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, NoPolarity, NotAnOvoid
 from .fibration import Fibration
-from .gfield import nullspace
+from .gfield import echelon, nullspace
 from .ovoids import tangent_lines
 from .projspace import (SUPPORTED_N, GeometryTables, Line, point_permutation,
                         scaled_columns)
@@ -133,22 +133,13 @@ def tangent_nullspace(g: GeometryTables, tangents) -> list[tuple[int, ...]]:
     """
     mul = g.ctx.mul
     coords = [p.coords for p in g.points]
-    pivots: list[tuple[int, list[int]]] = []   # (column, row scaled to 1)
-    it = iter(tangents)
-    for li in it:
+
+    def row(li):
         u, v = (coords[x] for x in g.lines[li].gens)
-        row = [mul(u[i], v[j]) ^ mul(u[j], v[i]) for (i, j) in _UPPER]
-        for col, prow in pivots:
-            if row[col]:
-                c = row[col]
-                row = [x ^ mul(c, y) for x, y in zip(row, prow)]
-        col = next((k for k, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        inv = g.ctx.inv(row[col])
-        pivots.append((col, [mul(inv, x) for x in row]))
-        if len(pivots) == 5:
-            break
+        return [mul(u[i], v[j]) ^ mul(u[j], v[i]) for (i, j) in _UPPER]
+
+    it = iter(tangents)
+    pivots = echelon(g.ctx, (row(li) for li in it), stop=5)
     basis = nullspace(g.ctx, [prow for _, prow in pivots], 6)
     if len(basis) != 1:
         return basis

@@ -18,9 +18,8 @@ from .gf2code import (code_C, code_D, orthogonal, radical_codim_check,
                       t_module_counters, t_orbit_sum)
 from .ovoids import Ovoid, tangent_lines
 from .projspace import GeometryTables
-from .symplectic import (SymplecticForm, enumerate_dual_grids,
-                         isotropic_lines, member_polarity, perp_planes,
-                         polar_lines, polarity_from_ovoid)
+from .symplectic import (SymplecticForm, isotropic_lines, member_polarity,
+                         perp_planes, polar_lines, polarity_from_ovoid)
 
 MAX_WITNESSES = 20
 
@@ -237,7 +236,8 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
 
     C = code_C(form, g)
     D = code_D(form, g)
-    grids = enumerate_dual_grids(form, g)
+    # the dual grids are the 2-cycles m < m^perp of the polar map
+    grids = [(m, mp) for m, mp in enumerate(polar_lines(form, g)) if m < mp]
     counters["lines_of_W"] = len(C.rows)
     counters["dual_grids"] = len(grids)
 
@@ -280,15 +280,15 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
 
     # sigma of each dual grid is E_i + E_j, 0 < i != j
     labels = tangency_table(fib, g)[1]
-    for dg in grids:
-        s = t_orbit_sum(g.lines[dg.m], sc) ^ t_orbit_sum(g.lines[dg.m_perp], sc)
-        i, j = labels[dg.m], labels[dg.m_perp]
+    for m, mp in grids:
+        s = t_orbit_sum(g.lines[m], sc) ^ t_orbit_sum(g.lines[mp], sc)
+        i, j = labels[m], labels[mp]
         if i is None or j is None or i == j or i == 0 or j == 0:
-            rec.fail(f"dual grid ({dg.m},{dg.m_perp}) has orbit labels "
-                     f"({i},{j})", (dg.m, dg.m_perp))
+            rec.fail(f"dual grid ({m},{mp}) has orbit labels ({i},{j})",
+                     (m, mp))
         elif s != fib.members[i].mask ^ fib.members[j].mask:
-            rec.fail(f"sigma of dual grid ({dg.m},{dg.m_perp}) is not "
-                     f"E_{i} + E_{j}", (dg.m, dg.m_perp))
+            rec.fail(f"sigma of dual grid ({m},{mp}) is not E_{i} + E_{j}",
+                     (m, mp))
     return _finish("radical_corollary3", g, rec, counters, start)
 
 

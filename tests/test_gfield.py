@@ -1,11 +1,15 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ovoidlab import gfield
 from ovoidlab.errors import ZeroElement, ZeroInverse
-from ovoidlab.gfield import (ExtFieldCtx, FieldCtx, is_irreducible,
-                             mat_identity, mat_mul, mat_pow, mult_matrix,
-                             poly_mod, poly_mul)
+from ovoidlab.gfield import (MODULI, ExtFieldCtx, FieldCtx, echelon,
+                             is_irreducible, mat_identity, mat_mul, mat_pow,
+                             mult_matrix, nullspace, poly_mod, poly_mul)
 
 
 # schoolbook oracle: multiply polynomials term by term, then reduce
@@ -196,15 +200,36 @@ def test_subfield_image_sampled_n3():
         assert (x in image) == (ext.big.pow(x, ext.base.size) == x)
 
 
-def test_basis_independent():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_independent(n):
     # the coordinate solve succeeding on every element proves independence
-    ext = ExtFieldCtx.build(2)
+    ext = ExtFieldCtx.build(n)
     for v in range(ext.big.size):
         c = ext.coords(v)
         acc = 0
         for ci, b in zip(c, ext.basis):
             acc ^= ext.big.mul(ext.embed(ci), b)
         assert acc == v
+
+
+def test_coords_rejects_non_elements():
+    ext = ExtFieldCtx.build(1)
+    for v in (-1, ext.big.size):
+        with pytest.raises(ValueError, match="outside column span"):
+            ext.coords(v)
+
+
+def test_dependent_columns_rejected(monkeypatch):
+    # a second solution of the homogeneous system means the columns
+    # x^k * w^i are GF(2)-dependent
+    real = gfield.nullspace
+
+    def one_more(ctx, rows, ncols):
+        return real(ctx, rows, ncols) + [(1,) * ncols]
+
+    monkeypatch.setattr(gfield, "nullspace", one_more)
+    with pytest.raises(ValueError, match="GF\\(2\\)-dependent"):
+        ExtFieldCtx.build(2)
 
 
 def test_mult_matrix_identity_and_homomorphism():
@@ -238,3 +263,156 @@ def test_singer_matrix_projective_order(geo2, ext2):
         cur = perm[cur]
         k += 1
     assert k == 85
+
+
+# -- field axioms over every tabled degree ---------------------------------
+
+@lru_cache(maxsize=None)
+def field_of(n: int) -> FieldCtx:
+    return FieldCtx(n)
+
+
+def elements_of(n: int):
+    return st.integers(0, (1 << n) - 1)
+
+
+DEGREES = sorted(MODULI)
+
+
+@pytest.mark.parametrize("n", DEGREES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_mul_matches_schoolbook_product(n, data):
+    ctx = field_of(n)
+    a, b = data.draw(elements_of(n)), data.draw(elements_of(n))
+    assert ctx.mul(a, b) == schoolbook_mul(a, b, ctx.modulus)
+
+
+@pytest.mark.parametrize("n", DEGREES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_field_axioms(n, data):
+    ctx = field_of(n)
+    a, b, c = (data.draw(elements_of(n)) for _ in range(3))
+    mul = ctx.mul
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
+    if a:
+        assert mul(a, ctx.inv(a)) == 1
+
+
+@pytest.mark.parametrize("n", DEGREES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_exp_log_round_trip(n, data):
+    ctx = field_of(n)
+    a = data.draw(st.integers(1, ctx.size - 1))
+    i = data.draw(st.integers(0, ctx.size - 2))
+    assert ctx.exp[ctx.log[a]] == a
+    assert ctx.log[ctx.exp[i]] == i
+    assert ctx.exp[i + ctx.size - 1] == ctx.exp[i]
+
+
+# -- the elimination kernel against the former Gauss-Jordan nullspace ------
+
+def gauss_jordan_nullspace(ctx, rows, ncols):
+    """The former nullspace, kept as an oracle: column-by-column
+    Gauss-Jordan through ctx.mul and ctx.inv."""
+    work = [list(r) for r in rows if any(r)]
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[row], work[piv] = work[piv], work[row]
+        inv = ctx.inv(work[row][col])
+        work[row] = [ctx.mul(inv, x) for x in work[row]]
+        for r in range(len(work)):
+            if r != row and work[r][col]:
+                f = work[r][col]
+                work[r] = [a ^ ctx.mul(f, b) for a, b in zip(work[r], work[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(work):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = work[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def random_matrix(ctx, rng):
+    """Rows drawn from a span of random rank, with zero rows, repeated
+    rows and zero columns mixed in."""
+    ncols = rng.randint(1, 7)
+    rank = rng.randint(0, ncols)
+    gens = [[rng.randrange(ctx.size) for _ in range(ncols)]
+            for _ in range(rank)]
+    dead = rng.randrange(ncols)
+    for g in gens:
+        if rng.random() < 0.3:
+            g[dead] = 0
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        pick = rng.random()
+        if pick < 0.15 or not gens:
+            rows.append([0] * ncols)
+        elif pick < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            row = [0] * ncols
+            for g in gens:
+                c = rng.randrange(ctx.size)
+                row = [x ^ ctx.mul(c, y) for x, y in zip(row, g)]
+            rows.append(row)
+    return rows, ncols
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_kernel_matches_gauss_jordan_oracle(n):
+    ctx = field_of(n)
+    rng = random.Random(n)
+    for _ in range(150):
+        rows, ncols = random_matrix(ctx, rng)
+        want = gauss_jordan_nullspace(ctx, rows, ncols)
+        assert nullspace(ctx, rows, ncols) == want
+        pairs = echelon(ctx, rows)
+        assert len(pairs) == ncols - len(want)
+        for k, (col, prow) in enumerate(pairs):
+            assert prow[col] == 1
+            assert not any(prow[c] for c, _ in pairs[:k])
+
+
+def counted(rows, pulled):
+    for row in rows:
+        pulled.append(row)
+        yield row
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_echelon_reads_no_row_after_rank_reaches_stop(n):
+    ctx = field_of(n)
+    rng = random.Random(100 + n)
+    for _ in range(50):
+        ncols = rng.randint(1, 6)
+        rows = [[rng.randrange(ctx.size) if rng.random() < 0.6 else 0
+                 for _ in range(ncols)] for _ in range(12)]
+        ranks = [ncols - len(gauss_jordan_nullspace(ctx, rows[:i], ncols))
+                 for i in range(1, len(rows) + 1)]
+        for stop in (None, *range(1, ncols + 1)):
+            want = stop or ncols
+            # rows read: up to the first prefix of rank want, else all
+            reach = next((i + 1 for i, r in enumerate(ranks) if r == want),
+                         len(rows))
+            pulled: list = []
+            it = iter(rows)
+            pairs = echelon(ctx, counted(it, pulled), stop)
+            assert len(pulled) == reach
+            assert len(pairs) == min(want, ranks[-1])
+            assert list(it) == rows[reach:]

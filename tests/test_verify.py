@@ -197,6 +197,23 @@ def test_codes_zero_row_report_is_pinned(form2, sc2, monkeypatch):
     }
 
 
+def test_codes_enumerates_the_dual_grids_once(form2, sc2, monkeypatch):
+    # code_D enumerates them; the suite's count and sigma loop read the
+    # 2-cycles of the cached polar map instead of enumerating them again
+    from ovoidlab import symplectic
+    made = []
+
+    class CountedGrid(symplectic.DualGrid):
+        def __init__(self, m, m_perp):
+            made.append(1)
+            super().__init__(m, m_perp)
+
+    monkeypatch.setattr(symplectic, "DualGrid", CountedGrid)
+    r = verify_radical_and_corollary3(form2, sc2)
+    assert r.passed
+    assert len(made) == r.counters["dual_grids"] == 136
+
+
 # --- segre mutations -------------------------------------------------------
 
 def test_segre_mutation_swapped_point(quadric2, geo2):
