@@ -11,7 +11,7 @@ from functools import lru_cache
 from .errors import (InvariantViolation, NotAFibration, NotASpread,
                      NotRegular, SpreadNotTangent)
 from .gfield import ExtFieldCtx, mat_pow, mult_matrix, nullspace
-from .ovoids import Ovoid, is_ovoid, tangent_lines
+from .ovoids import Ovoid, is_ovoid, line_meets, tangent_lines
 from .projspace import GeometryTables, point_permutation
 
 
@@ -143,12 +143,18 @@ def tangency_table(f: Fibration, g: GeometryTables
     """(profiles, labels): entry i holds tangency_profile and
     tangent_member of line i.
 
-    Built from the member masks, not from a per-point label, because the
-    members of a corrupted fibration can overlap.
+    Read from the members' line_meets vectors, not from a per-point
+    label, because the members of a corrupted fibration can overlap.
     """
-    masks = [ln.mask for ln in g.lines]
-    return (tuple(tangency_profile(m, f) for m in masks),
-            tuple(tangent_member(m, f) for m in masks))
+    vecs = [line_meets(ov.mask, g) for ov in f.members]
+    profiles, labels = [], []
+    # g.lines leads the zip, so every line gets an entry even with no members
+    for _, *col in zip(g.lines, *vecs):
+        tan, sec, ext = col.count(1), col.count(2), col.count(0)
+        # a tangent count of -1 flags a meet above 2, as in tangency_profile
+        profiles.append((tan if tan + sec + ext == len(col) else -1, sec, ext))
+        labels.append(col.index(1) if tan == 1 else None)
+    return tuple(profiles), tuple(labels)
 
 
 def common_tangents(f: Fibration, g: GeometryTables) -> list[int]:

@@ -191,6 +191,8 @@ class ExtFieldCtx:
 
     def embed(self, a: int) -> int:
         """Field homomorphism GF(2^n) -> GF(2^{4n})."""
+        if not 0 <= a < self.base.size:
+            raise ValueError("element outside the base field")
         acc = 0
         for k in range(self.base.n):
             if (a >> k) & 1:

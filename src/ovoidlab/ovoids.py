@@ -5,9 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
-from .errors import (EvenDegree, NoIrreducibleConstant, NoQuadric,
-                     NotAnOvoid)
+from .errors import (EvenDegree, InvariantViolation, NoIrreducibleConstant,
+                     NoQuadric, NotAnOvoid)
 from .gfield import nullspace
 from .projspace import GeometryTables, Line
 
@@ -18,17 +19,22 @@ _MONOMIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
 
 @dataclass(frozen=True)
 class Ovoid:
-    pts: tuple[int, ...]           # sorted point indices, size q^2+1
+    pts: tuple[int, ...]           # point indices, size q^2+1, any order
     kind: str                      # elliptic-claimed | tits-claimed | orbit | unknown
-    mask: int = 0
+    mask: int                      # OR of 1 << p over pts
+
+    def __post_init__(self):
+        if self.mask != _mask_of(self.pts):
+            raise InvariantViolation("ovoid mask is not the OR of its points")
 
     @staticmethod
     def from_points(pts, kind: str = "unknown") -> "Ovoid":
         spts = tuple(sorted(pts))
-        mask = 0
-        for p in spts:
-            mask |= 1 << p
-        return Ovoid(spts, kind, mask)
+        return Ovoid(spts, kind, _mask_of(spts))
+
+
+def _mask_of(pts) -> int:
+    return sum(1 << p for p in set(pts))
 
 
 class LineClass(Enum):
@@ -88,18 +94,20 @@ def tits_ovoid(g: GeometryTables) -> Ovoid:
     return ov
 
 
+# holds the q+1 <= 17 members of a fibration plus a few more ovoids
+@lru_cache(maxsize=24)
+def line_meets(mask: int, g: GeometryTables) -> bytes:
+    """Entry i is the number of points line i shares with the point set
+    `mask`: the one sweep of the lines against an ovoid."""
+    return bytes((ln.mask & mask).bit_count() for ln in g.lines)
+
+
 def is_ovoid(s, g: GeometryTables) -> bool:
     """True iff |s| = q^2+1 and every line meets s in at most 2 points."""
     pts = set(s)
     if len(pts) != g.q * g.q + 1:
         return False
-    mask = 0
-    for p in pts:
-        mask |= 1 << p
-    for ln in g.lines:
-        if (ln.mask & mask).bit_count() > 2:
-            return False
-    return True
+    return max(line_meets(_mask_of(pts), g)) <= 2
 
 
 def classify_line(l: Line, theta: Ovoid, g: GeometryTables) -> LineClass:
@@ -112,15 +120,11 @@ def classify_line(l: Line, theta: Ovoid, g: GeometryTables) -> LineClass:
 def tangent_lines(theta: Ovoid, g: GeometryTables) -> list[int]:
     """Sorted indices of all lines meeting theta exactly once (the general
     linear complex of theta)."""
-    out = []
-    mask = theta.mask
-    for ln in g.lines:
-        meet = (ln.mask & mask).bit_count()
-        if meet > 2:
-            raise NotAnOvoid(f"line {ln.index} meets the set in {meet} points")
-        if meet == 1:
-            out.append(ln.index)
-    return out
+    meets = line_meets(theta.mask, g)
+    if max(meets) > 2:
+        i = next(i for i, meet in enumerate(meets) if meet > 2)
+        raise NotAnOvoid(f"line {i} meets the set in {meets[i]} points")
+    return [i for i, meet in enumerate(meets) if meet == 1]
 
 
 def _eval_quadric(ctx, coeffs, x) -> int:

@@ -16,7 +16,7 @@ from .fibration import (Fibration, SingerContext, Spread,
                         is_regular_spread, t_orbit_fibration, tangency_table)
 from .gf2code import (code_C, code_D, orthogonal, radical_codim_check,
                       t_module_counters, t_orbit_sum)
-from .ovoids import Ovoid, tangent_lines
+from .ovoids import Ovoid, line_meets, tangent_lines
 from .projspace import GeometryTables
 from .symplectic import (SymplecticForm, isotropic_lines, member_polarity,
                          perp_planes, polar_lines, polarity_from_ovoid)
@@ -112,17 +112,10 @@ def verify_proposition1(f: Fibration, g: GeometryTables) -> VerificationReport:
         rec.fail(f"tangent complex computation failed: {exc}")
 
     want = (1, q // 2, q // 2)
-    lines_checked = 0
-    profiles = tangency_table(f, g)[0]
-    for ln in g.lines:
-        if ln.index in spread_set:
-            continue
-        lines_checked += 1
-        prof = profiles[ln.index]
-        if prof != want:
-            rec.fail(f"line {ln.index} has profile {prof}, "
-                     f"expected {want}", (ln.index,))
-    counters["lines_checked"] = lines_checked
+    for i, prof in enumerate(tangency_table(f, g)[0]):
+        if i not in spread_set and prof != want:
+            rec.fail(f"line {i} has profile {prof}, expected {want}", (i,))
+    counters["lines_checked"] = len(g.lines) - len(spread_set)
     counters["expected_profile"] = list(want)
     return _finish("proposition1", g, rec, counters, start)
 
@@ -331,18 +324,12 @@ def verify_segre(theta: Ovoid, g: GeometryTables) -> VerificationReport:
                      (x,))
 
     # tangent/secant swap under perp for every non-tangent line
-    swaps = 0
-    polar = polar_lines(form, g)
-    for ln in g.lines:
-        if ln.index in tset:
-            continue
-        mp = g.lines[polar[ln.index]]
-        meets = {(ln.mask & theta.mask).bit_count(),
-                 (mp.mask & theta.mask).bit_count()}
-        swaps += 1
-        if meets != {0, 2}:
-            rec.fail(f"line {ln.index} and its perp meet the ovoid in "
-                     f"{sorted(meets)} points", (ln.index, mp.index))
-    counters["non_tangent_lines"] = swaps
+    meets = line_meets(theta.mask, g)
+    for i, mp in enumerate(polar_lines(form, g)):
+        pair = {meets[i], meets[mp]}
+        if meets[i] != 1 and pair != {0, 2}:
+            rec.fail(f"line {i} and its perp meet the ovoid in "
+                     f"{sorted(pair)} points", (i, mp))
+    counters["non_tangent_lines"] = len(g.lines) - len(tset)
     counters["ovoid_kind"] = theta.kind
     return _finish("segre", g, rec, counters, start)

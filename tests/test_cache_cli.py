@@ -421,26 +421,26 @@ def test_cli_all_builds_singer_context_once(capsys, monkeypatch):
     assert counts == {"singer_context": 1, "t_orbit_fibration": 1}
 
 
-def test_cli_verify_reads_one_tangency_table(capsys, monkeypatch):
-    # the suites read a table built once per fibration instead of sweeping
-    # the members per dual grid line, and share the CLI's T-orbits
-    from ovoidlab import fibration
-    seen = []
-    real = fibration.tangent_member
-
-    def counted(mask, f):
-        seen.append(f)
-        return real(mask, f)
-
-    monkeypatch.setattr(fibration, "tangent_member", counted)
-    fibration.t_orbit_fibration.cache_clear()
-    code, _, _ = run_cli(capsys, "verify", "--n", "2", "--suite", "all",
-                         "--no-cache")
-    assert code == 0
-    assert fibration.t_orbit_fibration.cache_info().misses == 1
-    fibrations = {id(f) for f in seen}
-    assert len(seen) <= 357 * len(fibrations)  # PG(3,4) has 357 lines
-    assert len(fibrations) == 1
+def test_cli_verify_reads_one_tangency_table(capsys, request):
+    # every suite reads the lines' meets with an ovoid from one vector per
+    # distinct ovoid: the q+1 T-orbits, which the tangency table, the
+    # tangent complexes and the polarities share with the CLI's fibration,
+    # and the elliptic quadric of the Segre suite
+    from ovoidlab import fibration, ovoids
+    for n in (2, 3):
+        fib = request.getfixturevalue(f"fib{n}")
+        quadric = request.getfixturevalue(f"quadric{n}")
+        ovoid_masks = {ov.mask for ov in fib.members} | {quadric.mask}
+        for cached in (fibration.t_orbit_fibration, fibration.tangency_table,
+                       ovoids.line_meets):
+            cached.cache_clear()
+        code, _, _ = run_cli(capsys, "verify", "--n", str(n), "--suite",
+                             "all", "--no-cache")
+        assert code == 0
+        assert fibration.t_orbit_fibration.cache_info().misses == 1
+        assert fibration.tangency_table.cache_info().misses == 1
+        assert ovoids.line_meets.cache_info().misses == len(ovoid_masks)
+        assert ovoids.line_meets.cache_info().currsize == len(ovoid_masks)
 
 
 def test_cli_verify_solves_and_maps_each_form_once(capsys, monkeypatch):

@@ -219,6 +219,14 @@ def test_coords_rejects_non_elements():
             ext.coords(v)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_embed_rejects_non_elements(n):
+    ext = ExtFieldCtx.build(n)
+    for a in (-1, ext.base.size, ext.base.size + 1):
+        with pytest.raises(ValueError, match="outside the base field"):
+            ext.embed(a)
+
+
 def test_dependent_columns_rejected(monkeypatch):
     # a second solution of the homogeneous system means the columns
     # x^k * w^i are GF(2)-dependent

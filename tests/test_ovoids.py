@@ -1,12 +1,14 @@
+import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from ovoidlab.errors import EvenDegree, NoQuadric, NotAnOvoid
+from ovoidlab.errors import (EvenDegree, InvariantViolation, NoQuadric,
+                             NotAnOvoid)
 from ovoidlab.ovoids import (LineClass, Ovoid, classify_line,
                              elliptic_quadric, fit_quadric, is_ovoid,
-                             tangent_lines, tits_ovoid)
+                             line_meets, tangent_lines, tits_ovoid)
 
 
 def no_three_collinear_oracle(pts, g):
@@ -84,6 +86,38 @@ def test_is_ovoid_rejects_swapped_point(quadric2, geo2):
     assert not is_ovoid(mutated, geo2)
     # oracle: some line now carries 3 points of the set
     assert not no_three_collinear_oracle(sorted(mutated), geo2)
+
+
+@pytest.mark.parametrize("fix", ["geo1", "geo2", "geo3"])
+def test_line_meets_matches_bit_count(fix, request):
+    g = request.getfixturevalue(fix)
+    rng = random.Random(5)
+    for trial in range(40):
+        pts = set(rng.sample(range(g.n_points), rng.randrange(15)))
+        if trial % 2:
+            # 3 or more points of one line, a meet no ovoid has
+            ln = rng.choice(g.lines)
+            pts |= set(ln.pts[:rng.randint(3, g.q + 1)])
+        mask = sum(1 << p for p in pts)
+        meets = line_meets(mask, g)
+        assert list(meets) == [(ln.mask & mask).bit_count() for ln in g.lines]
+        assert line_meets(mask, g) is meets
+        if trial % 2:
+            assert max(meets) >= 3
+
+
+def test_ovoid_mask_must_be_the_or_of_its_points(quadric2, geo2):
+    with pytest.raises(TypeError):
+        Ovoid(quadric2.pts, quadric2.kind)
+    outside = next(p for p in range(geo2.n_points)
+                   if not quadric2.mask >> p & 1)
+    for mask in (0, quadric2.mask ^ 1 << quadric2.pts[0],
+                 quadric2.mask | 1 << outside):
+        with pytest.raises(InvariantViolation):
+            Ovoid(quadric2.pts, quadric2.kind, mask)
+    # points need not be sorted
+    unsorted = Ovoid(quadric2.pts[::-1], quadric2.kind, quadric2.mask)
+    assert len(tangent_lines(unsorted, geo2)) == 85
 
 
 def test_classify_line_examples(quadric2, geo2):

@@ -269,3 +269,23 @@ def test_failure_witnesses_capped(fib2, geo2):
     r = verify_proposition1(corrupt_fibration(fib2, geo2), geo2)
     assert len(r.failures) <= 20
     assert r.counters["failures_total"] >= len(r.failures)
+
+
+def test_segre_mutation_secant_polar_of_a_secant(quadric2, geo2, monkeypatch):
+    # a polar map sending one secant line to another secant: only the
+    # perp-swap check can see it, and only by reading the polar line
+    from ovoidlab import verify
+    secants = [ln.index for ln in geo2.lines
+               if (ln.mask & quadric2.mask).bit_count() == 2]
+    a, b = secants[:2]
+    real = verify.polar_lines
+
+    def bent(form, g):
+        return tuple(b if i == a else j for i, j in enumerate(real(form, g)))
+
+    monkeypatch.setattr(verify, "polar_lines", bent)
+    r = verify_segre(quadric2, geo2)
+    assert not r.passed
+    assert r.failures == [{
+        "witness": f"line {a} and its perp meet the ovoid in [2] points",
+        "indices": [a, b]}]
