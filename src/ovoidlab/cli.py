@@ -4,6 +4,9 @@ Subcommands: geometry, fibration, verify, search-spread, all.
 Reports go to stdout (JSON or text); progress logs go to stderr.
 Exit codes: 0 = all checks passed, 1 = some verification failed,
 2 = usage or internal error.
+
+Each command imports the modules it runs when it runs them, so that
+`geometry` loads no suite and `search-spread` loads no code or polarity.
 """
 
 from __future__ import annotations
@@ -16,13 +19,7 @@ from pathlib import Path
 
 from . import cache as geocache
 from .errors import OvoidlabError
-from .fibration import (common_tangent_spread, find_regular_spread_in_complex,
-                        singer_context, t_orbit_fibration)
 from .gfield import ExtFieldCtx
-from .ovoids import elliptic_quadric, tits_ovoid, tangent_lines
-from .symplectic import member_polarity
-from .verify import (verify_lemma5, verify_main_theorem, verify_proposition1,
-                     verify_radical_and_corollary3, verify_segre)
 
 SUITES = ("prop1", "lemma5", "main", "codes", "segre")
 
@@ -54,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for interface stability; "
                              "no command reads it")
         sp.add_argument("--threads", type=int, default=0,
-                        help="worker cap (0 = available parallelism); "
-                             "output is independent of this value")
+                        help="accepted for interface stability; "
+                             "output does not depend on it")
 
     sp = sub.add_parser("geometry", help="build and cache PG(3,q) tables")
     common(sp)
@@ -126,21 +123,28 @@ def _geometry_summary(g) -> dict:
     }
 
 
-def _fibration_doc(g, fib, spread) -> dict:
+def _fibration_doc(g, fib) -> dict:
+    from .fibration import common_tangent_spread
     return {
         "q": g.q,
         "ovoids": [list(ov.pts) for ov in fib.members],
-        "spread": list(spread.lines),
+        "spread": list(common_tangent_spread(fib, g).lines),
     }
 
 
 def _singer_fibration(args, g):
     """The Singer context and its T-orbit fibration, built once per run."""
+    from .fibration import singer_context, t_orbit_fibration
     sc = singer_context(g, ExtFieldCtx.build(args.n))
     return sc, t_orbit_fibration(sc)
 
 
 def _run_suites(g, sc, fib, suites) -> list[dict]:
+    from .ovoids import elliptic_quadric
+    from .symplectic import member_polarity
+    from .verify import (verify_lemma5, verify_main_theorem,
+                         verify_proposition1, verify_radical_and_corollary3,
+                         verify_segre)
     reports = []
     for name in suites:
         if name == "prop1":
@@ -186,8 +190,7 @@ def main(argv=None) -> int:
 
         if args.command == "fibration":
             _, fib = _singer_fibration(args, g)
-            spread = common_tangent_spread(fib, g)
-            _emit(_fibration_doc(g, fib, spread), args.format)
+            _emit(_fibration_doc(g, fib), args.format)
             return 0
 
         if args.command == "verify":
@@ -197,6 +200,8 @@ def main(argv=None) -> int:
             return 0 if all(r["pass"] for r in reports) else 1
 
         if args.command == "search-spread":
+            from .fibration import find_regular_spread_in_complex
+            from .ovoids import elliptic_quadric, tangent_lines, tits_ovoid
             theta = (tits_ovoid(g) if args.ovoid == "tits"
                      else elliptic_quadric(g))
             tl = tangent_lines(theta, g)
@@ -214,10 +219,10 @@ def main(argv=None) -> int:
 
         if args.command == "all":
             sc, fib = _singer_fibration(args, g)
-            spread = common_tangent_spread(fib, g)
+            fib_doc = _fibration_doc(g, fib)
             reports = _run_suites(g, sc, fib, SUITES)
             _emit({"geometry": _geometry_summary(g),
-                   "fibration": _fibration_doc(g, fib, spread),
+                   "fibration": fib_doc,
                    "reports": reports}, args.format)
             return 0 if all(r["pass"] for r in reports) else 1
     except OvoidlabError as exc:

@@ -5,7 +5,6 @@ fibrations, plus a budgeted search for regular spreads inside a complex."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (InvariantViolation, NotAFibration, NotASpread,
@@ -15,34 +14,40 @@ from .ovoids import Ovoid, is_ovoid, line_meets, tangent_lines
 from .projspace import GeometryTables, point_permutation
 
 
-@dataclass(frozen=True, eq=False)
 class SingerContext:
     """A Singer generator with its subgroups T and K, as matrices and as
     point permutations; hashed by identity, so caches keyed on it never
     hash the permutations."""
 
-    geometry: GeometryTables
-    ext: ExtFieldCtx
-    gen: tuple                    # Singer generator matrix over GF(q)
-    t_gen: tuple                  # gen^(q+1), projective order q^2+1
-    k_gen: tuple                  # gen^(q^2+1), projective order q+1
-    gen_perm: tuple[int, ...]
-    t_perm: tuple[int, ...]
-    k_perm: tuple[int, ...]
+    def __init__(self, geometry: GeometryTables, ext: ExtFieldCtx, gen,
+                 t_gen, k_gen, gen_perm, t_perm, k_perm):
+        self.geometry, self.ext = geometry, ext
+        # the Singer generator matrix over GF(q), its power gen^(q+1) of
+        # projective order q^2+1 and gen^(q^2+1) of order q+1
+        self.gen, self.t_gen, self.k_gen = gen, t_gen, k_gen
+        self.gen_perm, self.t_perm, self.k_perm = gen_perm, t_perm, k_perm
 
 
-@dataclass(frozen=True, eq=False)
 class Fibration:
     """q+1 pairwise disjoint ovoids covering every point, labeled by
     least contained point index; hashed and compared by identity, so
     tables cached on it never hash the members."""
 
-    members: tuple[Ovoid, ...]
+    def __init__(self, members: tuple[Ovoid, ...]):
+        self.members = members
 
 
-@dataclass(frozen=True)
 class Spread:
-    lines: tuple[int, ...]        # sorted, size q^2+1, pairwise skew
+    """Sorted indices of q^2+1 pairwise skew lines; compared by value."""
+
+    def __init__(self, lines: tuple[int, ...]):
+        self.lines = lines
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.lines == self.lines
+
+    def __hash__(self):
+        return hash(self.lines)
 
 
 def singer_context(g: GeometryTables, ext: ExtFieldCtx) -> SingerContext:

@@ -8,8 +8,8 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .errors import ZeroElement, ZeroInverse
 
@@ -146,8 +146,7 @@ class FieldCtx:
 _GF2 = FieldCtx(1)
 
 
-@dataclass(frozen=True)
-class ExtFieldCtx:
+class ExtFieldCtx(NamedTuple):
     """GF(2^n) inside GF(2^{4n}) with the basis {1, w, w^2, w^3} of the
     big field over the small one, w the big field's primitive element."""
 

@@ -3,7 +3,6 @@ line classification, plus quadric fitting over GF(q)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -17,15 +16,21 @@ _MONOMIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
               (1, 3), (2, 2), (2, 3), (3, 3))
 
 
-@dataclass(frozen=True)
 class Ovoid:
-    pts: tuple[int, ...]           # point indices, size q^2+1, any order
-    kind: str                      # elliptic-claimed | tits-claimed | orbit | unknown
-    mask: int                      # OR of 1 << p over pts
+    """Point indices of size q^2+1 in any order, a kind (elliptic-claimed |
+    tits-claimed | orbit | unknown) and their mask, the OR of 1 << p over
+    the points; compared by value."""
 
-    def __post_init__(self):
-        if self.mask != _mask_of(self.pts):
+    def __init__(self, pts: tuple[int, ...], kind: str, mask: int):
+        if mask != _mask_of(pts):
             raise InvariantViolation("ovoid mask is not the OR of its points")
+        self.pts, self.kind, self.mask = pts, kind, mask
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash(self.mask)
 
     @staticmethod
     def from_points(pts, kind: str = "unknown") -> "Ovoid":
@@ -94,12 +99,23 @@ def tits_ovoid(g: GeometryTables) -> Ovoid:
     return ov
 
 
-# holds the q+1 <= 17 members of a fibration plus a few more ovoids
+# each holds the q+1 <= 17 members of a fibration plus a few more ovoids
 @lru_cache(maxsize=24)
 def line_meets(mask: int, g: GeometryTables) -> bytes:
     """Entry i is the number of points line i shares with the point set
     `mask`: the one sweep of the lines against an ovoid."""
     return bytes((ln.mask & mask).bit_count() for ln in g.lines)
+
+
+@lru_cache(maxsize=24)
+def _tangents(mask: int, g: GeometryTables) -> tuple[int, ...]:
+    """The lines meeting the point set `mask` once, read from its
+    line_meets vector once per mask and geometry."""
+    meets = line_meets(mask, g)
+    if max(meets) > 2:
+        i = next(i for i, meet in enumerate(meets) if meet > 2)
+        raise NotAnOvoid(f"line {i} meets the set in {meets[i]} points")
+    return tuple(i for i, meet in enumerate(meets) if meet == 1)
 
 
 def is_ovoid(s, g: GeometryTables) -> bool:
@@ -119,12 +135,8 @@ def classify_line(l: Line, theta: Ovoid, g: GeometryTables) -> LineClass:
 
 def tangent_lines(theta: Ovoid, g: GeometryTables) -> list[int]:
     """Sorted indices of all lines meeting theta exactly once (the general
-    linear complex of theta)."""
-    meets = line_meets(theta.mask, g)
-    if max(meets) > 2:
-        i = next(i for i, meet in enumerate(meets) if meet > 2)
-        raise NotAnOvoid(f"line {i} meets the set in {meets[i]} points")
-    return [i for i, meet in enumerate(meets) if meet == 1]
+    linear complex of theta), as a new list."""
+    return list(_tangents(theta.mask, g))
 
 
 def _eval_quadric(ctx, coeffs, x) -> int:

@@ -8,10 +8,10 @@ reports and caches are reproducible for a fixed modulus table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations, product
 from operator import xor
+from typing import NamedTuple
 
 from .errors import (DuplicatePoint, InvariantViolation, NotSkew, SamePoint,
                      SizeGuard)
@@ -30,22 +30,19 @@ def check_degree(n: int) -> None:
                         f"{SUPPORTED_N[0]}..{SUPPORTED_N[-1]}")
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     index: int
     coords: tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     index: int
     gens: tuple[int, int]          # lexicographically least generating pair
     pts: tuple[int, ...]           # sorted, length q+1
     mask: int                      # characteristic bitmask over point indices
 
 
-@dataclass(frozen=True)
-class Plane:
+class Plane(NamedTuple):
     index: int
     normal: tuple[int, int, int, int]
     mask: int

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvariantViolation, NoPolarity, NotAnOvoid
 from .fibration import Fibration
@@ -21,8 +21,7 @@ _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 FORMS_KEPT = 2 ** SUPPORTED_N[-1] + 2
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(NamedTuple):
     """Alternating nondegenerate bilinear form given by its Gram matrix.
 
     In characteristic 2 "alternating" means zero diagonal and a symmetric
@@ -45,8 +44,7 @@ class SymplecticForm:
         return acc
 
 
-@dataclass(frozen=True)
-class DualGrid:
+class DualGrid(NamedTuple):
     """Unordered pair {m, m^perp} of non-isotropic lines, m < m_perp."""
 
     m: int

@@ -8,7 +8,6 @@ are deterministic for identical inputs, elapsed_ms aside.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .errors import NoPolarity, NotASpread, OvoidlabError
 from .fibration import (Fibration, SingerContext, Spread,
@@ -26,15 +25,12 @@ MAX_WITNESSES = 20
 _Q2_NOTE = "q=2 is outside the paper's hypotheses (q = 2^n > 2); advisory only"
 
 
-@dataclass
 class VerificationReport:
-    theorem: str
-    q: int
-    passed: bool
-    counters: dict
-    failures: list
-    elapsed_ms: int
-    advisory: str | None = None
+    def __init__(self, theorem: str, q: int, passed: bool, counters: dict,
+                 failures: list, elapsed_ms: int, advisory: str | None = None):
+        self.theorem, self.q, self.passed = theorem, q, passed
+        self.counters, self.failures = counters, failures
+        self.elapsed_ms, self.advisory = elapsed_ms, advisory
 
     def to_dict(self) -> dict:
         out = {

@@ -406,16 +406,19 @@ def test_cli_singer_order_failure_exits_2(capsys, monkeypatch, failing_call,
 
 
 def test_cli_all_builds_singer_context_once(capsys, monkeypatch):
-    from ovoidlab import cli
+    # the CLI imports both from the fibration module when a command runs;
+    # the suites, loaded first, keep their own bindings of the real ones
+    import ovoidlab.verify  # noqa: F401
+    from ovoidlab import fibration
     counts = {"singer_context": 0, "t_orbit_fibration": 0}
     for name in counts:
-        real = getattr(cli, name)
+        real = getattr(fibration, name)
 
         def counted(*args, _real=real, _name=name):
             counts[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(fibration, name, counted)
     code, _, _ = run_cli(capsys, "all", "--n", "2", "--no-cache")
     assert code == 0
     assert counts == {"singer_context": 1, "t_orbit_fibration": 1}

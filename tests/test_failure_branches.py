@@ -2,7 +2,6 @@
 Segre polarity that genuine inputs never reach, with the suite reports on
 corrupted q = 4 inputs pinned in tests/data."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -10,7 +9,8 @@ import pytest
 
 from ovoidlab import fibration, symplectic, verify
 from ovoidlab.errors import NoPolarity, NotAFibration, NotRegular
-from ovoidlab.fibration import Fibration, common_tangent_spread, k_stabilizer
+from ovoidlab.fibration import (Fibration, SingerContext,
+                                common_tangent_spread, k_stabilizer)
 from ovoidlab.gf2code import BitMat
 from ovoidlab.ovoids import Ovoid
 from ovoidlab.symplectic import polarity_from_ovoid
@@ -42,8 +42,7 @@ def assert_pinned(got: dict, want: dict) -> None:
 
 def swap_points(ov: Ovoid, off_point: int) -> Ovoid:
     pts = (off_point,) + ov.pts[1:]
-    return dataclasses.replace(
-        ov, pts=pts, mask=ov.mask ^ (1 << ov.pts[0]) ^ (1 << off_point))
+    return Ovoid(pts, ov.kind, ov.mask ^ (1 << ov.pts[0]) ^ (1 << off_point))
 
 
 def corrupted(name: str, f: Fibration, g) -> Fibration:
@@ -94,16 +93,21 @@ def test_main_theorem_fails_on_theta0_out_of_range(theta0, fib2, geo2):
         "indices": [theta0]}]
 
 
+def replaced(sc: SingerContext, **changes) -> SingerContext:
+    """A copy of the Singer context with the named fields replaced."""
+    return SingerContext(**{**vars(sc), **changes})
+
+
 def swapped_t(sc, a: int, b: int):
     perm = list(sc.t_perm)
     perm[a], perm[b] = perm[b], perm[a]
-    return dataclasses.replace(sc, t_perm=tuple(perm))
+    return replaced(sc, t_perm=tuple(perm))
 
 
 def swapped_form(form):
     """The form conjugated by the coordinate swap x0 <-> x2."""
     swap = (2, 1, 0, 3)
-    return dataclasses.replace(form, gram=tuple(
+    return form._replace(gram=tuple(
         tuple(form.gram[swap[i]][swap[j]] for j in range(4))
         for i in range(4)))
 

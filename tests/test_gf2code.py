@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -11,7 +10,7 @@ from ovoidlab.gf2code import (BitMat, char_vector, code_C, code_D, in_span,
                               t_orbit_sum)
 from ovoidlab.symplectic import enumerate_dual_grids, standard_form
 
-from test_failure_branches import swapped_form
+from test_failure_branches import replaced, swapped_form
 
 
 def rank_oracle(rows, width):
@@ -378,5 +377,5 @@ def test_point_orbit_sums_match_parity_oracle(n, t_perm, request):
         perm = [1, 0] + list(range(2, g.n_points))
     elif t_perm == "not_injective":
         perm[0] = perm[1]
-    sc = dataclasses.replace(sc, t_perm=tuple(perm))
+    sc = replaced(sc, t_perm=tuple(perm))
     assert point_orbit_sums(sc) == orbit_sums_oracle(sc)

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from ovoidlab import ovoids
 from ovoidlab.errors import (EvenDegree, InvariantViolation, NoQuadric,
                              NotAnOvoid)
 from ovoidlab.ovoids import (LineClass, Ovoid, classify_line,
@@ -153,6 +154,21 @@ def test_incidence_double_count(quadric2, geo2):
 
 def test_tangent_lines_count(quadric2, geo2):
     assert len(tangent_lines(quadric2, geo2)) == 85
+
+
+def test_tangent_lines_read_once_per_mask_into_fresh_lists(quadric2, geo2):
+    # the indices are read from the meet vector once per mask and
+    # geometry; every call returns its own list, so a caller that changes
+    # it leaves the next caller's list intact
+    ovoids._tangents.cache_clear()
+    first = tangent_lines(quadric2, geo2)
+    first.clear()
+    again = tangent_lines(quadric2, geo2)
+    assert again == [ln.index for ln in geo2.lines
+                     if (ln.mask & quadric2.mask).bit_count() == 1]
+    assert tangent_lines(quadric2, geo2) is not again
+    info = ovoids._tangents.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_tangents_at_point_are_coplanar(quadric2, geo2):

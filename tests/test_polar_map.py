@@ -6,7 +6,6 @@ generators, and the normal x G of the plane x^perp, normalized and looked
 up by a scan of every plane.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -114,7 +113,7 @@ def test_meet_of_wrong_size_raises_typed_error():
     a, b = g.lines[0].gens
     pl = g.planes[a]
     x = (pl.mask & g.planes[b].mask).bit_length() - 1
-    g.planes[a] = dataclasses.replace(pl, mask=pl.mask ^ 1 << x)
+    g.planes[a] = pl._replace(mask=pl.mask ^ 1 << x)
     with pytest.raises(InvariantViolation):
         polar_lines(standard_form(), g)
 

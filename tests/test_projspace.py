@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 from itertools import combinations, product
@@ -250,10 +249,9 @@ def test_plane_points_follow_the_mask(geo2):
     pl = geo2.planes[5]
     assert pl.pts == tuple(p for p in range(geo2.n_points)
                            if pl.mask >> p & 1)
-    moved = dataclasses.replace(pl, mask=pl.mask ^ 1 << pl.pts[0])
+    moved = pl._replace(mask=pl.mask ^ 1 << pl.pts[0])
     assert moved.pts == pl.pts[1:]
-    assert [f.name for f in dataclasses.fields(Plane)] == ["index", "normal",
-                                                           "mask"]
+    assert list(Plane._fields) == ["index", "normal", "mask"]
 
 
 def test_plane_masks_q16_sample():

@@ -6,8 +6,6 @@ The oracle for every counter is the BitMat elimination: the rank of C,
 radical_codim_check on D and orthogonal(D, C), each on fresh matrices.
 """
 
-import dataclasses
-
 import pytest
 
 from ovoidlab import ExtFieldCtx, singer_context, t_orbit_fibration, verify
@@ -18,7 +16,7 @@ from ovoidlab.projspace import line_permutation
 from ovoidlab.symplectic import member_polarity, polar_lines
 from ovoidlab.verify import verify_radical_and_corollary3
 
-from test_failure_branches import (SINGER_REPORTS, assert_pinned,
+from test_failure_branches import (SINGER_REPORTS, assert_pinned, replaced,
                                    singer_report, swapped_form, swapped_t)
 
 
@@ -173,8 +171,7 @@ def test_each_guard_declines_alone(form2, sc2, fib2, geo2):
     # 1: t_perm is not t_gen's permutation, or t_gen is singular
     assert t_coordinates(swapped_t(sc2, 0, 1), fib2) is None
     singular = tuple((1, 0, 0, 0) for _ in range(4))
-    assert t_coordinates(dataclasses.replace(sc2, t_gen=singular),
-                         fib2) is None
+    assert t_coordinates(replaced(sc2, t_gen=singular), fib2) is None
     # 2: rows that are not the form's, in order
     assert t_module_counters(form2, sc2, fib2, c,
                              BitMat(d.rows[::-1], width=d.width)) is None
