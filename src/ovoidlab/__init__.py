@@ -18,17 +18,15 @@ _EXPORTS = {
     "errors": ["OvoidlabError"],
     "gfield": ["FieldCtx", "ExtFieldCtx", "mult_matrix"],
     "projspace": ["GeometryTables", "build_geometry"],
-    "symplectic": ["SymplecticForm", "DualGrid", "standard_form",
-                   "is_isotropic_line", "perp_line", "enumerate_dual_grids",
-                   "polarity_from_ovoid"],
-    "ovoids": ["Ovoid", "LineClass", "elliptic_quadric", "tits_ovoid",
-               "is_ovoid", "classify_line", "tangent_lines", "fit_quadric"],
+    "symplectic": ["SymplecticForm", "DualGrid", "is_isotropic_line",
+                   "perp_line", "enumerate_dual_grids", "polarity_from_ovoid"],
+    "ovoids": ["Ovoid", "elliptic_quadric", "tits_ovoid", "is_ovoid",
+               "tangent_lines", "fit_quadric"],
     "fibration": ["SingerContext", "Fibration", "Spread", "singer_context",
                   "t_orbit_fibration", "common_tangent_spread",
-                  "is_regular_spread", "k_stabilizer", "fibrate_ovoid",
-                  "find_regular_spread_in_complex"],
-    "gf2code": ["BitMat", "char_vector", "span_rank", "in_span",
-                "code_C", "code_D", "radical_codim_check", "t_orbit_sum"],
+                  "is_regular_spread", "find_regular_spread_in_complex"],
+    "gf2code": ["BitMat", "span_rank", "in_span", "code_C", "code_D",
+                "radical_codim_check", "t_orbit_sum"],
     "verify": ["VerificationReport", "verify_proposition1", "verify_lemma5",
                "verify_main_theorem", "verify_radical_and_corollary3",
                "verify_segre"],

@@ -110,13 +110,24 @@ def load_geometry(path: Path) -> GeometryTables:
     off += 16 * n_points
     line_pts = list(struct.iter_unpack(
         f"<{q + 1}I", memoryview(data)[off:off + 4 * (q + 1) * n_lines]))
+    pmasks = plane_masks(ctx, coords)
+    pmask = pmasks.__getitem__
+    line_masks = []
     for li, pts in enumerate(line_pts):
         if pts[-1] >= n_points or any(a >= b for a, b in zip(pts, pts[1:])):
             raise ValueError(f"points of line {li} are out of range "
                              "or not strictly increasing")
+        # the line of PG(3,q) through the first two points, as a mask
+        mask = meet_mask(pmask, pts[0], pts[1])
+        stored = 0
+        for p in pts:
+            stored |= 1 << p
+        if stored != mask:
+            raise ValueError(f"line {li} is not the line of PG(3,{q}) "
+                             f"through points {pts[:2]}")
+        line_masks.append(mask)
 
-    pmasks = plane_masks(ctx, coords)
-    g = GeometryTables.from_arrays(ctx, coords, line_pts, pmasks)
+    g = GeometryTables.from_arrays(ctx, coords, line_pts, line_masks, pmasks)
     if len(g.line_of) != n_lines:
         raise ValueError("some pair of points lies on two lines")
     # strictly increasing lines are distinct; with the line count checked
@@ -125,9 +136,6 @@ def load_geometry(path: Path) -> GeometryTables:
     for ln in g.lines:
         if ln.pts <= prev:
             raise ValueError(f"line {ln.index} is out of lexicographic order")
-        if ln.mask != meet_mask(pmasks.__getitem__, *ln.gens):
-            raise ValueError(f"line {ln.index} is not the line of "
-                             f"PG(3,{q}) through points {ln.gens}")
         prev = ln.pts
     return g
 

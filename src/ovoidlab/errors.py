@@ -27,10 +27,6 @@ class DuplicatePoint(OvoidlabError):
     """Distinct points were required."""
 
 
-class NotSkew(OvoidlabError):
-    """Pairwise skew lines were required."""
-
-
 class NoPolarity(OvoidlabError):
     """No symplectic polarity fits the given point set (not an ovoid?)."""
 
@@ -59,21 +55,9 @@ class NotASpread(OvoidlabError):
     """The line set is not a spread."""
 
 
-class NotRegular(OvoidlabError):
-    """The spread is not regular (or its fixing group has the wrong order)."""
-
-
 class InvariantViolation(OvoidlabError):
     """A construction broke a guaranteed invariant (a Singer generator of the
     wrong projective order, or a degenerate polarity)."""
-
-
-class SpreadNotTangent(OvoidlabError):
-    """A spread line is not tangent to the given ovoid."""
-
-
-class IndexOutOfRange(OvoidlabError):
-    """A point or line index is out of range for the active geometry."""
 
 
 class LengthMismatch(OvoidlabError):

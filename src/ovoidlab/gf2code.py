@@ -1,6 +1,6 @@
-"""GF(2) linear algebra over the point set: characteristic vectors, ranks,
-the codes C (W(q)-lines) and D (dual grids), the radical-codimension
-witness, their dimensions from the T-module structure, and T-orbit sums.
+"""GF(2) linear algebra over the point set: ranks, the codes C (W(q)-lines)
+and D (dual grids), the radical-codimension witness, their dimensions from
+the T-module structure, and T-orbit sums.
 
 Bit vectors are Python ints (bit i = point i); dense bitsets beat any
 sparse representation at these sizes (|P| <= 4369 for q <= 16).
@@ -10,24 +10,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import (EmptyMatrix, IndexOutOfRange, InvariantViolation,
-                     LengthMismatch)
+from .errors import EmptyMatrix, InvariantViolation, LengthMismatch
 from .fibration import Fibration, SingerContext
 from .gfield import FieldCtx, echelon
 from .projspace import (GeometryTables, Line, line_permutation,
                         point_permutation)
 from .symplectic import (SymplecticForm, enumerate_dual_grids,
                          isotropic_lines, polar_lines)
-
-
-def char_vector(s, g: GeometryTables) -> int:
-    """Characteristic bit vector of a point set."""
-    acc = 0
-    for p in s:
-        if not 0 <= p < g.n_points:
-            raise IndexOutOfRange(f"point index {p} out of range")
-        acc |= 1 << p
-    return acc
 
 
 class BitMat:

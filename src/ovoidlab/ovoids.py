@@ -1,15 +1,14 @@
 """Ovoid constructions (elliptic quadrics, Suzuki-Tits), validation and
-line classification, plus quadric fitting over GF(q)."""
+the line-meet sweep, plus quadric fitting over GF(q)."""
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 
 from .errors import (EvenDegree, InvariantViolation, NoIrreducibleConstant,
                      NoQuadric, NotAnOvoid)
 from .gfield import nullspace
-from .projspace import GeometryTables, Line
+from .projspace import GeometryTables
 
 # monomial index pairs for a quaternary quadratic form, fixed order
 _MONOMIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
@@ -40,16 +39,6 @@ class Ovoid:
 
 def _mask_of(pts) -> int:
     return sum(1 << p for p in set(pts))
-
-
-class LineClass(Enum):
-    TANGENT = 1
-    SECANT = 2
-    EXTERNAL = 0
-
-    @property
-    def meet(self) -> int:
-        return self.value
 
 
 def irreducible_constant(g: GeometryTables) -> int:
@@ -124,13 +113,6 @@ def is_ovoid(s, g: GeometryTables) -> bool:
     if len(pts) != g.q * g.q + 1:
         return False
     return max(line_meets(_mask_of(pts), g)) <= 2
-
-
-def classify_line(l: Line, theta: Ovoid, g: GeometryTables) -> LineClass:
-    meet = (l.mask & theta.mask).bit_count()
-    if meet > 2:
-        raise NotAnOvoid(f"line {l.index} meets the set in {meet} points")
-    return LineClass(meet)
 
 
 def tangent_lines(theta: Ovoid, g: GeometryTables) -> list[int]:

@@ -13,8 +13,7 @@ from itertools import combinations, product
 from operator import xor
 from typing import NamedTuple
 
-from .errors import (DuplicatePoint, InvariantViolation, NotSkew, SamePoint,
-                     SizeGuard)
+from .errors import DuplicatePoint, InvariantViolation, SamePoint, SizeGuard
 from .gfield import FieldCtx
 
 # Tables grow with q: at q = 32 the lazy vector_index would hold q^4 = 1 M
@@ -70,12 +69,12 @@ class GeometryTables:
         self.all_one = (1 << self.n_points) - 1
 
     @classmethod
-    def from_arrays(cls, ctx: FieldCtx, coords, line_pts,
+    def from_arrays(cls, ctx: FieldCtx, coords, line_pts, line_masks,
                     pmasks) -> GeometryTables:
         """Tables from the normalized point coordinates in lex order, the
-        sorted point tuples of the lines in index order and the plane
-        masks, plane_masks(ctx, coords); the one place where every
-        incidence table is derived.
+        sorted point tuples of the lines in index order with their point
+        masks, and the plane masks, plane_masks(ctx, coords); the one
+        place where every incidence table is derived.
 
         Plane i has normal coords[i]: normalized plane normals are the
         same 4-tuples as the points, in the same order.
@@ -85,10 +84,8 @@ class GeometryTables:
         lines: list[Line] = []
         line_of: dict[int, int] = {}
         point_to_lines: list[list[int]] = [[] for _ in coords]
-        for li, pts in enumerate(line_pts):
-            mask = 0
+        for li, (pts, mask) in enumerate(zip(line_pts, line_masks)):
             for p in pts:
-                mask |= 1 << p
                 point_to_lines[p].append(li)
             lines.append(Line(li, (pts[0], pts[1]), pts, mask))
             line_of[mask] = li
@@ -149,11 +146,6 @@ class GeometryTables:
             raise DuplicatePoint("three distinct points required")
         return bool(self.line_through(p1, p2).mask >> p3 & 1)
 
-    def _check_skew(self, l1: int, l2: int, l3: int) -> None:
-        a, b, c = self.lines[l1], self.lines[l2], self.lines[l3]
-        if a.mask & b.mask or a.mask & c.mask or b.mask & c.mask:
-            raise NotSkew(f"lines {l1}, {l2}, {l3} are not pairwise skew")
-
     def _transversal_lines(self, l1: int, l2: int, l3: int) -> list[int]:
         """Transversals of three lines, one through each point of l2;
         unchecked, so the caller guarantees the lines are pairwise skew.
@@ -181,17 +173,6 @@ class GeometryTables:
         (unchecked): the transversals of three of their transversals."""
         opp = self._transversal_lines(l1, l2, l3)
         return self._transversal_lines(opp[0], opp[1], opp[2])
-
-    def transversals(self, l1: int, l2: int, l3: int) -> list[int]:
-        """The q+1 lines meeting each of three pairwise skew lines."""
-        self._check_skew(l1, l2, l3)
-        return sorted(self._transversal_lines(l1, l2, l3))
-
-    def regulus(self, l1: int, l2: int, l3: int):
-        """(R, R_opp): the unique regulus through the three lines and its
-        opposite (their transversal set)."""
-        opp = self.transversals(l1, l2, l3)
-        return tuple(sorted(self._transversal_lines(*opp[:3]))), tuple(opp)
 
 
 def scaled_columns(ctx: FieldCtx, m) -> list[list[int]]:
@@ -307,6 +288,7 @@ def build_geometry(n: int) -> GeometryTables:
     # generating pair of its line; bit j of joined[i] marks i, j on a line
     joined = [0] * npts
     line_pts: list[tuple[int, ...]] = []
+    line_masks: list[int] = []
     after = (1 << npts) - 1
     for i in range(npts):
         after ^= 1 << i                    # the points j > i
@@ -319,5 +301,7 @@ def build_geometry(n: int) -> GeometryTables:
                 joined[p] |= mask
             rest &= ~mask
             line_pts.append(pts)
+            line_masks.append(mask)
 
-    return GeometryTables.from_arrays(ctx, coords, line_pts, pmasks)
+    return GeometryTables.from_arrays(ctx, coords, line_pts, line_masks,
+                                      pmasks)

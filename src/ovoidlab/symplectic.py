@@ -53,19 +53,6 @@ class DualGrid(NamedTuple):
     def point_mask(self, g: GeometryTables) -> int:
         return g.lines[self.m].mask | g.lines[self.m_perp].mask
 
-    def points(self, g: GeometryTables) -> tuple[int, ...]:
-        return tuple(sorted(g.lines[self.m].pts + g.lines[self.m_perp].pts))
-
-
-def standard_form() -> SymplecticForm:
-    """The hyperbolic form <x,y> = x1 y4 + x2 y3 + x3 y2 + x4 y1."""
-    return SymplecticForm(gram=(
-        (0, 0, 0, 1),
-        (0, 0, 1, 0),
-        (0, 1, 0, 0),
-        (1, 0, 0, 0),
-    ))
-
 
 def perp_planes(f: SymplecticForm, g: GeometryTables) -> list[int]:
     """Entry x is the index of the plane x^perp.

@@ -1,8 +1,9 @@
 import pytest
 
-from ovoidlab import (ExtFieldCtx, build_geometry, common_tangent_spread,
-                      elliptic_quadric, polarity_from_ovoid, singer_context,
-                      t_orbit_fibration, tits_ovoid)
+from ovoidlab import (ExtFieldCtx, SymplecticForm, build_geometry,
+                      common_tangent_spread, elliptic_quadric,
+                      polarity_from_ovoid, singer_context, t_orbit_fibration,
+                      tits_ovoid)
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +69,17 @@ def form2(fib2, geo2):
 @pytest.fixture(scope="session")
 def form3(fib3, geo3):
     return polarity_from_ovoid(fib3.members[0], geo3)
+
+
+@pytest.fixture(scope="session")
+def hyperbolic_form():
+    """The form <x,y> = x1 y4 + x2 y3 + x3 y2 + x4 y1, over every GF(q)."""
+    return SymplecticForm(gram=(
+        (0, 0, 0, 1),
+        (0, 0, 1, 0),
+        (0, 1, 0, 0),
+        (1, 0, 0, 0),
+    ))
 
 
 @pytest.fixture(scope="session")

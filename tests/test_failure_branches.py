@@ -7,16 +7,20 @@ from pathlib import Path
 
 import pytest
 
+import kfibration
+from kfibration import NotRegular, k_stabilizer
 from ovoidlab import fibration, symplectic, verify
-from ovoidlab.errors import NoPolarity, NotAFibration, NotRegular
+from ovoidlab.errors import NoPolarity, NotAFibration
 from ovoidlab.fibration import (Fibration, SingerContext,
-                                common_tangent_spread, k_stabilizer)
+                                common_tangent_spread)
 from ovoidlab.gf2code import BitMat
 from ovoidlab.ovoids import Ovoid
 from ovoidlab.symplectic import polarity_from_ovoid
 from ovoidlab.verify import (verify_lemma5, verify_main_theorem,
                              verify_proposition1,
                              verify_radical_and_corollary3)
+
+from test_regulus_kernel import regulus
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,7 +157,7 @@ def swapped_line_set(spread, g) -> list[int]:
 
 def regulus_reversed(spread, g) -> list[int]:
     """A genuine spread that is not regular (q > 3)."""
-    reg, opp = g.regulus(*spread.lines[:3])
+    reg, opp = regulus(g, *spread.lines[:3])
     return sorted((set(spread.lines) - set(reg)) | set(opp))
 
 
@@ -193,7 +197,7 @@ def test_polarity_rejects_degenerate_solution(quadric2, geo2, monkeypatch):
 def test_k_stabilizer_drops_singular_candidates(spread2, geo2, monkeypatch):
     # the line-fixing space is forced to <I, E_00>: of its q+1 projective
     # points, E_00 and I + E_00 are singular, leaving q-1 collineations
-    real = fibration.nullspace
+    real = kfibration.nullspace
     ident = tuple(int(i == j) for i in range(4) for j in range(4))
     e00 = (1,) + (0,) * 15
 
@@ -202,6 +206,6 @@ def test_k_stabilizer_drops_singular_candidates(spread2, geo2, monkeypatch):
             return [ident, e00]
         return real(ctx, rows, ncols)
 
-    monkeypatch.setattr(fibration, "nullspace", singular_line_fixers)
+    monkeypatch.setattr(kfibration, "nullspace", singular_line_fixers)
     with pytest.raises(NotRegular, match="order 3, want 5"):
         k_stabilizer(spread2, geo2)

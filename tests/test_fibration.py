@@ -2,19 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovoidlab.errors import (NotAFibration, NotASpread, NotRegular,
-                             SpreadNotTangent)
+from ovoidlab.errors import NotASpread
 from ovoidlab.fibration import (Fibration, Spread, common_tangent_spread,
-                                common_tangents, fibrate_ovoid,
+                                common_tangents,
                                 find_regular_spread_in_complex,
-                                is_regular_spread, k_stabilizer,
-                                point_permutation, t_orbit_fibration,
+                                is_regular_spread, point_permutation,
                                 tangency_profile, tangency_table,
                                 tangent_member)
-from ovoidlab.gfield import mat_identity
 from ovoidlab.ovoids import Ovoid, elliptic_quadric, is_ovoid, tangent_lines
 
+from kfibration import SpreadNotTangent, fibrate_ovoid, k_stabilizer
 from test_failure_branches import REPORTS as CORRUPTIONS, corrupted
+from test_regulus_kernel import regulus
 
 
 def perm_order(perm, start=0):
@@ -118,7 +117,7 @@ def test_is_regular_spread_sampled(spread3, geo3):
 def test_regular_spread_rejects_regulus_reversal(spread2, geo2):
     # replacing one regulus of a regular spread by its opposite yields a
     # genuine spread that fails regulus closure (q > 3)
-    reg, opp = geo2.regulus(*spread2.lines[:3])
+    reg, opp = regulus(geo2, *spread2.lines[:3])
     assert set(reg) <= set(spread2.lines)
     mutated = sorted((set(spread2.lines) - set(reg)) | set(opp))
     assert not is_regular_spread(Spread(tuple(mutated)), geo2)
@@ -139,7 +138,7 @@ def test_is_regular_spread_rejects_non_spread(geo2):
 
 
 def test_regulus_of_spread_triple_inside(spread2, geo2):
-    reg, _ = geo2.regulus(*spread2.lines[:3])
+    reg, _ = regulus(geo2, *spread2.lines[:3])
     assert set(reg) <= set(spread2.lines)
 
 

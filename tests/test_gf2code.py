@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovoidlab.errors import EmptyMatrix, IndexOutOfRange, LengthMismatch
-from ovoidlab.gf2code import (BitMat, char_vector, code_C, code_D, in_span,
-                              orthogonal, radical_codim_check, span_rank,
-                              t_orbit_sum)
-from ovoidlab.symplectic import enumerate_dual_grids, standard_form
+from ovoidlab.errors import EmptyMatrix, LengthMismatch
+from ovoidlab.gf2code import (BitMat, code_C, code_D, in_span, orthogonal,
+                              radical_codim_check, span_rank, t_orbit_sum)
+from ovoidlab.symplectic import enumerate_dual_grids
 
 from test_failure_branches import replaced, swapped_form
 
@@ -98,9 +97,10 @@ def test_echelon_matches_sorted_insert_oracle(case):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_code_echelons_match_sorted_insert_oracle(n, request):
+def test_code_echelons_match_sorted_insert_oracle(n, hyperbolic_form,
+                                                  request):
     g = request.getfixturevalue(f"geo{n}")
-    form = standard_form()
+    form = hyperbolic_form
     c, d = code_C(form, g), code_D(form, g)
     sums = BitMat((d.rows[0] ^ r for r in d.rows[1:]), width=d.width)
     for m in (c, d, sums):
@@ -122,9 +122,9 @@ def test_orthogonal_matches_pair_loop(pair):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_orthogonal_on_codes(n, request):
+def test_orthogonal_on_codes(n, hyperbolic_form, request):
     g = request.getfixturevalue(f"geo{n}")
-    form = standard_form()
+    form = hyperbolic_form
     c, d = code_C(form, g), code_D(form, g)
     flipped = BitMat(d.rows[:-1] + [d.rows[-1] ^ 1], width=d.width)
     for a, b in ((d, c), (c, d), (d, code_C(swapped_form(form), g)),
@@ -134,18 +134,11 @@ def test_orthogonal_on_codes(n, request):
     assert not orthogonal(flipped, c)
 
 
-def test_char_vector(geo2):
-    assert char_vector([], geo2) == 0
-    assert char_vector(range(85), geo2) == geo2.all_one
-    v = char_vector([0, 3, 17], geo2)
-    assert v.bit_count() == 3
-    with pytest.raises(IndexOutOfRange):
-        char_vector([85], geo2)
-
-
 def test_char_vector_dual_grid_weight(form2, geo2):
     dg = enumerate_dual_grids(form2, geo2)[0]
-    assert char_vector(dg.points(geo2), geo2).bit_count() == 10
+    pts = geo2.lines[dg.m].pts + geo2.lines[dg.m_perp].pts
+    assert dg.point_mask(geo2) == sum(1 << p for p in set(pts))
+    assert dg.point_mask(geo2).bit_count() == 10
 
 
 def test_rank_basics():

@@ -5,10 +5,8 @@ from math import comb
 import pytest
 
 from ovoidlab import ovoids
-from ovoidlab.errors import (EvenDegree, InvariantViolation, NoQuadric,
-                             NotAnOvoid)
-from ovoidlab.ovoids import (LineClass, Ovoid, classify_line,
-                             elliptic_quadric, fit_quadric, is_ovoid,
+from ovoidlab.errors import EvenDegree, InvariantViolation, NoQuadric
+from ovoidlab.ovoids import (Ovoid, elliptic_quadric, fit_quadric, is_ovoid,
                              line_meets, tangent_lines, tits_ovoid)
 
 
@@ -121,29 +119,13 @@ def test_ovoid_mask_must_be_the_or_of_its_points(quadric2, geo2):
     assert len(tangent_lines(unsorted, geo2)) == 85
 
 
-def test_classify_line_examples(quadric2, geo2):
-    secant = geo2.line_through(quadric2.pts[0], quadric2.pts[1])
-    assert classify_line(secant, quadric2, geo2) is LineClass.SECANT
-    assert LineClass.SECANT.meet == 2
-    assert LineClass.TANGENT.meet == 1
-    assert LineClass.EXTERNAL.meet == 0
-
-
-def test_classify_line_rejects_corrupt_input(geo2):
-    fake = Ovoid.from_points(geo2.lines[0].pts[:3], "unknown")
-    with pytest.raises(NotAnOvoid):
-        classify_line(geo2.lines[0], fake, geo2)
-
-
 def test_classification_totals_q4(quadric2, geo2):
     q = geo2.q
-    counts = {cls: 0 for cls in LineClass}
-    for ln in geo2.lines:
-        counts[classify_line(ln, quadric2, geo2)] += 1
+    meets = line_meets(quadric2.mask, geo2)
     # oracles: tangent = (q+1)(q^2+1), secant = C(q^2+1, 2)
-    assert counts[LineClass.TANGENT] == (q + 1) * (q * q + 1) == 85
-    assert counts[LineClass.SECANT] == comb(q * q + 1, 2) == 136
-    assert counts[LineClass.EXTERNAL] == len(geo2.lines) - 85 - 136 == 136
+    assert meets.count(1) == (q + 1) * (q * q + 1) == 85
+    assert meets.count(2) == comb(q * q + 1, 2) == 136
+    assert meets.count(0) == len(geo2.lines) - 85 - 136 == 136
 
 
 def test_incidence_double_count(quadric2, geo2):

@@ -19,7 +19,7 @@ from ovoidlab.symplectic import (_UPPER, SymplecticForm, enumerate_dual_grids,
                                  is_isotropic_line, isotropic_lines,
                                  member_polarity, perp_line, perp_planes,
                                  polar_lines, polarity_from_ovoid,
-                                 standard_form, tangent_nullspace)
+                                 tangent_nullspace)
 from ovoidlab.verify import verify_main_theorem
 
 from test_failure_branches import REPORTS as CORRUPTIONS, corrupted
@@ -81,8 +81,8 @@ def assert_map_matches_oracles(f, g):
 
 
 @pytest.mark.parametrize("fix", ["geo1", "geo2", "geo3"])
-def test_standard_form_matches_oracles(fix, request):
-    assert_map_matches_oracles(standard_form(), request.getfixturevalue(fix))
+def test_standard_form_matches_oracles(fix, hyperbolic_form, request):
+    assert_map_matches_oracles(hyperbolic_form, request.getfixturevalue(fix))
 
 
 def test_every_t_orbit_polarity_q4_matches_oracles(fib2, geo2):
@@ -99,13 +99,14 @@ def test_q8_polarities_match_oracles(ovoid, fib3, geo3, request):
     assert_map_matches_oracles(polarity_from_ovoid(theta, geo3), geo3)
 
 
-def test_map_is_memoized_per_form_and_geometry(form2, geo2):
+def test_map_is_memoized_per_form_and_geometry(form2, geo2,
+                                               hyperbolic_form):
     assert polar_lines(form2, geo2) is polar_lines(form2, geo2)
-    assert polar_lines(standard_form(), geo2) \
+    assert polar_lines(hyperbolic_form, geo2) \
         is not polar_lines(form2, geo2)
 
 
-def test_meet_of_wrong_size_raises_typed_error():
+def test_meet_of_wrong_size_raises_typed_error(hyperbolic_form):
     # corrupt the plane indexed by a generator of line 0: polar_lines
     # meets the perp planes of each line's two generators, and one of
     # those meets now includes the corrupted plane and is no longer a line
@@ -115,7 +116,7 @@ def test_meet_of_wrong_size_raises_typed_error():
     x = (pl.mask & g.planes[b].mask).bit_length() - 1
     g.planes[a] = pl._replace(mask=pl.mask ^ 1 << x)
     with pytest.raises(InvariantViolation):
-        polar_lines(standard_form(), g)
+        polar_lines(hyperbolic_form, g)
 
 
 # --- the polarity solve against the full tangent system ------------------

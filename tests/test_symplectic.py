@@ -4,7 +4,7 @@ from ovoidlab.errors import InvariantViolation, NoPolarity
 from ovoidlab.ovoids import Ovoid, tangent_lines
 from ovoidlab.symplectic import (SymplecticForm, enumerate_dual_grids,
                                  is_isotropic_line, isotropic_lines, perp_line,
-                                 polarity_from_ovoid, standard_form)
+                                 polarity_from_ovoid)
 
 
 def mat_det(ctx, m) -> int:
@@ -29,8 +29,8 @@ def mat_det(ctx, m) -> int:
     return det
 
 
-def test_standard_form_values(geo2):
-    f = standard_form()
+def test_standard_form_values(geo2, hyperbolic_form):
+    f = hyperbolic_form
     e = [tuple(1 if i == j else 0 for j in range(4)) for i in range(4)]
     assert f.eval(geo2, e[0], e[3]) == 1
     assert f.eval(geo2, e[0], e[1]) == 0
@@ -39,14 +39,14 @@ def test_standard_form_values(geo2):
     assert mat_det(geo2.ctx, f.gram) != 0
 
 
-def test_isotropic_line_count_is_gq_line_count(geo2):
+def test_isotropic_line_count_is_gq_line_count(geo2, hyperbolic_form):
     # W(q) is a GQ of order (q,q): (q+1)(q^2+1) lines
-    iso = isotropic_lines(standard_form(), geo2)
+    iso = isotropic_lines(hyperbolic_form, geo2)
     assert len(iso) == 85
 
 
-def test_isotropic_examples(geo2):
-    f = standard_form()
+def test_isotropic_examples(geo2, hyperbolic_form):
+    f = hyperbolic_form
     p12 = geo2.line_through(geo2.point_index[(1, 0, 0, 0)],
                             geo2.point_index[(0, 1, 0, 0)])
     p14 = geo2.line_through(geo2.point_index[(1, 0, 0, 0)],
@@ -55,8 +55,8 @@ def test_isotropic_examples(geo2):
     assert not is_isotropic_line(p14, f, geo2)
 
 
-def test_perp_involution_all_lines_q4(geo2):
-    f = standard_form()
+def test_perp_involution_all_lines_q4(geo2, hyperbolic_form):
+    f = hyperbolic_form
     for ln in geo2.lines:
         mp = perp_line(ln, f, geo2)
         assert perp_line(mp, f, geo2).index == ln.index
@@ -82,17 +82,18 @@ def test_perp_line_degenerate_raises_typed_error(geo2):
 
 
 @pytest.mark.parametrize("fix,count", [("geo2", 136), ("geo3", 2080)])
-def test_dual_grid_counts(fix, count, request):
+def test_dual_grid_counts(fix, count, hyperbolic_form, request):
     g = request.getfixturevalue(fix)
-    grids = enumerate_dual_grids(standard_form(), g)
+    grids = enumerate_dual_grids(hyperbolic_form, g)
     # oracle: (total lines - isotropic lines) / 2
-    iso = len(isotropic_lines(standard_form(), g))
+    iso = len(isotropic_lines(hyperbolic_form, g))
     assert len(grids) == (len(g.lines) - iso) // 2 == count
     q = g.q
     for dg in grids[:50]:
         assert dg.m < dg.m_perp
         assert dg.point_mask(g).bit_count() == 2 * (q + 1)
-        assert len(dg.points(g)) == 2 * (q + 1)
+        assert len(set(g.lines[dg.m].pts)
+                   | set(g.lines[dg.m_perp].pts)) == 2 * (q + 1)
 
 
 def test_polarity_from_elliptic_quadric(quadric2, geo2):
