@@ -18,8 +18,8 @@ _EXPORTS = {
     "errors": ["OvoidlabError"],
     "gfield": ["FieldCtx", "ExtFieldCtx", "mult_matrix"],
     "projspace": ["GeometryTables", "build_geometry"],
-    "symplectic": ["SymplecticForm", "DualGrid", "is_isotropic_line",
-                   "perp_line", "enumerate_dual_grids", "polarity_from_ovoid"],
+    "symplectic": ["SymplecticForm", "DualGrid", "perp_line",
+                   "enumerate_dual_grids", "polarity_from_ovoid"],
     "ovoids": ["Ovoid", "elliptic_quadric", "tits_ovoid", "is_ovoid",
                "tangent_lines", "fit_quadric"],
     "fibration": ["SingerContext", "Fibration", "Spread", "singer_context",

@@ -1,7 +1,7 @@
 """Singer group machinery: the cyclic generator from GF(q^4) multiplication,
-its subgroups T (order q^2+1) and K (order q+1), T-orbit fibrations,
-common-tangent spreads and regularity checks, plus a budgeted search for
-regular spreads inside a complex."""
+its subgroup T of order q^2+1, the cycles of a permutation, T-orbit
+fibrations, common-tangent spreads and regularity checks, plus a budgeted
+search for regular spreads inside a complex."""
 
 from __future__ import annotations
 
@@ -14,17 +14,17 @@ from .projspace import GeometryTables, point_permutation
 
 
 class SingerContext:
-    """A Singer generator with its subgroups T and K, as matrices and as
-    point permutations; hashed by identity, so caches keyed on it never
-    hash the permutations."""
+    """A Singer generator and its subgroup T, as matrices and as point
+    permutations; hashed by identity, so caches keyed on it never hash
+    the permutations."""
 
     def __init__(self, geometry: GeometryTables, ext: ExtFieldCtx, gen,
-                 t_gen, k_gen, gen_perm, t_perm, k_perm):
+                 t_gen, gen_perm, t_perm):
         self.geometry, self.ext = geometry, ext
-        # the Singer generator matrix over GF(q), its power gen^(q+1) of
-        # projective order q^2+1 and gen^(q^2+1) of order q+1
-        self.gen, self.t_gen, self.k_gen = gen, t_gen, k_gen
-        self.gen_perm, self.t_perm, self.k_perm = gen_perm, t_perm, k_perm
+        # the Singer generator matrix over GF(q) and its power gen^(q+1)
+        # of projective order q^2+1
+        self.gen, self.t_gen = gen, t_gen
+        self.gen_perm, self.t_perm = gen_perm, t_perm
 
 
 class Fibration:
@@ -53,31 +53,42 @@ def singer_context(g: GeometryTables, ext: ExtFieldCtx) -> SingerContext:
     q = g.q
     gen = mult_matrix(ext.omega, ext)
     gen_perm = point_permutation(g, gen)
-    order = _perm_order_transitive_cycle(gen_perm, 0)
+    order = len(perm_cycles(gen_perm)[0])
     if order != (q * q + 1) * (q + 1):
         raise InvariantViolation(
             f"Singer generator has projective order {order}, "
             f"expected {(q * q + 1) * (q + 1)}")
-    ctx = g.ctx
-    t_gen = mat_pow(ctx, gen, q + 1)
-    k_gen = mat_pow(ctx, gen, q * q + 1)
+    t_gen = mat_pow(g.ctx, gen, q + 1)
     t_perm = point_permutation(g, t_gen)
-    k_perm = point_permutation(g, k_gen)
-    if _perm_order_transitive_cycle(t_perm, 0) != q * q + 1:
+    if len(perm_cycles(t_perm)[0]) != q * q + 1:
         raise InvariantViolation("T generator has wrong projective order")
-    if _perm_order_transitive_cycle(k_perm, 0) != q + 1:
-        raise InvariantViolation("K generator has wrong projective order")
-    return SingerContext(g, ext, gen, t_gen, k_gen,
-                         tuple(gen_perm), tuple(t_perm), tuple(k_perm))
+    return SingerContext(g, ext, gen, t_gen, tuple(gen_perm), tuple(t_perm))
 
 
-def _perm_order_transitive_cycle(perm, start) -> int:
-    """Cycle length of start; equals the order when the orbit is full."""
-    k, cur = 1, perm[start]
-    while cur != start:
-        cur = perm[cur]
-        k += 1
-    return k
+def perm_cycles(perm) -> list[list[int]]:
+    """The cycles of perm, each walked from its least element, in
+    increasing order of those elements.
+
+    Raises InvariantViolation when a walk runs into an earlier walk
+    instead of closing on its own start, which happens exactly when perm
+    is not a permutation of range(len(perm)).
+    """
+    seen = [False] * len(perm)
+    out = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = []
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            cycle.append(cur)
+            cur = perm[cur]
+        if cur != start:
+            raise InvariantViolation(
+                f"the walk from {start} runs into {cur} without closing")
+        out.append(cycle)
+    return out
 
 
 @lru_cache(maxsize=2)
@@ -86,27 +97,18 @@ def t_orbit_fibration(sc: SingerContext) -> Fibration:
     once per Singer context."""
     g = sc.geometry
     q = g.q
-    seen = [False] * g.n_points
-    orbits = []
-    for start in range(g.n_points):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        cur = sc.t_perm[start]
-        while cur != start:
-            seen[cur] = True
-            orbit.append(cur)
-            cur = sc.t_perm[cur]
-        orbits.append(orbit)
+    try:
+        orbits = perm_cycles(sc.t_perm)
+    except InvariantViolation as exc:
+        raise NotAFibration(f"t_perm is not a permutation: {exc}") from exc
     if len(orbits) != q + 1 or any(len(o) != q * q + 1 for o in orbits):
         raise NotAFibration("T-orbits do not split as q+1 sets of q^2+1")
-    members = [Ovoid.from_points(o, "orbit") for o in orbits]
-    members.sort(key=lambda ov: ov.pts[0])
+    # perm_cycles lists the orbits by least point, the member label order
+    members = tuple(Ovoid.from_points(o, "orbit") for o in orbits)
     for ov in members:
         if not is_ovoid(ov.pts, g):
             raise NotAFibration("a T-orbit failed the ovoid check")
-    return Fibration(tuple(members))
+    return Fibration(members)
 
 
 def tangency_profile(line_mask: int, f: Fibration) -> tuple[int, int, int]:

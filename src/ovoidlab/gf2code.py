@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import EmptyMatrix, InvariantViolation, LengthMismatch
-from .fibration import Fibration, SingerContext
+from .fibration import Fibration, SingerContext, perm_cycles
 from .gfield import FieldCtx, echelon
 from .projspace import (GeometryTables, Line, line_permutation,
                         point_permutation)
@@ -142,26 +142,23 @@ def radical_codim_check(d: BitMat) -> tuple[int, int, int]:
 def t_coordinates(sc: SingerContext, fib: Fibration
                   ) -> list[tuple[int, int]] | None:
     """Entry p is (j, k) for p = t^k(least point of member j), or None
-    unless t_perm is the point permutation of t_gen and each member is one
-    cycle of t_perm of length q^2+1 from its least point."""
+    unless t_perm is the point permutation of t_gen and the members are
+    distinct cycles of t_perm of length q^2+1."""
     g = sc.geometry
-    t = sc.t_perm
     try:
-        if list(t) != point_permutation(g, sc.t_gen):
+        if list(sc.t_perm) != point_permutation(g, sc.t_gen):
             return None
+        cycles = {c[0]: c for c in perm_cycles(sc.t_perm)}
     except InvariantViolation:
         return None
     order = g.q * g.q + 1
     out: list = [None] * g.n_points
     for j, ov in enumerate(fib.members):
-        start = cur = ov.pts[0]
-        for k in range(order):
-            if out[cur] is not None or not ov.mask >> cur & 1:
-                return None
-            out[cur] = (j, k)
-            cur = t[cur]
-        if cur != start:
+        cycle = cycles.pop(ov.pts[0], ())
+        if len(cycle) != order or sum(1 << p for p in cycle) != ov.mask:
             return None
+        for k, p in enumerate(cycle):
+            out[p] = (j, k)
     return None if None in out else out
 
 
@@ -286,34 +283,23 @@ def t_module_counters(form: SymplecticForm, sc: SingerContext,
 def point_orbit_sums(sc: SingerContext) -> tuple[int, ...]:
     """For each point p, the GF(2) sum over k < q^2+1 of t^k(p).
 
-    A cycle of t_perm of length exactly q^2+1 gives every point on it the
-    cycle's mask.  A point on any other cycle keeps its own walk, whose
-    sum is a parity, because the walk can meet a point more than once."""
+    On a cycle of length L, with laps, rest = divmod(q^2+1, L), the walk
+    from p goes laps times round the cycle and then rest points on, so
+    its sum is the cycle's mask if laps is odd (nothing if it is even),
+    XOR p and the rest - 1 points after it.  Raises InvariantViolation
+    when t_perm is not a permutation."""
     g = sc.geometry
     order = g.q * g.q + 1
-    out: list = [None] * g.n_points
-    t_perm = sc.t_perm
-    for p in range(g.n_points):
-        if out[p] is not None:
-            continue
-        cycle = [p]
-        cur = t_perm[p]
-        while cur != p and len(cycle) < order:
-            cycle.append(cur)
-            cur = t_perm[cur]
-        if cur == p and len(cycle) == order:
-            acc = 0
-            for x in cycle:
-                acc |= 1 << x
-            for x in cycle:
-                out[x] = acc
-            continue
-        acc = 0
-        cur = p
-        for _ in range(order):
-            acc ^= 1 << cur
-            cur = t_perm[cur]
-        out[p] = acc
+    out = [0] * g.n_points
+    for cycle in perm_cycles(sc.t_perm):
+        laps, rest = divmod(order, len(cycle))
+        mask = sum(1 << p for p in cycle) if laps & 1 else 0
+        ring = cycle + cycle[:rest]
+        for i, p in enumerate(cycle):
+            acc = mask
+            for x in ring[i:i + rest]:
+                acc ^= 1 << x
+            out[p] = acc
     return tuple(out)
 
 

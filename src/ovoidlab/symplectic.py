@@ -86,11 +86,6 @@ def polar_lines(f: SymplecticForm, g: GeometryTables) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_isotropic_line(l: Line, f: SymplecticForm, g: GeometryTables) -> bool:
-    """A line is isotropic iff it is its own polar."""
-    return polar_lines(f, g)[l.index] == l.index
-
-
 def isotropic_lines(f: SymplecticForm, g: GeometryTables) -> list[int]:
     """Sorted indices of all lines of W(q) for this form."""
     return [i for i, j in enumerate(polar_lines(f, g)) if i == j]

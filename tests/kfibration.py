@@ -8,8 +8,9 @@ of a member is the T-orbit fibration again.
 """
 
 from ovoidlab.errors import NotAFibration, OvoidlabError
-from ovoidlab.fibration import Fibration, Spread, is_regular_spread
-from ovoidlab.gfield import nullspace
+from ovoidlab.fibration import (Fibration, SingerContext, Spread,
+                                is_regular_spread)
+from ovoidlab.gfield import mat_pow, nullspace
 from ovoidlab.ovoids import Ovoid, is_ovoid, tangent_lines
 from ovoidlab.projspace import GeometryTables, point_permutation
 
@@ -20,6 +21,14 @@ class NotRegular(OvoidlabError):
 
 class SpreadNotTangent(OvoidlabError):
     """A spread line is not tangent to the given ovoid."""
+
+
+def singer_k(sc: SingerContext) -> tuple[tuple, list[int]]:
+    """The generator gen^(q^2+1) of the Singer subgroup K of order q+1, as
+    a matrix and as a point permutation."""
+    g = sc.geometry
+    k_gen = mat_pow(g.ctx, sc.gen, g.q * g.q + 1)
+    return k_gen, point_permutation(g, k_gen)
 
 
 def _line_forms(g: GeometryTables, li: int):

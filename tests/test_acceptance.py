@@ -17,10 +17,9 @@ from ovoidlab.fibration import (common_tangent_spread, is_regular_spread,
                                 tangent_member)
 from ovoidlab.gf2code import BitMat, in_span, radical_codim_check, t_orbit_sum
 from ovoidlab.errors import NoQuadric
-from ovoidlab.ovoids import (elliptic_quadric, fit_quadric, tangent_lines,
-                             tits_ovoid)
-from ovoidlab.symplectic import (enumerate_dual_grids, is_isotropic_line,
-                                 isotropic_lines, polarity_from_ovoid)
+from ovoidlab.ovoids import elliptic_quadric, fit_quadric, tangent_lines
+from ovoidlab.symplectic import (enumerate_dual_grids, isotropic_lines,
+                                 polarity_from_ovoid)
 from ovoidlab.verify import (verify_lemma5, verify_main_theorem,
                              verify_proposition1,
                              verify_radical_and_corollary3, verify_segre)

@@ -384,19 +384,19 @@ def test_cli_all_command(capsys):
 @pytest.mark.parametrize("failing_call, message", [
     (0, "Singer generator has projective order"),
     (1, "T generator has wrong projective order"),
-    (2, "K generator has wrong projective order"),
 ])
 def test_cli_singer_order_failure_exits_2(capsys, monkeypatch, failing_call,
                                           message):
+    # the failing call reports a first cycle of length 1
     from ovoidlab import fibration
-    real = fibration._perm_order_transitive_cycle
+    real = fibration.perm_cycles
     calls = []
 
-    def broken(perm, start):
-        calls.append(start)
-        return 0 if len(calls) - 1 == failing_call else real(perm, start)
+    def broken(perm):
+        calls.append(perm)
+        return [[0]] if len(calls) - 1 == failing_call else real(perm)
 
-    monkeypatch.setattr(fibration, "_perm_order_transitive_cycle", broken)
+    monkeypatch.setattr(fibration, "perm_cycles", broken)
     code, out, err = run_cli(capsys, "verify", "--n", "2", "--no-cache",
                              "--suite", "lemma5")
     assert code == 2
@@ -408,8 +408,7 @@ def test_cli_singer_order_failure_exits_2(capsys, monkeypatch, failing_call,
 def test_cli_all_builds_singer_context_once(capsys, monkeypatch):
     # the CLI imports both from the fibration module when a command runs;
     # the suites, loaded first, keep their own bindings of the real ones
-    import ovoidlab.verify  # noqa: F401
-    from ovoidlab import fibration
+    from ovoidlab import fibration, verify
     counts = {"singer_context": 0, "t_orbit_fibration": 0}
     for name in counts:
         real = getattr(fibration, name)
@@ -422,6 +421,7 @@ def test_cli_all_builds_singer_context_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "all", "--n", "2", "--no-cache")
     assert code == 0
     assert counts == {"singer_context": 1, "t_orbit_fibration": 1}
+    assert verify.t_orbit_fibration is not fibration.t_orbit_fibration
 
 
 def test_cli_verify_reads_one_tangency_table(capsys, request):

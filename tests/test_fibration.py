@@ -1,17 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovoidlab.errors import NotASpread
+from ovoidlab.errors import InvariantViolation, NotASpread
 from ovoidlab.fibration import (Fibration, Spread, common_tangent_spread,
                                 common_tangents,
                                 find_regular_spread_in_complex,
-                                is_regular_spread, point_permutation,
-                                tangency_profile, tangency_table,
-                                tangent_member)
+                                is_regular_spread, perm_cycles,
+                                point_permutation, tangency_profile,
+                                tangency_table, tangent_member)
 from ovoidlab.ovoids import Ovoid, elliptic_quadric, is_ovoid, tangent_lines
 
-from kfibration import SpreadNotTangent, fibrate_ovoid, k_stabilizer
+from kfibration import (SpreadNotTangent, fibrate_ovoid, k_stabilizer,
+                        singer_k)
 from test_failure_branches import REPORTS as CORRUPTIONS, corrupted
 from test_regulus_kernel import regulus
 
@@ -27,7 +30,7 @@ def perm_order(perm, start=0):
 def test_singer_generator_orders(sc2):
     assert perm_order(sc2.gen_perm) == 85
     assert perm_order(sc2.t_perm) == 17
-    assert perm_order(sc2.k_perm) == 5
+    assert perm_order(singer_k(sc2)[1]) == 5
     # transitivity: the gen orbit of point 0 is everything
     seen = {0}
     cur = sc2.gen_perm[0]
@@ -38,9 +41,48 @@ def test_singer_generator_orders(sc2):
 
 
 def test_t_orbit_sizes_q8(sc3):
+    k_perm = singer_k(sc3)[1]
     for start in (0, 100, 584):
         assert perm_order(sc3.t_perm, start) == 65
-        assert perm_order(sc3.k_perm, start) == 9
+        assert perm_order(k_perm, start) == 9
+
+
+def cycles_oracle(perm) -> list[list[int]]:
+    """Brute force: x leads a cycle iff it is the least of its first n
+    images, and the cycle is its walk up to the first return to x."""
+    n = len(perm)
+    out = []
+    for x in range(n):
+        walk = [x]
+        for _ in range(n):
+            walk.append(perm[walk[-1]])
+        if x == min(walk):
+            out.append(walk[:walk.index(x, 1)])
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_perm_cycles_match_oracle(q):
+    n = (q * q + 1) * (q + 1)
+    rng = random.Random(q)
+    for _ in range(5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert perm_cycles(perm) == cycles_oracle(perm)
+    assert perm_cycles(range(n)) == [[x] for x in range(n)]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_perm_cycles_reject_a_map_that_is_not_injective(q):
+    n = (q * q + 1) * (q + 1)
+    rng = random.Random(100 + q)
+    for _ in range(5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        a, b = rng.sample(range(n), 2)
+        perm[a] = perm[b]
+        with pytest.raises(InvariantViolation, match="without closing"):
+            perm_cycles(perm)
 
 
 @pytest.mark.parametrize("fix,q", [("fib2", 4), ("fib3", 8)])
@@ -148,7 +190,7 @@ def test_k_stabilizer_q4(spread2, geo2, sc2):
     perms = {tuple(point_permutation(geo2, m)) for m in mats}
     assert tuple(range(85)) in perms  # identity
     # same subgroup as generated by the Singer K generator
-    kgen = tuple(sc2.k_perm)
+    kgen = tuple(singer_k(sc2)[1])
     group = set()
     cur = kgen
     for _ in range(5):

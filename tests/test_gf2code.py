@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovoidlab.errors import EmptyMatrix, LengthMismatch
+from ovoidlab.errors import EmptyMatrix, InvariantViolation, LengthMismatch
 from ovoidlab.gf2code import (BitMat, code_C, code_D, in_span, orthogonal,
                               radical_codim_check, span_rank, t_orbit_sum)
 from ovoidlab.symplectic import enumerate_dual_grids
@@ -330,7 +330,7 @@ def test_sigma_of_dual_grid_weight(sc2, form2, fib2, geo2):
 
 def test_singer_context_hashes_by_identity(sc2):
     # point_orbit_sums caches on the context: an identity hash keeps each
-    # lookup from hashing the three point permutations
+    # lookup from hashing the two point permutations
     assert hash(sc2) == object.__hash__(sc2)
 
 
@@ -354,8 +354,8 @@ def orbit_sums_oracle(sc):
 def test_point_orbit_sums_match_parity_oracle(n, t_perm, request):
     # a corrupted t revisits points, so each bit must be a parity, not a
     # membership flag; in a 2-cycle one point is met q^2/2 + 1 times and
-    # the other q^2/2 times.  A map that is no permutation sends a point
-    # onto a cycle it is not on, which the walk from it never closes
+    # the other q^2/2 times.  A map that is no permutation has no cycles
+    # to sum over, so the sums raise
     from ovoidlab import ExtFieldCtx, singer_context
     from ovoidlab.gf2code import point_orbit_sums
     g = request.getfixturevalue(f"geo{n}")
@@ -371,4 +371,8 @@ def test_point_orbit_sums_match_parity_oracle(n, t_perm, request):
     elif t_perm == "not_injective":
         perm[0] = perm[1]
     sc = replaced(sc, t_perm=tuple(perm))
-    assert point_orbit_sums(sc) == orbit_sums_oracle(sc)
+    if t_perm == "not_injective":
+        with pytest.raises(InvariantViolation, match="without closing"):
+            point_orbit_sums(sc)
+    else:
+        assert point_orbit_sums(sc) == orbit_sums_oracle(sc)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from ovoidlab import gfield
 from ovoidlab.errors import ZeroElement, ZeroInverse
 from ovoidlab.gfield import (MODULI, ExtFieldCtx, FieldCtx, echelon,
-                             is_irreducible, mat_identity, mat_mul, mat_pow,
-                             mult_matrix, nullspace, poly_mod, poly_mul)
+                             is_irreducible, mat_identity, mat_mul,
+                             mult_matrix, nullspace, poly_mod)
 
 
 # schoolbook oracle: multiply polynomials term by term, then reduce

@@ -11,6 +11,7 @@ from ovoidlab.gfield import FieldCtx, nullspace
 from ovoidlab.projspace import (Plane, build_geometry, plane_masks,
                                 point_coords, point_permutation)
 
+from kfibration import singer_k
 from test_regulus_kernel import regulus
 
 
@@ -309,7 +310,7 @@ def test_point_permutation_matches_oracle(n, request):
     g = request.getfixturevalue(f"geo{n}")
     sc = singer_context(g, ExtFieldCtx.build(n))
     rng = random.Random(100 + n)
-    mats = [sc.gen, sc.t_gen, sc.k_gen]
+    mats = [sc.gen, sc.t_gen, singer_k(sc)[0]]
     while len(mats) < 13:
         m = random_matrix(g.q, rng)
         if not nullspace(g.ctx, m, 4):

@@ -9,13 +9,16 @@ radical_codim_check on D and orthogonal(D, C), each on fresh matrices.
 import pytest
 
 from ovoidlab import ExtFieldCtx, singer_context, t_orbit_fibration, verify
+from ovoidlab.fibration import Fibration
 from ovoidlab.gf2code import (BitMat, _t_orbit_leaders, code_C, code_D,
                               orthogonal, radical_codim_check, t_coordinates,
                               t_module_counters, t_module_dims)
+from ovoidlab.ovoids import Ovoid
 from ovoidlab.projspace import line_permutation
 from ovoidlab.symplectic import member_polarity, polar_lines
 from ovoidlab.verify import verify_radical_and_corollary3
 
+from kfibration import singer_k
 from test_failure_branches import (SINGER_REPORTS, assert_pinned, replaced,
                                    singer_report, swapped_form, swapped_t)
 
@@ -189,12 +192,32 @@ def test_each_guard_declines_alone(form2, sc2, fib2, geo2):
     assert rep.counters["dim_C"] == BitMat(oc.rows, width=oc.width).rank
 
 
+def test_t_coordinates_decline_members_that_are_not_t_cycles(sc2, fib2,
+                                                              geo2):
+    # length: with the Singer generator as t, one member holding every
+    # point is the mask of a cycle, but of length (q^2+1)(q+1)
+    whole = Fibration((Ovoid.from_points(range(geo2.n_points)),))
+    singer_as_t = replaced(sc2, t_gen=sc2.gen, t_perm=sc2.gen_perm)
+    assert t_coordinates(singer_as_t, whole) is None
+    # mask: members 0 and 1 trade their last points, so each still starts
+    # on the least point of a T-cycle of the right length
+    m = fib2.members
+    traded = Fibration((Ovoid.from_points(m[0].pts[:-1] + m[1].pts[-1:]),
+                        Ovoid.from_points(m[1].pts[:-1] + m[0].pts[-1:]))
+                       + m[2:])
+    assert [ov.pts[0] for ov in traded.members] == [ov.pts[0] for ov in m]
+    assert t_coordinates(sc2, traded) is None
+    # a member listed twice
+    assert t_coordinates(sc2, Fibration(m[:-1] + m[:1])) is None
+    assert t_coordinates(sc2, fib2) is not None
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("perm", ["t_perm", "k_perm", "gen_perm"])
 def test_line_permutation_matches_mask_image(n, perm, request):
     sc = singer(n, request)
     g = sc.geometry
-    p = getattr(sc, perm)
+    p = singer_k(sc)[1] if perm == "k_perm" else getattr(sc, perm)
     oracle = [g.line_of[sum(1 << p[x] for x in ln.pts)] for ln in g.lines]
     got = line_permutation(g, p)
     assert got == oracle

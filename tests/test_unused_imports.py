@@ -1,7 +1,7 @@
-"""Every name a module of the package imports is used by that module,
-every private name a module defines at its top level is read there, and
-every public function, class and method is read by the package, the
-benchmark or the acceptance tests."""
+"""Every name that a module of the package, a test or a tool imports is
+used by that file, every private name a module defines at its top level
+is read there, and every public function, class and method is read by
+the package, the benchmark or the acceptance tests."""
 
 import ast
 import re
@@ -14,6 +14,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ovoidlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the tests and tools import only what they read as well
+SCRIPTS = (sorted((ROOT / "tests").glob("*.py"))
+           + sorted((ROOT / "tools").glob("*.py")))
 # the code whose reads keep a public name: the package, the benchmark and
 # the acceptance tests; the console entry points count as well
 READERS = (sorted(PACKAGE.glob("*.py"))
@@ -125,7 +128,7 @@ def test_scanner_flags_an_unused_import():
     assert unused_imports(src) == ["dumps"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

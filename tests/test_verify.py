@@ -1,3 +1,6 @@
+import signal
+import time
+
 import pytest
 
 from ovoidlab.fibration import Fibration, SingerContext
@@ -115,6 +118,36 @@ def test_lemma5_mutation_identity_t(sc2, geo2):
     ident = tuple(range(geo2.n_points))
     r = verify_lemma5(replaced(sc2, t_perm=ident))
     assert not r.passed and r.failures
+
+
+@pytest.mark.parametrize("suite", ["lemma5", "codes"])
+def test_non_injective_t_perm_fails_within_a_second(suite, sc2, form2):
+    # t_perm sends points 0 and 1 to one point, so some walk of it never
+    # returns to its start; the report must fail with a witness, and the
+    # alarm turns a walk that runs on into an error instead of a hang
+    perm = list(sc2.t_perm)
+    perm[1] = perm[0]
+    sc = replaced(sc2, t_perm=tuple(perm))
+
+    def hung(signum, frame):
+        raise TimeoutError(f"{suite} still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        start = time.monotonic()
+        r = (verify_lemma5(sc) if suite == "lemma5"
+             else verify_radical_and_corollary3(form2, sc))
+        elapsed = time.monotonic() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1
+    assert not r.passed and r.counters == {"failures_total": 1}
+    [failure] = r.failures
+    assert failure["witness"].startswith(
+        "T-orbit setup failed: t_perm is not a permutation: the walk from ")
+    assert failure["indices"] == []
 
 
 # --- main theorem mutations ------------------------------------------------
