@@ -23,12 +23,13 @@ import json
 import os
 import struct
 import sys
+from array import array
 from pathlib import Path
 
 from .gfield import FieldCtx
-from .projspace import (SUPPORTED_N, GeometryTables, build_geometry,
-                        check_degree, meet_mask, plane_masks,
-                        point_coords)
+from .projspace import (POINT_TYPECODE, SUPPORTED_N, GeometryTables,
+                        build_geometry, check_degree, meet_mask,
+                        plane_masks, point_coords)
 
 MAGIC = b"OVGE"
 VERSION = 1
@@ -39,15 +40,16 @@ def cache_filename(n: int, modulus: int) -> str:
 
 
 def serialize_geometry(g: GeometryTables) -> bytes:
-    q = g.q
     out = [MAGIC,
            struct.pack("<IIQQ", VERSION, g.ctx.n, g.ctx.modulus,
                        g.ctx.generator),
            struct.pack("<III", len(g.points), len(g.lines), len(g.planes))]
     for p in g.points:
         out.append(struct.pack("<4I", *p.coords))
-    for ln in g.lines:
-        out.append(struct.pack(f"<{q + 1}I", *ln.pts))
+    flat = array("I", g.line_pts)          # 4-byte ints, little-endian
+    if sys.byteorder == "big":
+        flat.byteswap()
+    out.append(flat.tobytes())
     for pl in g.planes:
         out.append(struct.pack("<4I", *pl.normal))
     return b"".join(out)
@@ -108,35 +110,37 @@ def load_geometry(path: Path) -> GeometryTables:
         raise ValueError(f"{n_lines} lines cannot join each pair "
                          "of points exactly once")
     off += 16 * n_points
-    line_pts = list(struct.iter_unpack(
-        f"<{q + 1}I", memoryview(data)[off:off + 4 * (q + 1) * n_lines]))
+    flat = array("I", data[off:off + 4 * (q + 1) * n_lines])
+    if sys.byteorder == "big":
+        flat.byteswap()
     pmasks = plane_masks(ctx, coords)
     pmask = pmasks.__getitem__
     line_masks = []
-    for li, pts in enumerate(line_pts):
+    # first line out of lex order, reported after the line count check
+    unordered, prev = None, flat[:0]
+    for li in range(n_lines):
+        pts = flat[li * (q + 1):(li + 1) * (q + 1)]
         if pts[-1] >= n_points or any(a >= b for a, b in zip(pts, pts[1:])):
             raise ValueError(f"points of line {li} are out of range "
                              "or not strictly increasing")
         # the line of PG(3,q) through the first two points, as a mask
         mask = meet_mask(pmask, pts[0], pts[1])
-        stored = 0
-        for p in pts:
-            stored |= 1 << p
-        if stored != mask:
+        if sum(1 << p for p in pts) != mask:   # strictly increasing pts
             raise ValueError(f"line {li} is not the line of PG(3,{q}) "
-                             f"through points {pts[:2]}")
+                             f"through points {tuple(pts[:2])}")
+        if unordered is None and pts <= prev:
+            unordered = li
+        prev = pts
         line_masks.append(mask)
+    line_pts = array(POINT_TYPECODE, flat)
 
     g = GeometryTables.from_arrays(ctx, coords, line_pts, line_masks, pmasks)
     if len(g.line_of) != n_lines:
         raise ValueError("some pair of points lies on two lines")
     # strictly increasing lines are distinct; with the line count checked
     # above, distinct lines of PG(3,q) are all of them, in build order
-    prev = ()
-    for ln in g.lines:
-        if ln.pts <= prev:
-            raise ValueError(f"line {ln.index} is out of lexicographic order")
-        prev = ln.pts
+    if unordered is not None:
+        raise ValueError(f"line {unordered} is out of lexicographic order")
     return g
 
 
@@ -173,7 +177,7 @@ def export_geometry_json(g: GeometryTables) -> str:
         "modulus": g.ctx.modulus,
         "generator": g.ctx.generator,
         "points": [list(p.coords) for p in g.points],
-        "lines": [list(ln.pts) for ln in g.lines],
+        "lines": [list(row) for row in g.line_rows()],
         "planes": [list(pl.normal) for pl in g.planes],
     }
     return json.dumps(doc, indent=None, separators=(",", ":"))

@@ -154,11 +154,13 @@ def tangency_table(f: Fibration, g: GeometryTables
     """
     vecs = [line_meets(ov.mask, g) for ov in f.members]
     profiles, labels = [], []
-    # g.lines leads the zip, so every line gets an entry even with no members
-    for _, *col in zip(g.lines, *vecs):
+    share = {}.setdefault          # one tuple per distinct profile
+    # the masks lead the zip, so every line gets an entry even with no members
+    for _, *col in zip(g.line_masks, *vecs):
         tan, sec, ext = col.count(1), col.count(2), col.count(0)
         # a tangent count of -1 flags a meet above 2, as in tangency_profile
-        profiles.append((tan if tan + sec + ext == len(col) else -1, sec, ext))
+        prof = (tan if tan + sec + ext == len(col) else -1, sec, ext)
+        profiles.append(share(prof, prof))
         labels.append(col.index(1) if tan == 1 else None)
     return tuple(profiles), tuple(labels)
 
@@ -188,7 +190,7 @@ def _is_spread(lines, g: GeometryTables) -> bool:
         return False
     acc = 0
     for li in lines:
-        m = g.lines[li].mask
+        m = g.line_masks[li]
         if acc & m:
             return False
         acc |= m
@@ -263,11 +265,11 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
     tlset = set(tl)
     q = g.q
     target = q * q + 1
-    glines = g.lines
-    nl = len(glines)
+    masks = g.line_masks
+    nl = len(masks)
     lines_by_point: dict[int, list[int]] = {}
     for li in sorted(tlset):
-        for p in glines[li].pts:
+        for p in g.line_row(li):
             lines_by_point.setdefault(p, []).append(li)
     nodes = 0
     # line pair x * nl + y (x < y) -> the reguli met so far through x and y;
@@ -303,7 +305,7 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
                 if t not in tlset:
                     return False
                 if t not in seen:
-                    if covered & glines[t].mask:
+                    if covered & masks[t]:
                         return False
                     seen.add(t)
                     queue.append(t)
@@ -311,7 +313,7 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
 
         while queue:
             li = queue.pop()
-            m = glines[li].mask
+            m = masks[li]
             if covered & m or li not in tlset:
                 return None, None
             covered |= m
@@ -348,7 +350,7 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
         uncovered = g.all_one & ~covered
         p = (uncovered & -uncovered).bit_length() - 1
         for li in lines_by_point.get(p, ()):
-            if glines[li].mask & covered:
+            if masks[li] & covered:
                 continue
             nodes += 1
             if nodes >= budget:

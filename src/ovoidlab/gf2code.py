@@ -90,7 +90,7 @@ def orthogonal(a: BitMat, b: BitMat) -> bool:
 
 def code_C(f: SymplecticForm, g: GeometryTables) -> BitMat:
     """Generators of C: characteristic vectors of all W(q)-lines."""
-    return BitMat((g.lines[li].mask for li in isotropic_lines(f, g)),
+    return BitMat((g.line_masks[li] for li in isotropic_lines(f, g)),
                   width=g.n_points)
 
 
@@ -195,7 +195,7 @@ def _dot(u, v, f: FieldCtx) -> int:
     return acc
 
 
-def t_module_dims(sc: SingerContext, coords, c_gens, d_gens
+def t_module_dims(sc: SingerContext, coords, c_points, d_points
                   ) -> tuple[int, int, int, bool]:
     """(dim C, dim D, dim S, D in C-perp) for the codes spanned by the
     T-orbits of the generators, each given by its points, with S the span
@@ -213,8 +213,8 @@ def t_module_dims(sc: SingerContext, coords, c_gens, d_gens
     big = sc.ext.big
     step = (big.size - 1) // order
     zeta = [big.exp[step * i] for i in range(order)]
-    c_rows = [[coords[p] for p in pts] for pts in c_gens]
-    d_rows = [[coords[p] for p in pts] for pts in d_gens]
+    c_rows = [[coords[p] for p in pts] for pts in c_points]
+    d_rows = [[coords[p] for p in pts] for pts in d_points]
     dim_c = dim_d = dim_s = 0
     perp = True
     for s, size in _cyclotomic_cosets(order):
@@ -262,21 +262,21 @@ def t_module_counters(form: SymplecticForm, sc: SingerContext,
     if coords is None:
         return None
     polar = polar_lines(form, g)
-    lines = g.lines
+    masks, row = g.line_masks, g.line_row
     iso = [i for i, j in enumerate(polar) if i == j]
     grid = [i for i, j in enumerate(polar) if i < j]
     if (len(c.rows) != len(iso) or len(d.rows) != len(grid)
-            or any(r != lines[i].mask for r, i in zip(c.rows, iso))
-            or any(r != lines[i].mask | lines[polar[i]].mask
+            or any(r != masks[i] for r, i in zip(c.rows, iso))
+            or any(r != masks[i] | masks[polar[i]]
                    for r, i in zip(d.rows, grid))):
         return None
     tl = line_permutation(g, sc.t_perm)
     if [tl[j] for j in polar] != [polar[j] for j in tl]:
         return None
-    c_gens = [lines[i].pts for i in _t_orbit_leaders(tl, polar, iso)]
-    d_gens = [set(lines[i].pts).union(lines[polar[i]].pts)
-              for i in _t_orbit_leaders(tl, polar, grid)]
-    return t_module_dims(sc, coords, c_gens, d_gens)
+    c_points = [row(i) for i in _t_orbit_leaders(tl, polar, iso)]
+    d_points = [set(row(i)).union(row(polar[i]))
+                for i in _t_orbit_leaders(tl, polar, grid)]
+    return t_module_dims(sc, coords, c_points, d_points)
 
 
 @lru_cache(maxsize=8)
@@ -303,11 +303,15 @@ def point_orbit_sums(sc: SingerContext) -> tuple[int, ...]:
     return tuple(out)
 
 
-def t_orbit_sum(l: Line, sc: SingerContext) -> int:
-    """GF(2) sum of the q^2+1 images of the line's characteristic vector
-    under powers of the T generator."""
+def orbit_sum(pts, sc: SingerContext) -> int:
+    """GF(2) sum of the q^2+1 T-images of the point set pts."""
     sums = point_orbit_sums(sc)
     acc = 0
-    for p in l.pts:
+    for p in pts:
         acc ^= sums[p]
     return acc
+
+
+def t_orbit_sum(l: Line, sc: SingerContext) -> int:
+    """orbit_sum of the line's points."""
+    return orbit_sum(l.pts, sc)

@@ -93,7 +93,7 @@ def tits_ovoid(g: GeometryTables) -> Ovoid:
 def line_meets(mask: int, g: GeometryTables) -> bytes:
     """Entry i is the number of points line i shares with the point set
     `mask`: the one sweep of the lines against an ovoid."""
-    return bytes((ln.mask & mask).bit_count() for ln in g.lines)
+    return bytes((m & mask).bit_count() for m in g.line_masks)
 
 
 @lru_cache(maxsize=24)

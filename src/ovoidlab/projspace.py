@@ -4,10 +4,15 @@ Points are enumerated in lexicographic order of their normalized
 coordinate 4-tuples (first nonzero coordinate scaled to 1, field elements
 ordered by bitmask value).  Every downstream index inherits this order, so
 reports and caches are reproducible for a fixed modulus table.
+
+Line i is stored as two columns, its point mask line_masks[i] and its q+1
+sorted points in the flat array line_pts; g.lines builds Line records.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from functools import cached_property, reduce
 from itertools import combinations, product
 from operator import xor
@@ -20,6 +25,9 @@ from .gfield import FieldCtx
 # entries and the 1.1 M line masks 33,825 bits each (about 4.6 GB), so
 # PG(3,2^n) is built for these n only.
 SUPPORTED_N = range(1, 5)
+
+# array typecode of line_pts: 2 bytes hold the 4,369 points at q = 16
+POINT_TYPECODE = "H"
 
 
 def check_degree(n: int) -> None:
@@ -36,7 +44,6 @@ class Point(NamedTuple):
 
 class Line(NamedTuple):
     index: int
-    gens: tuple[int, int]          # lexicographically least generating pair
     pts: tuple[int, ...]           # sorted, length q+1
     mask: int                      # characteristic bitmask over point indices
 
@@ -49,22 +56,38 @@ class Plane(NamedTuple):
     @property
     def pts(self) -> tuple[int, ...]:
         """The q^2+q+1 points of the plane, sorted, read off the mask."""
-        return _members(self.mask, range(self.mask.bit_length()))
+        return tuple(_members(self.mask))
+
+
+class _LineView(Sequence):
+    """g.lines: entry i is Line(i, pts, mask), built when it is read."""
+
+    def __init__(self, g: GeometryTables):
+        self._g = g
+
+    def __len__(self) -> int:
+        return len(self._g.line_masks)
+
+    def __getitem__(self, i: int) -> Line:
+        g = self._g
+        i = range(len(g.line_masks))[i]    # IndexError past either end
+        return Line(i, tuple(g.line_row(i)), g.line_masks[i])
 
 
 class GeometryTables:
     """Immutable indexed tables for one PG(3,q); all queries are pure."""
 
-    def __init__(self, ctx: FieldCtx, points, lines, planes,
-                 point_index, line_of, point_to_lines):
+    def __init__(self, ctx: FieldCtx, points, planes, point_index,
+                 line_masks, line_pts):
         self.ctx = ctx
         self.q = ctx.size
         self.points = points
-        self.lines = lines
         self.planes = planes
         self.point_index = point_index
-        self.line_of = line_of          # line point mask -> line index
-        self.point_to_lines = point_to_lines
+        self.line_masks = line_masks    # line index -> point mask
+        self.line_pts = line_pts        # the q+1 sorted points of each line
+        self.line_of = {m: i for i, m in enumerate(line_masks)}
+        self.lines = _LineView(self)
         self.n_points = len(points)
         self.all_one = (1 << self.n_points) - 1
 
@@ -72,28 +95,28 @@ class GeometryTables:
     def from_arrays(cls, ctx: FieldCtx, coords, line_pts, line_masks,
                     pmasks) -> GeometryTables:
         """Tables from the normalized point coordinates in lex order, the
-        sorted point tuples of the lines in index order with their point
-        masks, and the plane masks, plane_masks(ctx, coords); the one
-        place where every incidence table is derived.
+        flat array of every line's q+1 sorted points in index order, the
+        lines' point masks, and the plane masks, plane_masks(ctx, coords);
+        the one place where every incidence table is derived.
 
         Plane i has normal coords[i]: normalized plane normals are the
         same 4-tuples as the points, in the same order.
         """
         points = [Point(i, c) for i, c in enumerate(coords)]
         point_index = {c: i for i, c in enumerate(coords)}
-        lines: list[Line] = []
-        line_of: dict[int, int] = {}
-        point_to_lines: list[list[int]] = [[] for _ in coords]
-        for li, (pts, mask) in enumerate(zip(line_pts, line_masks)):
-            for p in pts:
-                point_to_lines[p].append(li)
-            lines.append(Line(li, (pts[0], pts[1]), pts, mask))
-            line_of[mask] = li
         planes = [Plane(i, nvec, mask)
                   for i, (nvec, mask) in enumerate(zip(coords, pmasks))]
+        return cls(ctx, points, planes, point_index, line_masks, line_pts)
 
-        return cls(ctx, points, lines, planes,
-                   point_index, line_of, point_to_lines)
+    def line_row(self, li: int) -> array:
+        """The q+1 sorted points of line li, a slice of line_pts."""
+        k = self.q + 1
+        return self.line_pts[li * k:li * k + k]
+
+    def line_rows(self):
+        """The q+1 sorted points of every line as a tuple, in index order."""
+        pts, k = self.line_pts, self.q + 1
+        return zip(*(pts[j::k] for j in range(k)))
 
     # -- coordinate helpers ----------------------------------------------
 
@@ -129,8 +152,8 @@ class GeometryTables:
         """Point pair (a, b), a < b, -> index of the line through both.
         Built on first use, with one entry per pair of points; queries
         read line_of instead, which has one entry per line."""
-        return {pair: ln.index for ln in self.lines
-                for pair in combinations(ln.pts, 2)}
+        return {pair: li for li, row in enumerate(self.line_rows())
+                for pair in combinations(row, 2)}
 
     # -- incidence queries -------------------------------------------------
 
@@ -151,18 +174,18 @@ class GeometryTables:
         unchecked, so the caller guarantees the lines are pairwise skew.
 
         Plane k contains point y iff point k lies on plane y, so the planes
-        through l1 are the common bits of its generators' plane masks, and
-        the one through a point y of l2 is their common bit with y's plane
-        mask.  The transversal through y is the meet of that plane with
-        the plane through l3 and y."""
-        planes, lines = self.planes, self.lines
-        a, b = lines[l1].gens
-        c, d = lines[l3].gens
+        through l1 are the common bits of the plane masks of its first two
+        points, and the one through a point y of l2 is their common bit
+        with y's plane mask.  The transversal through y is the meet of
+        that plane with the plane through l3 and y."""
+        planes, pts, k = self.planes, self.line_pts, self.q + 1
+        a, b = pts[l1 * k], pts[l1 * k + 1]
+        c, d = pts[l3 * k], pts[l3 * k + 1]
         pencil1 = planes[a].mask & planes[b].mask
         pencil3 = planes[c].mask & planes[d].mask
         line_of = self.line_of
         out = []
-        for y in lines[l2].pts:
+        for y in self.line_row(l2):
             m = planes[y].mask
             out.append(line_of[planes[(pencil1 & m).bit_length() - 1].mask
                                & planes[(pencil3 & m).bit_length() - 1].mask])
@@ -202,12 +225,12 @@ def point_permutation(g: GeometryTables, m) -> list[int]:
 def line_permutation(g: GeometryTables, point_perm) -> list[int]:
     """Permutation of line indices induced by a collineation given by its
     point permutation: entry i is the line through the images of line i's
-    two generators, the meet of the planes through both.  For any other
+    first two points, the meet of the planes through both.  For any other
     point map an entry need not be the image of the line's point set."""
     pmask = [pl.mask for pl in g.planes].__getitem__
-    line_of = g.line_of
+    line_of, pts, k = g.line_of, g.line_pts, g.q + 1
     return [line_of[meet_mask(pmask, point_perm[a], point_perm[b])]
-            for a, b in (ln.gens for ln in g.lines)]
+            for a, b in zip(pts[::k], pts[1::k])]
 
 
 def point_coords(q: int) -> list[tuple[int, int, int, int]]:
@@ -216,17 +239,15 @@ def point_coords(q: int) -> list[tuple[int, int, int, int]]:
             if next((c for c in vec if c), None) == 1]
 
 
-def _members(mask: int, ids) -> tuple[int, ...]:
-    """The ids[k] for the set bits k of mask, in ascending order; ids is
-    range(k) for some k above the top bit, or list(range(n_points)),
-    whose ints the tuples reuse instead of making one per entry."""
+def _members(mask: int) -> list[int]:
+    """The set bits of mask, in ascending order."""
     out = []
     while mask:                        # top bit first: the int shrinks
         k = mask.bit_length() - 1
-        out.append(ids[k])
+        out.append(k)
         mask ^= 1 << k
     out.reverse()
-    return tuple(out)
+    return out
 
 
 def plane_masks(ctx: FieldCtx, coords) -> list[int]:
@@ -281,13 +302,12 @@ def build_geometry(n: int) -> GeometryTables:
     coords = point_coords(ctx.size)
     pmasks = plane_masks(ctx, coords)
     npts = len(coords)
-    ids = list(range(npts))
     pmask = pmasks.__getitem__
 
     # lines: first unjoined pair (i, j) is the lexicographically least
-    # generating pair of its line; bit j of joined[i] marks i, j on a line
+    # pair of points on its line; bit j of joined[i] marks i, j on a line
     joined = [0] * npts
-    line_pts: list[tuple[int, ...]] = []
+    line_pts = array(POINT_TYPECODE)
     line_masks: list[int] = []
     after = (1 << npts) - 1
     for i in range(npts):
@@ -296,11 +316,11 @@ def build_geometry(n: int) -> GeometryTables:
         while rest:
             j = (rest & -rest).bit_length() - 1
             mask = meet_mask(pmask, i, j)
-            pts = _members(mask, ids)
+            pts = _members(mask)
             for p in pts:
                 joined[p] |= mask
             rest &= ~mask
-            line_pts.append(pts)
+            line_pts.extend(pts)
             line_masks.append(mask)
 
     return GeometryTables.from_arrays(ctx, coords, line_pts, line_masks,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -51,7 +52,7 @@ class DualGrid(NamedTuple):
     m_perp: int
 
     def point_mask(self, g: GeometryTables) -> int:
-        return g.lines[self.m].mask | g.lines[self.m_perp].mask
+        return g.line_masks[self.m] | g.line_masks[self.m_perp]
 
 
 def perp_planes(f: SymplecticForm, g: GeometryTables) -> list[int]:
@@ -65,25 +66,23 @@ def perp_planes(f: SymplecticForm, g: GeometryTables) -> list[int]:
 
 
 @lru_cache(maxsize=FORMS_KEPT)
-def polar_lines(f: SymplecticForm, g: GeometryTables) -> tuple[int, ...]:
-    """Entry i is the index of the polar line of line i.
+def polar_lines(f: SymplecticForm, g: GeometryTables) -> array:
+    """Entry i is the index of the polar line of line i, as an array of
+    2-byte entries below 65,536 lines and 4-byte ones above.
 
-    l^perp is the meet of the perp planes of l's two generators a and b,
-    the planes indexed by perp[a] and perp[b].  A line is isotropic iff
+    l^perp is the meet of the planes a^perp and b^perp of the first two
+    points a and b of l.  A line is isotropic iff
     it is its own polar.  Raises InvariantViolation when a meet is not a
     line, which no table of PG(3,q) allows.
     """
-    perp = perp_planes(f, g)
-    planes, line_of = g.planes, g.line_of
-    out = []
-    for ln in g.lines:
-        a, b = ln.gens
-        li = line_of.get(planes[perp[a]].mask & planes[perp[b]].mask)
-        if li is None:
-            raise InvariantViolation(
-                f"perp planes of line {ln.index} do not meet in a line")
-        out.append(li)
-    return tuple(out)
+    # entry x: the point mask of the plane x^perp
+    perp = [g.planes[x].mask for x in perp_planes(f, g)]
+    line_of, pts, k = g.line_of, g.line_pts, g.q + 1
+    out = [line_of.get(perp[a] & perp[b]) for a, b in zip(pts[::k], pts[1::k])]
+    if None in out:
+        raise InvariantViolation(
+            f"perp planes of line {out.index(None)} do not meet in a line")
+    return array("H" if len(out) < 1 << 16 else "I", out)
 
 
 def isotropic_lines(f: SymplecticForm, g: GeometryTables) -> list[int]:
@@ -111,11 +110,11 @@ def tangent_nullspace(g: GeometryTables, tangents) -> list[tuple[int, ...]]:
     then checked against each remaining tangent, and the first tangent it
     fails makes the nullity 0.
     """
-    mul = g.ctx.mul
+    mul, pts, k = g.ctx.mul, g.line_pts, g.q + 1
     coords = [p.coords for p in g.points]
 
     def row(li):
-        u, v = (coords[x] for x in g.lines[li].gens)
+        u, v = coords[pts[li * k]], coords[pts[li * k + 1]]
         return [mul(u[i], v[j]) ^ mul(u[j], v[i]) for (i, j) in _UPPER]
 
     it = iter(tangents)
@@ -128,7 +127,7 @@ def tangent_nullspace(g: GeometryTables, tangents) -> list[tuple[int, ...]]:
     t0, t1, t2, t3 = scaled_columns(g.ctx, gram)
     index, planes = g.vector_index, g.planes
     for li in it:
-        a, b = g.lines[li].gens
+        a, b = pts[li * k], pts[li * k + 1]
         c0, c1, c2, c3 = coords[a]
         plane = index[t0[c0] ^ t1[c1] ^ t2[c2] ^ t3[c3]]
         if plane >= 0 and not planes[plane].mask >> b & 1:

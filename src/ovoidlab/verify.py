@@ -13,8 +13,8 @@ from .errors import NoPolarity, NotASpread, OvoidlabError
 from .fibration import (Fibration, SingerContext, Spread,
                         common_tangent_spread, common_tangents,
                         is_regular_spread, t_orbit_fibration, tangency_table)
-from .gf2code import (code_C, code_D, orthogonal, radical_codim_check,
-                      t_module_counters, t_orbit_sum)
+from .gf2code import (code_C, code_D, orbit_sum, orthogonal,
+                      radical_codim_check, t_module_counters)
 from .ovoids import Ovoid, line_meets, tangent_lines
 from .projspace import GeometryTables
 from .symplectic import (SymplecticForm, isotropic_lines, member_polarity,
@@ -111,7 +111,7 @@ def verify_proposition1(f: Fibration, g: GeometryTables) -> VerificationReport:
     for i, prof in enumerate(tangency_table(f, g)[0]):
         if i not in spread_set and prof != want:
             rec.fail(f"line {i} has profile {prof}, expected {want}", (i,))
-    counters["lines_checked"] = len(g.lines) - len(spread_set)
+    counters["lines_checked"] = len(g.line_masks) - len(spread_set)
     counters["expected_profile"] = list(want)
     return _finish("proposition1", g, rec, counters, start)
 
@@ -133,24 +133,22 @@ def verify_lemma5(sc: SingerContext) -> VerificationReport:
     labels = tangency_table(fib, g)[1]
     in_spread = not_in_spread = 0
     weight_hist: dict[int, int] = {}
-    for ln in g.lines:
-        s = t_orbit_sum(ln, sc)
+    for li, row in enumerate(g.line_rows()):
+        s = orbit_sum(row, sc)
         w = s.bit_count()
         weight_hist[w] = weight_hist.get(w, 0) + 1
-        if ln.index in spread:
+        if li in spread:
             in_spread += 1
             if s != g.all_one:
-                rec.fail(f"spread line {ln.index} orbit sum is not all-one",
-                         (ln.index,))
+                rec.fail(f"spread line {li} orbit sum is not all-one", (li,))
         else:
             not_in_spread += 1
-            lbl = labels[ln.index]
+            lbl = labels[li]
             if lbl is None:
-                rec.fail(f"line {ln.index} has no unique tangent orbit",
-                         (ln.index,))
+                rec.fail(f"line {li} has no unique tangent orbit", (li,))
             elif s != fib.members[lbl].mask:
-                rec.fail(f"line {ln.index} orbit sum differs from its "
-                         f"tangent orbit E_{lbl}", (ln.index, lbl))
+                rec.fail(f"line {li} orbit sum differs from its "
+                         f"tangent orbit E_{lbl}", (li, lbl))
     counters["lines_in_spread"] = in_spread
     counters["lines_not_in_spread"] = not_in_spread
     counters["weight_histogram"] = {str(k): v for k, v
@@ -270,7 +268,7 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
     # sigma of each dual grid is E_i + E_j, 0 < i != j
     labels = tangency_table(fib, g)[1]
     for m, mp in grids:
-        s = t_orbit_sum(g.lines[m], sc) ^ t_orbit_sum(g.lines[mp], sc)
+        s = orbit_sum(g.line_row(m), sc) ^ orbit_sum(g.line_row(mp), sc)
         i, j = labels[m], labels[mp]
         if i is None or j is None or i == j or i == 0 or j == 0:
             rec.fail(f"dual grid ({m},{mp}) has orbit labels ({i},{j})",
@@ -279,6 +277,16 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
             rec.fail(f"sigma of dual grid ({m},{mp}) is not E_{i} + E_{j}",
                      (m, mp))
     return _finish("radical_corollary3", g, rec, counters, start)
+
+
+def tangents_by_point(theta: Ovoid, tangents, g: GeometryTables) -> dict:
+    """The lines of `tangents`, ascending, grouped by their one point on
+    theta: the only set bit of the line mask's meet with theta's mask."""
+    out: dict[int, list[int]] = {}
+    for li in sorted(tangents):
+        out.setdefault((g.line_masks[li] & theta.mask).bit_length() - 1,
+                       []).append(li)
+    return out
 
 
 def verify_segre(theta: Ovoid, g: GeometryTables) -> VerificationReport:
@@ -307,14 +315,15 @@ def verify_segre(theta: Ovoid, g: GeometryTables) -> VerificationReport:
 
     # tangent planes: the q+1 tangents through x cover exactly x^perp
     perp = perp_planes(form, g)
+    groups = tangents_by_point(theta, tset, g)
     for x in theta.pts:
-        through = [li for li in g.point_to_lines[x] if li in tset]
+        through = groups.get(x, [])
         if len(through) != g.q + 1:
             rec.fail(f"point {x} has {len(through)} tangents", (x,))
             continue
         union = 0
         for li in through:
-            union |= g.lines[li].mask
+            union |= g.line_masks[li]
         if union != g.planes[perp[x]].mask:
             rec.fail(f"tangents through {x} do not cover its perp plane",
                      (x,))
@@ -326,6 +335,6 @@ def verify_segre(theta: Ovoid, g: GeometryTables) -> VerificationReport:
         if meets[i] != 1 and pair != {0, 2}:
             rec.fail(f"line {i} and its perp meet the ovoid in "
                      f"{sorted(pair)} points", (i, mp))
-    counters["non_tangent_lines"] = len(g.lines) - len(tset)
+    counters["non_tangent_lines"] = len(g.line_masks) - len(tset)
     counters["ovoid_kind"] = theta.kind
     return _finish("segre", g, rec, counters, start)

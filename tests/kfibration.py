@@ -34,8 +34,8 @@ def singer_k(sc: SingerContext) -> tuple[tuple, list[int]]:
 def _line_forms(g: GeometryTables, li: int):
     """Two independent linear forms vanishing on the line."""
     ln = g.lines[li]
-    u = g.points[ln.gens[0]].coords
-    v = g.points[ln.gens[1]].coords
+    u = g.points[ln.pts[0]].coords
+    v = g.points[ln.pts[1]].coords
     return nullspace(g.ctx, [u, v], 4)
 
 
@@ -53,7 +53,7 @@ def k_stabilizer(s: Spread, g: GeometryTables) -> list[tuple]:
     for li in s.lines:
         ln = g.lines[li]
         forms = _line_forms(g, li)
-        for gen_pt in ln.gens:
+        for gen_pt in ln.pts[:2]:
             u = g.points[gen_pt].coords
             for w in forms:
                 # coefficient of M[i][j] in w . (M u) is w_i * u_j

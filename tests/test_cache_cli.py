@@ -8,6 +8,8 @@ from ovoidlab import cache as geocache
 from ovoidlab.cli import main
 from ovoidlab.errors import OvoidlabError
 
+from linecols import lines_by_point
+
 
 # --- cache -----------------------------------------------------------------
 
@@ -28,7 +30,7 @@ def test_cache_loaded_tables_usable(geo2, tmp_path):
     loaded = geocache.load_geometry(geocache.save_geometry(geo2, tmp_path))
     assert loaded.pair_to_line == geo2.pair_to_line
     assert loaded.point_index == geo2.point_index
-    assert loaded.point_to_lines == geo2.point_to_lines
+    assert lines_by_point(loaded) == lines_by_point(geo2)
     for ln, ln2 in zip(loaded.lines, geo2.lines):
         assert ln.pts == ln2.pts and ln.mask == ln2.mask
     for pl, pl2 in zip(loaded.planes, geo2.planes):

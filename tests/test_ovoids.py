@@ -9,6 +9,8 @@ from ovoidlab.errors import EvenDegree, InvariantViolation, NoQuadric
 from ovoidlab.ovoids import (Ovoid, elliptic_quadric, fit_quadric, is_ovoid,
                              line_meets, tangent_lines, tits_ovoid)
 
+from linecols import lines_by_point
+
 
 def no_three_collinear_oracle(pts, g):
     """Exhaustive all-triples oracle, independent of the per-line check."""
@@ -48,8 +50,9 @@ def test_elliptic_quadric_q8(quadric3, geo3):
 
 def test_tangent_count_per_point(quadric2, geo2):
     tset = set(tangent_lines(quadric2, geo2))
+    by_point = lines_by_point(geo2)
     for x in quadric2.pts:
-        through = [li for li in geo2.point_to_lines[x] if li in tset]
+        through = [li for li in by_point[x] if li in tset]
         assert len(through) == geo2.q + 1
 
 
@@ -155,9 +158,10 @@ def test_tangent_lines_read_once_per_mask_into_fresh_lists(quadric2, geo2):
 
 def test_tangents_at_point_are_coplanar(quadric2, geo2):
     tset = set(tangent_lines(quadric2, geo2))
+    by_point = lines_by_point(geo2)
     for x in quadric2.pts:
         union = 0
-        for li in geo2.point_to_lines[x]:
+        for li in by_point[x]:
             if li in tset:
                 union |= geo2.lines[li].mask
         assert any(pl.mask == union for pl in geo2.planes)

@@ -34,8 +34,8 @@ def oracle_perp_normal(f, g, x) -> tuple[int, ...]:
 
 
 def oracle_perp_line(ln, f, g) -> int:
-    u = g.points[ln.gens[0]].coords
-    v = g.points[ln.gens[1]].coords
+    u = g.points[ln.pts[0]].coords
+    v = g.points[ln.pts[1]].coords
     basis = nullspace(g.ctx, [oracle_perp_normal(f, g, u),
                               oracle_perp_normal(f, g, v)], 4)
     assert len(basis) == 2
@@ -43,8 +43,8 @@ def oracle_perp_line(ln, f, g) -> int:
 
 
 def oracle_is_isotropic(ln, f, g) -> bool:
-    u = g.points[ln.gens[0]].coords
-    v = g.points[ln.gens[1]].coords
+    u = g.points[ln.pts[0]].coords
+    v = g.points[ln.pts[1]].coords
     return f.eval(g, u, v) == 0
 
 
@@ -111,7 +111,7 @@ def test_meet_of_wrong_size_raises_typed_error(hyperbolic_form):
     # meets the perp planes of each line's two generators, and one of
     # those meets now includes the corrupted plane and is no longer a line
     g = build_geometry(1)
-    a, b = g.lines[0].gens
+    a, b = g.lines[0].pts[:2]
     pl = g.planes[a]
     x = (pl.mask & g.planes[b].mask).bit_length() - 1
     g.planes[a] = pl._replace(mask=pl.mask ^ 1 << x)
@@ -127,7 +127,7 @@ def tangent_rows(theta, g) -> list[tuple[int, ...]]:
     mul = g.ctx.mul
     rows = []
     for li in tangent_lines(theta, g):
-        u, v = (g.points[x].coords for x in g.lines[li].gens)
+        u, v = (g.points[x].coords for x in g.lines[li].pts[:2])
         rows.append(tuple(mul(u[i], v[j]) ^ mul(u[j], v[i])
                           for (i, j) in _UPPER))
     return rows

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from itertools import combinations, product
 
 import pytest
@@ -12,6 +13,7 @@ from ovoidlab.projspace import (Plane, build_geometry, plane_masks,
                                 point_coords, point_permutation)
 
 from kfibration import singer_k
+from linecols import lines_by_point
 from test_regulus_kernel import regulus
 
 
@@ -91,20 +93,24 @@ def test_line_index_matches_pair_table(fix, request):
 
 def test_build_keeps_no_per_pair_table():
     # a table with one entry per pair of points (170,820 at q = 8) peaked
-    # at 16.8 MiB; the line index and masks peak near 2.7 MiB
+    # at 16.8 MiB; the line index and masks peak near 1.2 MiB.  A Line
+    # record per line and a lines-through-each-point table kept 2.47 MiB;
+    # the two line columns keep 1.07 MiB
     tracemalloc.start()
     try:
-        build_geometry(3)
-        peak = tracemalloc.get_traced_memory()[1]
+        g = build_geometry(3)
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20
+    assert isinstance(g.line_pts, array)
+    assert current <= 1.4 * 2 ** 20, f"{current / 2 ** 20:.2f} MiB"
 
 
 def test_double_count(geo2):
     q = geo2.q
     assert len(geo2.lines) * (q + 1) == len(geo2.points) * (q * q + q + 1)
-    for lst in geo2.point_to_lines:
+    for lst in lines_by_point(geo2):
         assert len(lst) == q * q + q + 1
 
 
@@ -119,7 +125,7 @@ def test_plane_meets_line_in_1_or_all(geo2):
 def test_line_through(geo1):
     ln = geo1.line_through(0, 1)
     assert 0 in ln.pts and 1 in ln.pts
-    assert ln is geo1.line_through(1, 0)
+    assert ln == geo1.line_through(1, 0)
     assert len(ln.pts) == 3
     with pytest.raises(SamePoint):
         geo1.line_through(2, 2)
@@ -224,7 +230,7 @@ def test_lines_match_pair_enumeration(fix, request):
     coords = [p.coords for p in g.points]
     want = pair_enumeration_lines(g.ctx, coords)
     assert [ln.pts for ln in g.lines] == want
-    assert [ln.gens for ln in g.lines] == [pts[:2] for pts in want]
+    assert [ln.pts[:2] for ln in g.lines] == [pts[:2] for pts in want]
     assert [ln.mask for ln in g.lines] == [sum(1 << p for p in pts)
                                            for pts in want]
 
@@ -346,11 +352,11 @@ def test_dual_matches_nullspace(n, request):
     g = request.getfixturevalue(f"geo{n}")
 
     def dual(li):
-        a, b = g.lines[li].gens
+        a, b = g.lines[li].pts[:2]
         return g.line_of[g.planes[a].mask & g.planes[b].mask]
 
     for ln in g.lines:
-        u, v = (g.points[x].coords for x in ln.gens)
+        u, v = (g.points[x].coords for x in ln.pts[:2])
         a, b = nullspace(g.ctx, [u, v], 4)
         want = g.line_through(g.index_of(a), g.index_of(b)).index
         assert dual(ln.index) == want

@@ -1,21 +1,41 @@
 """The opt-in q = 16 tier, run with `pytest -m slow`; the default options
 in pyproject.toml deselect it.  Building PG(3,16) and its Singer context
-takes a few seconds and about 110 MB before any suite runs."""
+takes a few seconds and about 76 MB of peak RSS before any suite runs."""
 
 import time
+import tracemalloc
+from array import array
 
 import pytest
 
 from ovoidlab import (ExtFieldCtx, build_geometry, elliptic_quadric,
                       singer_context, t_orbit_fibration, verify)
 from ovoidlab.fibration import tangency_table
-from ovoidlab.symplectic import member_polarity
+from ovoidlab.symplectic import member_polarity, polar_lines
 
 pytestmark = pytest.mark.slow
 
 # the codes suite took 9.3 s on the elimination path and takes about
 # 1.3 s on the T-module path (2-vCPU Xeon VM, Python 3.11)
 CODES_BUDGET_S = 3.0
+
+# tracemalloc's current size after build_geometry(4): 51.4 MiB measured
+# (Python 3.11), 20 % headroom above it
+BUILD_BUDGET_MIB = 62
+
+
+def test_build_keeps_the_line_tables_small_q16():
+    # runs before the module fixture builds a second geometry
+    tracemalloc.start()
+    try:
+        g = build_geometry(4)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(g.line_pts, array) and g.line_pts.typecode == "H"
+    assert len(g.line_pts) == 17 * 70161
+    assert current <= BUILD_BUDGET_MIB * 2 ** 20, \
+        f"{current / 2 ** 20:.1f} MiB"
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +48,8 @@ def test_codes_suite_q16_closed_forms_on_the_fast_path(sc4, monkeypatch):
     g = sc4.geometry
     fib = t_orbit_fibration(sc4)
     form = member_polarity(fib, 0, g)
+    # 70,161 lines: the polar map needs 4-byte entries
+    assert polar_lines(form, g).typecode == "I"
     tangency_table(fib, g)  # built by Proposition 1 in a full run
     calls = []
     real = verify.radical_codim_check

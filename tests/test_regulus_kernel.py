@@ -31,12 +31,12 @@ EXPECTED = json.loads(
 def oracle_transversals(g, l1, l2, l3):
     """The unique transversal through each point of l1 meeting l2 and l3."""
     pair_to_line = g.pair_to_line
-    glines = g.lines
+    masks, pts2 = g.line_masks, g.lines[l2].pts
     out = []
-    for p in glines[l1].pts:
-        for x in glines[l2].pts:
+    for p in g.lines[l1].pts:
+        for x in pts2:
             li = pair_to_line[(p, x) if p < x else (x, p)]
-            if glines[li].mask & glines[l3].mask:
+            if masks[li] & masks[l3]:
                 out.append(li)
                 break
     return out
@@ -77,7 +77,7 @@ def oracle_search(tl, g, budget):
     """The spread search of find_regular_spread_in_complex with a plain
     closure: every triple of the grown line set, until nothing is new."""
     tlset = set(tl)
-    glines = g.lines
+    glines = list(g.lines)             # each Line record built once
     target = g.q * g.q + 1
     by_point = {}
     for li in sorted(tlset):
@@ -242,7 +242,7 @@ def test_kernel_matches_brute_force(request, fix):
     # every line meeting all of those
     g = request.getfixturevalue(fix)
     rng = random.Random(0)
-    lines = g.lines
+    lines = list(g.lines)              # each Line record built once
     q = g.q
 
     def meeting_all(idx):

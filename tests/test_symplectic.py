@@ -6,6 +6,8 @@ from ovoidlab.symplectic import (SymplecticForm, enumerate_dual_grids,
                                  isotropic_lines, perp_line, polar_lines,
                                  polarity_from_ovoid)
 
+from linecols import lines_by_point
+
 
 def mat_det(ctx, m) -> int:
     """Determinant over GF(q) by elimination; an oracle independent of the
@@ -165,9 +167,10 @@ def test_dual_grid_sub_gq_structure(quadric2, geo2):
     iso = set(isotropic_lines(f, geo2))
     dg = enumerate_dual_grids(f, geo2)[0]
     m, mp = geo2.lines[dg.m], geo2.lines[dg.m_perp]
+    by_point = lines_by_point(geo2)
     for a, b in ((m, mp), (mp, m)):
         for p in a.pts:
-            crossing = [li for li in geo2.point_to_lines[p]
+            crossing = [li for li in by_point[p]
                         if li in iso and geo2.lines[li].mask & b.mask]
             assert len(crossing) == geo2.q + 1
             for li in crossing:
