@@ -250,29 +250,23 @@ def _t_orbit_leaders(tl, polar, lines) -> list[int]:
 
 
 def t_module_counters(form: SymplecticForm, sc: SingerContext,
-                      fib: Fibration, c: BitMat, d: BitMat
-                      ) -> tuple[int, int, int, bool] | None:
-    """t_module_dims of the codes suite's C and D, or None unless three
-    guards show that T maps both row sets onto themselves: t_coordinates
-    exist, the rows of C and D are in order the isotropic-line masks and
-    the dual-grid masks of the form, and T's line permutation commutes
-    with the polar map."""
+                      fib: Fibration) -> tuple[int, int, int, bool] | None:
+    """t_module_dims of the form's C (its isotropic lines, the fixed points
+    of the polar map) and D (its dual grids, the 2-cycles), or None unless
+    two guards show that T maps both row sets onto themselves:
+    t_coordinates exist, and T's line permutation commutes with the polar
+    map."""
     g = sc.geometry
     coords = t_coordinates(sc, fib)
     if coords is None:
         return None
     polar = polar_lines(form, g)
-    masks, row = g.line_masks, g.line_row
-    iso = [i for i, j in enumerate(polar) if i == j]
-    grid = [i for i, j in enumerate(polar) if i < j]
-    if (len(c.rows) != len(iso) or len(d.rows) != len(grid)
-            or any(r != masks[i] for r, i in zip(c.rows, iso))
-            or any(r != masks[i] | masks[polar[i]]
-                   for r, i in zip(d.rows, grid))):
-        return None
     tl = line_permutation(g, sc.t_perm)
-    if [tl[j] for j in polar] != [polar[j] for j in tl]:
+    if any(tl[p] != polar[t] for p, t in zip(polar, tl)):
         return None
+    row = g.line_row
+    iso = (i for i, j in enumerate(polar) if i == j)
+    grid = (i for i, j in enumerate(polar) if i < j)
     c_points = [row(i) for i in _t_orbit_leaders(tl, polar, iso)]
     d_points = [set(row(i)).union(row(polar[i]))
                 for i in _t_orbit_leaders(tl, polar, grid)]

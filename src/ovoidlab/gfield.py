@@ -8,6 +8,7 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
+from array import array
 from functools import reduce
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ MODULI = {
     16: 0x1100B,        # x^16 + x^12 + x^3 + x + 1
 }
 
-# exp/log tables hold 2^n entries; GF(2^16) is the largest field needed
+# 2^n two-byte exp/log entries each; GF(2^16) is the largest field needed
 MAX_DEGREE = max(MODULI)
 
 
@@ -89,28 +90,25 @@ class FieldCtx:
         self.size = 1 << n
         self.generator, self.exp, self.log = self._tables()
 
-    def _tables(self) -> tuple[int, list[int], list[int]]:
+    def _tables(self) -> tuple[int, array, array]:
         """The least primitive element with its exp table (doubled, so a
-        sum of two logs needs no reduction) and log table."""
+        sum of two logs needs no reduction) and log table, as arrays of
+        2-byte entries filled in place."""
         order = self.size - 1
-        for g in range(2, self.size):
-            exp = [0] * (2 * order)
-            log = [0] * self.size
+        exp = array("H", bytes(4 * order))
+        log = array("H", bytes(2 * self.size))
+        for g in range(1, self.size):
             x = 1
-            ok = True
             for i in range(order):
                 if x == 1 and i > 0:
-                    ok = False
                     break
                 exp[i] = x
                 log[x] = i
                 x = poly_mulmod(x, g, self.modulus)
-            if ok and x == 1:
-                for i in range(order, 2 * order):
-                    exp[i] = exp[i - order]
+            else:
+                # no earlier return to 1: g generates the group
+                exp[order:] = exp[:order]
                 return g, exp, log
-        # GF(2): multiplicative group is trivial
-        return 1, [1, 1], [0, 0]
 
     # -- arithmetic ------------------------------------------------------
 

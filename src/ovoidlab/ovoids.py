@@ -3,6 +3,7 @@ the line-meet sweep, plus quadric fitting over GF(q)."""
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 from .errors import (EvenDegree, InvariantViolation, NoIrreducibleConstant,
@@ -97,14 +98,16 @@ def line_meets(mask: int, g: GeometryTables) -> bytes:
 
 
 @lru_cache(maxsize=24)
-def _tangents(mask: int, g: GeometryTables) -> tuple[int, ...]:
+def _tangents(mask: int, g: GeometryTables) -> array:
     """The lines meeting the point set `mask` once, read from its
-    line_meets vector once per mask and geometry."""
+    line_meets vector once per mask and geometry, as an array of 2-byte
+    entries below 65,536 lines and 4-byte ones above."""
     meets = line_meets(mask, g)
     if max(meets) > 2:
         i = next(i for i, meet in enumerate(meets) if meet > 2)
         raise NotAnOvoid(f"line {i} meets the set in {meets[i]} points")
-    return tuple(i for i, meet in enumerate(meets) if meet == 1)
+    return array("H" if len(meets) < 1 << 16 else "I",
+                 (i for i, meet in enumerate(meets) if meet == 1))
 
 
 def is_ovoid(s, g: GeometryTables) -> bool:

@@ -221,16 +221,17 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
         rec.fail(f"T-orbit setup failed: {exc}")
         return _finish("radical_corollary3", g, rec, counters, start)
 
-    C = code_C(form, g)
-    D = code_D(form, g)
-    # the dual grids are the 2-cycles m < m^perp of the polar map
-    grids = [(m, mp) for m, mp in enumerate(polar_lines(form, g)) if m < mp]
-    counters["lines_of_W"] = len(C.rows)
-    counters["dual_grids"] = len(grids)
+    # W(q)-lines: the polar map's fixed points; dual grids: its 2-cycles
+    polar = polar_lines(form, g)
+    n_grids = sum(m < mp for m, mp in enumerate(polar))
+    counters["lines_of_W"] = sum(m == mp for m, mp in enumerate(polar))
+    counters["dual_grids"] = n_grids
 
     # the T-module ranks when T provably maps both row sets onto
     # themselves, else one elimination of each code
-    fast = t_module_counters(form, sc, fib, C, D)
+    fast = t_module_counters(form, sc, fib)
+    if fast is None or not fast[3]:  # the elimination or witnesses read rows
+        C, D = code_C(form, g), code_D(form, g)
     if fast is None:
         dim_d, dim_sum, _ = radical_codim_check(D)
         dim_c = C.rank
@@ -248,7 +249,7 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
     # and row_i = row_0 + (row_0 + row_i), so row_i lies in S exactly when
     # row_0 does, that is when the codimension is 0
     if codim == 0:
-        for idx in range(len(D.rows)):
+        for idx in range(n_grids if fast else len(D.rows)):
             rec.fail(f"dual grid row {idx} lies in the pairwise-sum span",
                      (idx,))
 
@@ -267,7 +268,9 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
 
     # sigma of each dual grid is E_i + E_j, 0 < i != j
     labels = tangency_table(fib, g)[1]
-    for m, mp in grids:
+    for m, mp in enumerate(polar):
+        if m >= mp:
+            continue
         s = orbit_sum(g.line_row(m), sc) ^ orbit_sum(g.line_row(mp), sc)
         i, j = labels[m], labels[mp]
         if i is None or j is None or i == j or i == 0 or j == 0:

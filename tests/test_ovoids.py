@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import combinations
 from math import comb
 
@@ -154,6 +155,9 @@ def test_tangent_lines_read_once_per_mask_into_fresh_lists(quadric2, geo2):
     assert tangent_lines(quadric2, geo2) is not again
     info = ovoids._tangents.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+    # the memoized set is a flat array, typed like the polar map
+    cached = ovoids._tangents(quadric2.mask, geo2)
+    assert isinstance(cached, array) and cached.typecode == "H"
 
 
 def test_tangents_at_point_are_coplanar(quadric2, geo2):

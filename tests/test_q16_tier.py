@@ -1,6 +1,6 @@
 """The opt-in q = 16 tier, run with `pytest -m slow`; the default options
 in pyproject.toml deselect it.  Building PG(3,16) and its Singer context
-takes a few seconds and about 76 MB of peak RSS before any suite runs."""
+takes a few seconds and about 73 MB of peak RSS before any suite runs."""
 
 import time
 import tracemalloc
@@ -10,8 +10,12 @@ import pytest
 
 from ovoidlab import (ExtFieldCtx, build_geometry, elliptic_quadric,
                       singer_context, t_orbit_fibration, verify)
+from ovoidlab import ovoids
 from ovoidlab.fibration import tangency_table
 from ovoidlab.symplectic import member_polarity, polar_lines
+
+from test_gfield import ext_build_size
+from test_t_module import codes_suite_peak
 
 pytestmark = pytest.mark.slow
 
@@ -22,6 +26,13 @@ CODES_BUDGET_S = 3.0
 # tracemalloc's current size after build_geometry(4): 51.4 MiB measured
 # (Python 3.11), 20 % headroom above it
 BUILD_BUDGET_MIB = 62
+
+# tracemalloc's peak during the codes suite on warm caches (1.34 MiB) and
+# its current size after ExtFieldCtx.build(4) (0.40 MiB), measured
+# (Python 3.11), 20 % headroom above each.  Building C, D and the grid
+# list took the first to 27.8 MiB; list tables took the second to 5.5 MiB.
+CODES_PEAK_BUDGET_MIB = 1.6
+EXT_BUILD_BUDGET_MIB = 0.48
 
 
 def test_build_keeps_the_line_tables_small_q16():
@@ -66,6 +77,22 @@ def test_codes_suite_q16_closed_forms_on_the_fast_path(sc4, monkeypatch):
                 1890, 4369 - 1890, 2024, 2023, 1)
     assert calls == []
     assert elapsed < CODES_BUDGET_S, f"{elapsed:.2f} s"
+
+
+def test_codes_suite_working_set_q16(sc4):
+    rep, peak = codes_suite_peak(sc4)
+    assert rep.passed
+    assert peak <= CODES_PEAK_BUDGET_MIB * 2 ** 20, \
+        f"{peak / 2 ** 20:.2f} MiB"
+    # 70,161 lines: the memoized tangent sets need 4-byte entries too
+    theta = t_orbit_fibration(sc4).members[0]
+    assert ovoids._tangents(theta.mask, sc4.geometry).typecode == "I"
+
+
+def test_ext_build_keeps_two_byte_tables_q16():
+    _, current = ext_build_size(4)
+    assert current <= EXT_BUILD_BUDGET_MIB * 2 ** 20, \
+        f"{current / 2 ** 20:.2f} MiB"
 
 
 def test_lemma5_q16(sc4):

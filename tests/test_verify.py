@@ -211,6 +211,8 @@ def test_codes_zero_row_report_is_pinned(form2, sc2, monkeypatch):
         return BitMat([0] + d.rows, width=d.width)
 
     monkeypatch.setattr(verify, "code_D", with_zero_row)
+    # the T-module path builds no D, so it must decline to read this one
+    monkeypatch.setattr(verify, "t_module_counters", lambda *a: None)
     r = verify_radical_and_corollary3(form2, sc2).to_dict()
     r.pop("elapsed_ms")
     assert r == {
@@ -229,9 +231,9 @@ def test_codes_zero_row_report_is_pinned(form2, sc2, monkeypatch):
 
 
 def test_codes_enumerates_the_dual_grids_once(form2, sc2, monkeypatch):
-    # code_D enumerates them; the suite's count and sigma loop read the
-    # 2-cycles of the cached polar map instead of enumerating them again
-    from ovoidlab import symplectic
+    # the T-module path reads the 2-cycles of the cached polar map and
+    # makes no DualGrid; a declined fast path enumerates them once, for D
+    from ovoidlab import symplectic, verify
     made = []
 
     class CountedGrid(symplectic.DualGrid):
@@ -241,8 +243,12 @@ def test_codes_enumerates_the_dual_grids_once(form2, sc2, monkeypatch):
 
     monkeypatch.setattr(symplectic, "DualGrid", CountedGrid)
     r = verify_radical_and_corollary3(form2, sc2)
-    assert r.passed
-    assert len(made) == r.counters["dual_grids"] == 136
+    assert r.passed and r.counters["dual_grids"] == 136
+    assert made == []
+    monkeypatch.setattr(verify, "t_module_counters", lambda *a: None)
+    forced = verify_radical_and_corollary3(form2, sc2)
+    assert forced.counters == r.counters
+    assert len(made) == 136
 
 
 # --- segre mutations -------------------------------------------------------
