@@ -11,10 +11,11 @@ Layout (all integers little-endian, fixed width):
   line pts     n_lines * (q+1) * u32
   plane normal n_planes * 4 * u32
 
-Caches are optional acceleration: every consumer succeeds cold, and a
-loaded geometry is bit-identical to a fresh build for the same (version,
-n, modulus).  A file is written under a temporary name and renamed into
-place, so concurrent writers never leave a torn file.
+A cache is read or written only in a directory that the caller names, and
+every consumer succeeds cold.  n fixes the modulus, so a loaded geometry
+is bit-identical to a fresh build for the same (version, n).  A file is
+written under a temporary name and renamed into place, so concurrent
+writers never leave a torn file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from array import array
 from pathlib import Path
 
-from .gfield import FieldCtx
+from .gfield import MODULI, FieldCtx
 from .projspace import (POINT_TYPECODE, SUPPORTED_N, GeometryTables,
                         build_geometry, check_degree, meet_mask,
                         plane_masks, point_coords)
@@ -84,13 +85,16 @@ def load_geometry(path: Path) -> GeometryTables:
     version, n, modulus, generator = struct.unpack_from("<IIQQ", data, 4)
     if version != VERSION:
         raise ValueError(f"cache version {version}, expected {VERSION}")
-    # checked first: the modulus test alone doubles in time with each degree
+    # checked first: no field is built for a degree outside the range
     if n not in SUPPORTED_N:
         raise ValueError(f"header degree n={n} is outside the supported "
                          f"range {SUPPORTED_N[0]}..{SUPPORTED_N[-1]}")
-    ctx = FieldCtx(n, modulus)
-    if ctx.generator != generator:
-        raise ValueError("generator mismatch")
+    # n fixes the field; any other modulus would derive another geometry
+    ctx = FieldCtx(n)
+    if (modulus, generator) != (ctx.modulus, ctx.generator):
+        raise ValueError(f"header names modulus {modulus:#x} and generator "
+                         f"{generator}, not GF({ctx.size})'s "
+                         f"{ctx.modulus:#x} and {ctx.generator}")
     q = ctx.size
     n_points, n_lines, n_planes = struct.unpack_from("<III", data, head)
     off = head + struct.calcsize("<III")
@@ -147,16 +151,15 @@ def load_geometry(path: Path) -> GeometryTables:
 def load_or_build(n: int, cache_dir: Path | None) -> GeometryTables:
     if cache_dir is None:
         return build_geometry(n)
-    check_degree(n)  # before FieldCtx(n) names the file
-    modulus = FieldCtx(n).modulus
-    path = Path(cache_dir) / cache_filename(n, modulus)
+    check_degree(n)  # before MODULI[n] names the file
+    path = Path(cache_dir) / cache_filename(n, MODULI[n])
     if path.exists():
         try:
             g = load_geometry(path)
         except (ValueError, OSError) as exc:
             reason = exc
         else:
-            if (g.ctx.n, g.ctx.modulus) == (n, modulus):
+            if g.ctx.n == n:
                 return g
             reason = f"header names n={g.ctx.n}, modulus {g.ctx.modulus:#x}"
         print(f"cache: rebuilding {path}: {reason}", file=sys.stderr)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,13 +21,6 @@ from .errors import OvoidlabError
 from .gfield import ExtFieldCtx
 
 SUITES = ("prop1", "lemma5", "main", "codes", "segre")
-
-
-def default_cache_dir() -> Path | None:
-    env = os.environ.get("OVOIDLAB_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "ovoidlab"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,10 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extension degree, q = 2^n, n in 1..4")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--cache-dir", type=Path, default=None,
-                        help="geometry cache directory "
-                             "(default: $OVOIDLAB_CACHE or ~/.cache/ovoidlab)")
+                        help="read and write the geometry cache here "
+                             "(default: build cold, no cache)")
         sp.add_argument("--no-cache", action="store_true",
-                        help="build cold, never touch the cache")
+                        help="build cold even if --cache-dir is given")
         sp.add_argument("--seed", type=int, default=0,
                         help="accepted for interface stability; "
                              "no command reads it")
@@ -54,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for interface stability; "
                              "output does not depend on it")
 
-    sp = sub.add_parser("geometry", help="build and cache PG(3,q) tables")
+    sp = sub.add_parser("geometry", help="build PG(3,q) tables")
     common(sp)
     sp.add_argument("--export-json", action="store_true",
                     help="dump the full JSON mirror of the cache")
@@ -79,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("all", help="geometry + fibration + all suites")
     common(sp)
     return p
-
-
-def _load_geometry(args):
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
-    return geocache.load_or_build(args.n, cache_dir)
 
 
 def _emit(doc, fmt: str) -> None:
@@ -175,7 +160,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        g = _load_geometry(args)
+        g = geocache.load_or_build(
+            args.n, None if args.no_cache else args.cache_dir)
     except OvoidlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

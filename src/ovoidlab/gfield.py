@@ -1,9 +1,9 @@
 """Arithmetic in GF(2^n) and GF(2^{4n}) with polynomial-basis bitmask elements.
 
 Field elements are plain Python ints interpreted as GF(2)-coefficient
-bitmasks (bit k = coefficient of x^k).  A FieldCtx fixes the modulus and
-supplies all arithmetic; contexts are immutable after construction, so
-every operation here is a pure function.
+bitmasks (bit k = coefficient of x^k).  A FieldCtx is GF(2^n) modulo the
+fixed MODULI[n] and supplies all arithmetic; contexts are immutable after
+construction, so every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 from .errors import ZeroElement, ZeroInverse
 
-# One irreducible polynomial per degree needed: n in 1..4 and 4n in 4..16.
-# Fixed so that every downstream point/line index is reproducible.
+# One primitive polynomial per degree needed, n in 1..4 and 4n in 4..16,
+# so x generates each multiplicative group.  Fixed so that every
+# downstream point/line index is reproducible.
 MODULI = {
     1: 0b11,            # x + 1
     2: 0b111,           # x^2 + x + 1
@@ -30,91 +31,48 @@ MODULI = {
 MAX_DEGREE = max(MODULI)
 
 
-def poly_degree(p: int) -> int:
-    return p.bit_length() - 1
-
-
-def poly_mod(a: int, m: int) -> int:
-    """Remainder of a modulo m over GF(2)."""
-    dm = m.bit_length()
-    while a.bit_length() >= dm:
-        a ^= m << (a.bit_length() - dm)
-    return a
-
-
-def poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2) polynomials."""
-    res = 0
-    while b:
-        if b & 1:
-            res ^= a
-        a <<= 1
-        b >>= 1
-    return res
-
-
-def poly_mulmod(a: int, b: int, m: int) -> int:
-    return poly_mod(poly_mul(a, b), m)
-
-
-def is_irreducible(p: int) -> bool:
-    """Trial division by every lower-degree polynomial up to deg(p)/2."""
-    deg = poly_degree(p)
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if poly_mod(p, q) == 0:
-                return False
-    return True
-
-
 class FieldCtx:
-    """GF(2^n) with a fixed irreducible modulus, a primitive element and
-    exp/log tables for its multiplicative group (n <= MAX_DEGREE)."""
+    """GF(2^n) modulo MODULI[n], with exp/log tables of its multiplicative
+    group generated by x (n <= MAX_DEGREE)."""
 
-    def __init__(self, n: int, modulus: int | None = None):
+    def __init__(self, n: int):
         if n > MAX_DEGREE:
             raise ValueError(f"degree {n} exceeds the largest tabled "
                              f"degree {MAX_DEGREE}")
-        if modulus is None:
-            if n not in MODULI:
-                raise ValueError(f"no built-in modulus for degree {n}")
-            modulus = MODULI[n]
-        if poly_degree(modulus) != n:
-            raise ValueError("modulus degree mismatch")
-        if not is_irreducible(modulus):
-            raise ValueError(f"modulus {modulus:#x} is reducible")
+        if n not in MODULI:
+            raise ValueError(f"no built-in modulus for degree {n}")
         self.n = n
-        self.modulus = modulus
+        self.modulus = MODULI[n]
         self.size = 1 << n
-        self.generator, self.exp, self.log = self._tables()
+        self.exp, self.log = self._tables()
+        self.generator = self.exp[1]     # x, or 1 in GF(2)
 
-    def _tables(self) -> tuple[int, array, array]:
-        """The least primitive element with its exp table (doubled, so a
-        sum of two logs needs no reduction) and log table, as arrays of
-        2-byte entries filled in place."""
-        order = self.size - 1
+    def _tables(self) -> tuple[array, array]:
+        """The powers of x with their exp table (doubled, so a sum of two
+        logs needs no reduction) and log table, as arrays of 2-byte
+        entries filled in place by shifting.
+
+        Raises ValueError unless x has order exactly 2^n - 1: then the
+        powers of x are all the nonzero residues, so the modulus is
+        primitive, and so irreducible."""
+        order, size, modulus = self.size - 1, self.size, self.modulus
         exp = array("H", bytes(4 * order))
-        log = array("H", bytes(2 * self.size))
-        for g in range(1, self.size):
-            x = 1
-            for i in range(order):
-                if x == 1 and i > 0:
-                    break
-                exp[i] = x
-                log[x] = i
-                x = poly_mulmod(x, g, self.modulus)
-            else:
-                # no earlier return to 1: g generates the group
-                exp[order:] = exp[:order]
-                return g, exp, log
+        log = array("H", bytes(2 * size))
+        x = 1
+        for i in range(order):
+            exp[i] = x
+            log[x] = i
+            x <<= 1
+            if x & size:
+                x ^= modulus
+            if x == 1:
+                break
+        if (i, x) != (order - 1, 1):
+            raise ValueError(f"x is not primitive modulo {modulus:#x}")
+        exp[order:] = exp[:order]
+        return exp, log
 
     # -- arithmetic ------------------------------------------------------
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

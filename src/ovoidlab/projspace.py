@@ -30,6 +30,12 @@ SUPPORTED_N = range(1, 5)
 POINT_TYPECODE = "H"
 
 
+def line_typecode(n_lines: int) -> str:
+    """array typecode of a table of line indices: 2 bytes below 65,536
+    lines (q <= 8), 4 bytes for the 70,161 lines at q = 16."""
+    return "H" if n_lines < 1 << 16 else "I"
+
+
 def check_degree(n: int) -> None:
     """Raise SizeGuard unless n lies in SUPPORTED_N."""
     if n not in SUPPORTED_N:
@@ -52,11 +58,6 @@ class Plane(NamedTuple):
     index: int
     normal: tuple[int, int, int, int]
     mask: int
-
-    @property
-    def pts(self) -> tuple[int, ...]:
-        """The q^2+q+1 points of the plane, sorted, read off the mask."""
-        return tuple(_members(self.mask))
 
 
 class _LineView(Sequence):

@@ -10,8 +10,8 @@ from .errors import InvariantViolation, NoPolarity, NotAnOvoid
 from .fibration import Fibration
 from .gfield import echelon, nullspace
 from .ovoids import tangent_lines
-from .projspace import (SUPPORTED_N, GeometryTables, Line, point_permutation,
-                        scaled_columns)
+from .projspace import (SUPPORTED_N, GeometryTables, Line, line_typecode,
+                        point_permutation, scaled_columns)
 
 # index pairs of the six free entries of an alternating 4x4 matrix
 _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -67,8 +67,8 @@ def perp_planes(f: SymplecticForm, g: GeometryTables) -> list[int]:
 
 @lru_cache(maxsize=FORMS_KEPT)
 def polar_lines(f: SymplecticForm, g: GeometryTables) -> array:
-    """Entry i is the index of the polar line of line i, as an array of
-    2-byte entries below 65,536 lines and 4-byte ones above.
+    """Entry i is the index of the polar line of line i, as a
+    line_typecode array.
 
     l^perp is the meet of the planes a^perp and b^perp of the first two
     points a and b of l.  A line is isotropic iff
@@ -82,7 +82,7 @@ def polar_lines(f: SymplecticForm, g: GeometryTables) -> array:
     if None in out:
         raise InvariantViolation(
             f"perp planes of line {out.index(None)} do not meet in a line")
-    return array("H" if len(out) < 1 << 16 else "I", out)
+    return array(line_typecode(len(out)), out)
 
 
 def isotropic_lines(f: SymplecticForm, g: GeometryTables) -> list[int]:

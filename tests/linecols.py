@@ -1,5 +1,6 @@
-"""Lines through each point, read from the flat `line_pts` column; the
-tables keep no such list, so the tests that need one build it here."""
+"""Lines through each point, read from the flat `line_pts` column, and
+the points of a plane, read off its mask; the tables keep no such lists,
+so the tests that need one build it here."""
 
 
 def lines_by_point(g) -> list[list[int]]:
@@ -9,3 +10,9 @@ def lines_by_point(g) -> list[list[int]]:
     for i, p in enumerate(g.line_pts):
         out[p].append(i // k)
     return out
+
+
+def plane_points(pl) -> tuple[int, ...]:
+    """The q^2+q+1 points of plane pl, ascending, read off its mask."""
+    mask = pl.mask
+    return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)

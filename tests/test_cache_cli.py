@@ -8,7 +8,7 @@ from ovoidlab import cache as geocache
 from ovoidlab.cli import main
 from ovoidlab.errors import OvoidlabError
 
-from linecols import lines_by_point
+from linecols import lines_by_point, plane_points
 
 
 # --- cache -----------------------------------------------------------------
@@ -34,7 +34,7 @@ def test_cache_loaded_tables_usable(geo2, tmp_path):
     for ln, ln2 in zip(loaded.lines, geo2.lines):
         assert ln.pts == ln2.pts and ln.mask == ln2.mask
     for pl, pl2 in zip(loaded.planes, geo2.planes):
-        assert pl.pts == pl2.pts
+        assert plane_points(pl) == plane_points(pl2)
         assert pl.mask == pl2.mask
 
 
@@ -207,6 +207,48 @@ def test_load_or_build_reports_rebuild_and_failed_save(geo1, geo2, tmp_path,
                           f"{not_a_dir / path.name}: ")
 
 
+def _foreign_modulus_q8(geo3) -> bytes:
+    """geo3's cache with the header naming x^3+x^2+1 (0xD), also
+    primitive with generator x, instead of x^3+x+1."""
+    data = bytearray(geocache.serialize_geometry(geo3))
+    struct.pack_into("<Q", data, 12, 0xD)
+    return bytes(data)
+
+
+def test_foreign_modulus_rejected_before_any_table(geo3, tmp_path,
+                                                  monkeypatch):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_foreign_modulus_q8(geo3))
+    real = geocache.FieldCtx
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    def no_table(*args):
+        raise AssertionError("a table was derived from a foreign header")
+
+    monkeypatch.setattr(geocache, "FieldCtx", spy)
+    monkeypatch.setattr(geocache, "plane_masks", no_table)
+    monkeypatch.setattr(geocache, "point_coords", no_table)
+    with pytest.raises(ValueError, match="header names modulus 0xd and "
+                                         "generator 2, not GF.8.'s 0xb"):
+        geocache.load_geometry(bad)
+    assert built == [(3,)]
+
+
+def test_load_or_build_rebuilds_foreign_modulus(geo3, tmp_path, capsys):
+    path = tmp_path / geocache.cache_filename(3, geo3.ctx.modulus)
+    path.write_bytes(_foreign_modulus_q8(geo3))
+    g = geocache.load_or_build(3, tmp_path)
+    assert capsys.readouterr().err == (
+        f"cache: rebuilding {path}: header names modulus 0xd and generator "
+        f"2, not GF(8)'s 0xb and 2\n")
+    assert (g.ctx.modulus, g.q) == (0xB, 8)
+    assert path.read_bytes() == geocache.serialize_geometry(geo3)
+
+
 def test_export_json(geo2):
     doc = json.loads(geocache.export_geometry_json(geo2))
     assert doc["q"] == 4
@@ -230,6 +272,39 @@ def test_cli_geometry_json(capsys, tmp_path):
     doc = json.loads(out)
     assert doc == {"q": 4, "n": 2, "modulus": 7, "generator": doc["generator"],
                    "points": 85, "lines": 357, "planes": 85}
+
+
+@pytest.mark.parametrize("argv", [("geometry", "--n", "2"),
+                                  ("fibration", "--n", "2", "--format",
+                                   "text")])
+def test_cli_touches_no_cache_unless_named(argv, capsys, tmp_path,
+                                           monkeypatch):
+    home, env = tmp_path / "home", tmp_path / "env"
+    home.mkdir()
+    env.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("OVOIDLAB_CACHE", str(env))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert list(home.iterdir()) == [] and list(env.iterdir()) == []
+    assert out == run_cli(capsys, *argv, "--no-cache")[1]
+
+
+def test_cli_no_cache_overrides_cache_dir(capsys, geo1, geo2, tmp_path):
+    # a cache of another degree under the q = 4 name: read, it would be
+    # rebuilt and rewritten with a stderr line
+    path = tmp_path / geocache.cache_filename(2, geo2.ctx.modulus)
+    path.write_bytes(geocache.serialize_geometry(geo1))
+    code, out, err = run_cli(capsys, "geometry", "--n", "2",
+                             "--cache-dir", str(tmp_path), "--no-cache")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["points"] == 85
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == geocache.serialize_geometry(geo1)
+    empty = tmp_path / "empty"
+    run_cli(capsys, "verify", "--n", "2", "--suite", "prop1",
+            "--cache-dir", str(empty), "--no-cache")
+    assert not empty.exists()
 
 
 def test_cli_rebuilds_corrupt_cache(capsys, geo2, tmp_path):

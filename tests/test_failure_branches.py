@@ -9,6 +9,7 @@ import pytest
 
 import kfibration
 from kfibration import NotRegular, k_stabilizer
+from linecols import plane_points
 from ovoidlab import fibration, symplectic, verify
 from ovoidlab.errors import NoPolarity, NotAFibration
 from ovoidlab.fibration import (Fibration, SingerContext,
@@ -63,7 +64,7 @@ def corrupted(name: str, f: Fibration, g) -> Fibration:
     if name == "member0_only":
         return Fibration(m[:1])
     if name == "theta0_is_plane0":
-        return Fibration((Ovoid.from_points(g.planes[0].pts),) + m[1:])
+        return Fibration((Ovoid.from_points(plane_points(g.planes[0])),) + m[1:])
     raise AssertionError(name)
 
 

@@ -10,8 +10,27 @@ from hypothesis import strategies as st
 from ovoidlab import gfield
 from ovoidlab.errors import ZeroElement, ZeroInverse
 from ovoidlab.gfield import (MODULI, ExtFieldCtx, FieldCtx, echelon,
-                             is_irreducible, mat_identity, mat_mul,
-                             mult_matrix, nullspace, poly_mod)
+                             mat_identity, mat_mul, mult_matrix, nullspace)
+
+
+def poly_mod(a, m):
+    """Remainder of a modulo m over GF(2)."""
+    dm = m.bit_length()
+    while a.bit_length() >= dm:
+        a ^= m << (a.bit_length() - dm)
+    return a
+
+
+def is_irreducible(p):
+    """Trial division by every lower-degree polynomial up to deg(p)/2."""
+    deg = p.bit_length() - 1
+    if deg < 1:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for q in range(1 << d, 1 << (d + 1)):
+            if poly_mod(p, q) == 0:
+                return False
+    return True
 
 
 # schoolbook oracle: multiply polynomials term by term, then reduce
@@ -28,17 +47,17 @@ def schoolbook_mul(a, b, modulus):
 def test_addition_axioms_gf4():
     ctx = FieldCtx(2)
     for a in ctx.elements():
-        assert ctx.add(a, a) == 0
-        assert ctx.add(a, 0) == a
+        assert a ^ a == 0
+        assert a ^ 0 == a
         for b in ctx.elements():
-            assert ctx.add(a, b) == ctx.add(b, a)
+            assert a ^ b == b ^ a
 
 
 def test_t_plus_one_no_reduction():
     # n=2, modulus x^2+x+1: t + 1 has bitmask 0b11
     ctx = FieldCtx(2)
     assert ctx.modulus == 0b111
-    assert ctx.add(0b10, 0b01) == 0b11
+    assert 0b10 ^ 0b01 == 0b11
 
 
 def test_mul_against_schoolbook_gf4():
@@ -191,17 +210,52 @@ def test_gf2_tables_are_arrays():
     assert ctx.exp.typecode == ctx.log.typecode == "H"
 
 
-def test_degree_above_tables_rejected_before_modulus_test(monkeypatch):
-    from ovoidlab import gfield
-
-    def modulus_tested(p):
-        raise AssertionError(f"is_irreducible({p:#x}) was called")
-
-    monkeypatch.setattr(gfield, "is_irreducible", modulus_tested)
+def test_degree_above_tables_rejected_before_modulus_test():
     with pytest.raises(ValueError, match="exceeds the largest tabled"):
-        FieldCtx(41, (1 << 41) | 0b1001)
+        FieldCtx(41)
     with pytest.raises(ValueError, match="exceeds the largest tabled"):
         FieldCtx(17)
+    with pytest.raises(ValueError, match="no built-in modulus for degree 5"):
+        FieldCtx(5)
+
+
+def searched_tables(n):
+    """The least primitive element of GF(2^n) modulo MODULI[n] with its
+    exp (doubled) and log tables, found by trying each candidate's powers
+    by schoolbook multiplication."""
+    size = 1 << n
+    order = size - 1
+    for g in range(1, size):
+        exp, log = [0] * (2 * order), [0] * size
+        x = 1
+        for i in range(order):
+            if x == 1 and i > 0:
+                break
+            exp[i] = x
+            log[x] = i
+            x = schoolbook_mul(x, g, MODULI[n])
+        else:
+            exp[order:] = exp[:order]
+            return g, exp, log
+
+
+@pytest.mark.parametrize("n", sorted(MODULI))
+def test_tables_equal_the_least_primitive_element_search(n):
+    ctx = FieldCtx(n)
+    assert (ctx.generator, list(ctx.exp), list(ctx.log)) == searched_tables(n)
+    assert ctx.generator == (1 if n == 1 else 2)
+
+
+@pytest.mark.parametrize("n, modulus", [
+    (4, 0b11111),      # x^4+x^3+x^2+x+1: irreducible, x has order 5
+    (4, 0b10001),      # x^4+1 = (x+1)^4: x has order 4
+    (4, 0b10010),      # x^4+x: x is a zero divisor and never returns to 1
+    (3, 0b1001),       # x^3+1 = (x+1)(x^2+x+1): x has order 3
+])
+def test_non_primitive_modulus_rejected(n, modulus, monkeypatch):
+    monkeypatch.setitem(MODULI, n, modulus)
+    with pytest.raises(ValueError, match=f"not primitive modulo {modulus:#x}"):
+        FieldCtx(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -10,7 +10,7 @@ from ovoidlab.errors import EvenDegree, InvariantViolation, NoQuadric
 from ovoidlab.ovoids import (Ovoid, elliptic_quadric, fit_quadric, is_ovoid,
                              line_meets, tangent_lines, tits_ovoid)
 
-from linecols import lines_by_point
+from linecols import lines_by_point, plane_points
 
 
 def no_three_collinear_oracle(pts, g):
@@ -77,8 +77,8 @@ def test_is_ovoid_accepts_constructions(quadric2, geo2):
 
 
 def test_is_ovoid_rejects_plane(geo2):
-    assert not is_ovoid(geo2.planes[0].pts, geo2)
-    assert not is_ovoid(geo2.planes[0].pts[:17], geo2)
+    assert not is_ovoid(plane_points(geo2.planes[0]), geo2)
+    assert not is_ovoid(plane_points(geo2.planes[0])[:17], geo2)
 
 
 def test_is_ovoid_rejects_swapped_point(quadric2, geo2):

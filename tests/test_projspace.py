@@ -13,7 +13,7 @@ from ovoidlab.projspace import (Plane, build_geometry, plane_masks,
                                 point_coords, point_permutation)
 
 from kfibration import singer_k
-from linecols import lines_by_point
+from linecols import lines_by_point, plane_points
 from test_regulus_kernel import regulus
 
 
@@ -242,16 +242,17 @@ def test_planes_match_scan(n, request):
     want = plane_scan(ctx, coords)
     assert plane_masks(ctx, coords) == [mask for _, mask in want]
     g = request.getfixturevalue(f"geo{n}")
-    assert [(pl.pts, pl.mask) for pl in g.planes] == want
+    assert [(plane_points(pl), pl.mask) for pl in g.planes] == want
 
 
 def test_plane_points_follow_the_mask(geo2):
-    # pts is read off the mask, so a replaced mask cannot leave stale points
+    # the points are read off the mask, so a replaced mask cannot leave
+    # stale points
     pl = geo2.planes[5]
-    assert pl.pts == tuple(p for p in range(geo2.n_points)
-                           if pl.mask >> p & 1)
-    moved = pl._replace(mask=pl.mask ^ 1 << pl.pts[0])
-    assert moved.pts == pl.pts[1:]
+    pts = plane_points(pl)
+    assert pts == tuple(p for p in range(geo2.n_points) if pl.mask >> p & 1)
+    moved = pl._replace(mask=pl.mask ^ 1 << pts[0])
+    assert plane_points(moved) == pts[1:]
     assert list(Plane._fields) == ["index", "normal", "mask"]
 
 

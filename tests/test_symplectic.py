@@ -6,7 +6,7 @@ from ovoidlab.symplectic import (SymplecticForm, enumerate_dual_grids,
                                  isotropic_lines, perp_line, polar_lines,
                                  polarity_from_ovoid)
 
-from linecols import lines_by_point
+from linecols import lines_by_point, plane_points
 
 
 def mat_det(ctx, m) -> int:
@@ -115,7 +115,7 @@ def test_polarity_from_tits_ovoid(tits3, geo3):
 
 
 def test_polarity_rejects_non_ovoid(geo2):
-    plane_pts = geo2.planes[0].pts
+    plane_pts = plane_points(geo2.planes[0])
     fake = Ovoid.from_points(plane_pts[:17], "unknown")
     with pytest.raises(NoPolarity):
         polarity_from_ovoid(fake, geo2)

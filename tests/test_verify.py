@@ -9,6 +9,7 @@ from ovoidlab.verify import (verify_lemma5, verify_main_theorem,
                              verify_proposition1,
                              verify_radical_and_corollary3, verify_segre)
 
+from linecols import plane_points
 from test_failure_branches import replaced
 
 ALL_SUITES = ["prop1", "lemma5", "main", "codes", "segre"]
@@ -261,7 +262,7 @@ def test_segre_mutation_swapped_point(quadric2, geo2):
 
 
 def test_segre_mutation_plane_section(geo2):
-    plane_pts = tuple(sorted(geo2.planes[0].pts))[:17]
+    plane_pts = plane_points(geo2.planes[0])[:17]
     r = verify_segre(Ovoid.from_points(plane_pts, kind="mutant"), geo2)
     assert not r.passed and r.failures
 
