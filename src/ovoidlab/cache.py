@@ -12,10 +12,11 @@ Layout (all integers little-endian, fixed width):
   plane normal n_planes * 4 * u32
 
 A cache is read or written only in a directory that the caller names, and
-every consumer succeeds cold.  n fixes the modulus, so a loaded geometry
-is bit-identical to a fresh build for the same (version, n).  A file is
-written under a temporary name and renamed into place, so concurrent
-writers never leave a torn file.
+every consumer succeeds cold.  n fixes every table, so a file is valid only
+if it equals the serialization of build_geometry(n); a load checks the
+header, then builds and compares, and costs a build plus the comparison.
+A file is written under a temporary name and renamed into place, so
+concurrent writers never leave a torn file.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from array import array
 from pathlib import Path
 
 from .gfield import MODULI, FieldCtx
-from .projspace import (POINT_TYPECODE, SUPPORTED_N, GeometryTables,
-                        build_geometry, check_degree, meet_mask,
-                        plane_masks, point_coords)
+from .projspace import (SUPPORTED_N, GeometryTables, build_geometry,
+                        check_degree)
 
 MAGIC = b"OVGE"
 VERSION = 1
@@ -73,11 +73,9 @@ def save_geometry(g: GeometryTables, cache_dir: Path) -> Path:
 
 
 def load_geometry(path: Path) -> GeometryTables:
-    """Reconstruct tables from a cache file, validating the stored arrays
-    before the incidence maps are derived from them.
-
-    Raises ValueError on a file that is not a well-formed v1 cache of
-    PG(3,q): the lines must be the lines of PG(3,q) in index order."""
+    """The build of the degree a cache file's header names, if the file
+    is byte-identical to its serialization.  Raises ValueError otherwise,
+    naming the header field or the first section that differs."""
     data = Path(path).read_bytes()
     head = 4 + struct.calcsize("<IIQQ")
     if data[:4] != MAGIC or len(data) < head + struct.calcsize("<III"):
@@ -95,57 +93,28 @@ def load_geometry(path: Path) -> GeometryTables:
         raise ValueError(f"header names modulus {modulus:#x} and generator "
                          f"{generator}, not GF({ctx.size})'s "
                          f"{ctx.modulus:#x} and {ctx.generator}")
-    q = ctx.size
-    n_points, n_lines, n_planes = struct.unpack_from("<III", data, head)
-    off = head + struct.calcsize("<III")
-
-    expect = (n_points + n_planes) * 4 + n_lines * (q + 1)
-    if len(data) != off + 4 * expect:
-        raise ValueError("truncated or padded cache")
-    coords = point_coords(q)
-    canon = b"".join(struct.pack("<4I", *c) for c in coords)
-    if data[off:off + 16 * n_points] != canon:
-        raise ValueError("point coordinates are not the points "
-                         f"of PG(3,{q}) in lex order")
-    # plane i has normal coords[i]; the tables derive the planes from it
-    if data[len(data) - 16 * n_planes:] != canon:
-        raise ValueError("plane normals differ from point coords")
-    if n_lines * q * (q + 1) != n_points * (n_points - 1):
-        raise ValueError(f"{n_lines} lines cannot join each pair "
-                         "of points exactly once")
-    off += 16 * n_points
-    flat = array("I", data[off:off + 4 * (q + 1) * n_lines])
-    if sys.byteorder == "big":
-        flat.byteswap()
-    pmasks = plane_masks(ctx, coords)
-    pmask = pmasks.__getitem__
-    line_masks = []
-    # first line out of lex order, reported after the line count check
-    unordered, prev = None, flat[:0]
-    for li in range(n_lines):
-        pts = flat[li * (q + 1):(li + 1) * (q + 1)]
-        if pts[-1] >= n_points or any(a >= b for a, b in zip(pts, pts[1:])):
-            raise ValueError(f"points of line {li} are out of range "
-                             "or not strictly increasing")
-        # the line of PG(3,q) through the first two points, as a mask
-        mask = meet_mask(pmask, pts[0], pts[1])
-        if sum(1 << p for p in pts) != mask:   # strictly increasing pts
-            raise ValueError(f"line {li} is not the line of PG(3,{q}) "
-                             f"through points {tuple(pts[:2])}")
-        if unordered is None and pts <= prev:
-            unordered = li
-        prev = pts
-        line_masks.append(mask)
-    line_pts = array(POINT_TYPECODE, flat)
-
-    g = GeometryTables.from_arrays(ctx, coords, line_pts, line_masks, pmasks)
-    if len(g.line_of) != n_lines:
-        raise ValueError("some pair of points lies on two lines")
-    # strictly increasing lines are distinct; with the line count checked
-    # above, distinct lines of PG(3,q) are all of them, in build order
-    if unordered is not None:
-        raise ValueError(f"line {unordered} is out of lexicographic order")
+    g = build_geometry(n)
+    want = serialize_geometry(g)
+    if data != want:
+        raise ValueError(_first_difference(data, want, g))
     return g
+
+
+def _first_difference(data: bytes, want: bytes, g: GeometryTables) -> str:
+    """Where data first differs from want, the serialization of g."""
+    off = next((i for i, (a, b) in enumerate(zip(data, want)) if a != b),
+               None)
+    if off is None:
+        return "truncated or padded cache"
+    planes = len(want) - 16 * len(g.planes)
+    lines = planes - 4 * len(g.line_pts)
+    if off < lines:
+        where = "the counts or point coordinates differ"
+    elif off < planes:
+        where = f"line {(off - lines) // (4 * (g.q + 1))} differs"
+    else:
+        where = "plane normals differ"
+    return f"{where} from the build of PG(3,{g.q})"
 
 
 def load_or_build(n: int, cache_dir: Path | None) -> GeometryTables:

@@ -35,8 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extension degree, q = 2^n, n in 1..4")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--cache-dir", type=Path, default=None,
-                        help="read and write the geometry cache here "
-                             "(default: build cold, no cache)")
+                        help="read and write the geometry cache here; a "
+                             "file must equal a fresh build (default: cold)")
         sp.add_argument("--no-cache", action="store_true",
                         help="build cold even if --cache-dir is given")
         sp.add_argument("--seed", type=int, default=0,

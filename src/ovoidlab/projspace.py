@@ -78,36 +78,27 @@ class _LineView(Sequence):
 class GeometryTables:
     """Immutable indexed tables for one PG(3,q); all queries are pure."""
 
-    def __init__(self, ctx: FieldCtx, points, planes, point_index,
-                 line_masks, line_pts):
-        self.ctx = ctx
-        self.q = ctx.size
-        self.points = points
-        self.planes = planes
-        self.point_index = point_index
-        self.line_masks = line_masks    # line index -> point mask
-        self.line_pts = line_pts        # the q+1 sorted points of each line
-        self.line_of = {m: i for i, m in enumerate(line_masks)}
-        self.lines = _LineView(self)
-        self.n_points = len(points)
-        self.all_one = (1 << self.n_points) - 1
-
-    @classmethod
-    def from_arrays(cls, ctx: FieldCtx, coords, line_pts, line_masks,
-                    pmasks) -> GeometryTables:
+    def __init__(self, ctx: FieldCtx, coords, line_pts, line_masks, pmasks):
         """Tables from the normalized point coordinates in lex order, the
         flat array of every line's q+1 sorted points in index order, the
-        lines' point masks, and the plane masks, plane_masks(ctx, coords);
-        the one place where every incidence table is derived.
+        lines' point masks, and the plane masks, plane_masks(ctx, coords).
+        build_geometry is the one caller.
 
         Plane i has normal coords[i]: normalized plane normals are the
         same 4-tuples as the points, in the same order.
         """
-        points = [Point(i, c) for i, c in enumerate(coords)]
-        point_index = {c: i for i, c in enumerate(coords)}
-        planes = [Plane(i, nvec, mask)
-                  for i, (nvec, mask) in enumerate(zip(coords, pmasks))]
-        return cls(ctx, points, planes, point_index, line_masks, line_pts)
+        self.ctx = ctx
+        self.q = ctx.size
+        self.points = [Point(i, c) for i, c in enumerate(coords)]
+        self.planes = [Plane(i, nvec, mask)
+                       for i, (nvec, mask) in enumerate(zip(coords, pmasks))]
+        self.point_index = {c: i for i, c in enumerate(coords)}
+        self.line_masks = line_masks    # line index -> point mask
+        self.line_pts = line_pts        # the q+1 sorted points of each line
+        self.line_of = {m: i for i, m in enumerate(line_masks)}
+        self.lines = _LineView(self)
+        self.n_points = len(coords)
+        self.all_one = (1 << self.n_points) - 1
 
     def line_row(self, li: int) -> array:
         """The q+1 sorted points of line li, a slice of line_pts."""
@@ -324,5 +315,4 @@ def build_geometry(n: int) -> GeometryTables:
             line_pts.extend(pts)
             line_masks.append(mask)
 
-    return GeometryTables.from_arrays(ctx, coords, line_pts, line_masks,
-                                      pmasks)
+    return GeometryTables(ctx, coords, line_pts, line_masks, pmasks)

@@ -91,7 +91,7 @@ def _put_lines(d, lines):
 
 def _labels_5_6_swapped(d):
     # a relabeled 2-design with the right counts, each line and the line
-    # list still sorted: only the plane meets tell it from PG(3,4)
+    # list still sorted: only PG(3,4)'s own lines tell it apart
     swap = {5: 6, 6: 5}
     _put_lines(d, sorted(tuple(sorted(swap.get(p, p) for p in pts))
                          for pts in _line_section(d)))
@@ -114,15 +114,16 @@ def _header_degree_41(d):
     del d[_HEAD:]
 
 
+# a file is accepted only if it is byte-identical to the build, and a
+# rejection names the first section or line that differs
 @pytest.mark.parametrize("corrupt, message", [
-    (_point_out_of_range, "out of range"),
-    (_line_not_increasing, "not strictly increasing"),
+    (_point_out_of_range, "^line 0 differs from the build of PG.3,4.$"),
+    (_line_not_increasing, "^line 0 differs from the build of PG.3,4.$"),
     (_plane_normal_differs, "plane normals differ"),
     (_points_permuted, "point coordinates"),
-    (_pair_on_two_lines, "lies on two lines"),
-    (_labels_5_6_swapped, r"line 21 is not the line of PG\(3,4\) "
-                          r"through points \(1, 5\)"),
-    (_lines_10_200_swapped, "line 11 is out of lexicographic order"),
+    (_pair_on_two_lines, "^line 1 differs from the build of PG.3,4.$"),
+    (_labels_5_6_swapped, "^line 21 differs from the build of PG.3,4.$"),
+    (_lines_10_200_swapped, "^line 10 differs from the build of PG.3,4.$"),
     (_header_truncated, "not an ovoidlab geometry cache"),
     (_header_degree_41, "header degree n=41 is outside the supported range"),
 ])
@@ -148,6 +149,85 @@ def test_load_or_build_uses_cache(tmp_path):
     assert len(files) == 1
     g2 = geocache.load_or_build(2, tmp_path)
     assert geocache.serialize_geometry(g1) == geocache.serialize_geometry(g2)
+
+
+def test_cache_hit_builds_once_and_leaves_the_file(geo3, tmp_path,
+                                                   monkeypatch):
+    path = geocache.save_geometry(geo3, tmp_path)
+    data, before = path.read_bytes(), path.stat()
+    real, builds = geocache.build_geometry, []
+
+    def counted(n):
+        builds.append(n)
+        return real(n)
+
+    monkeypatch.setattr(geocache, "build_geometry", counted)
+    g = geocache.load_or_build(3, tmp_path)
+    assert builds == [3]                   # the load's build, no rebuild
+    assert geocache.serialize_geometry(g) == data
+    after = path.stat()
+    assert path.read_bytes() == data
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _flip(off):
+    def corrupt(d):
+        d[off] ^= 0xFF
+    return corrupt
+
+
+def _appended(d):
+    d.append(0)
+
+
+def _dropped(d):
+    del d[_LINES + 4 * 5 * 100]            # first byte of line 100
+
+
+_DIFFERS = " from the build of PG.3,4.$"
+
+# one flipped byte in each section of the q = 4 file, one appended and one
+# dropped byte, with the reason each is rejected for
+_SWEEP = [pytest.param(corrupt, message, id=name)
+          for name, corrupt, message in (
+    ("magic", _flip(0), "^not an ovoidlab geometry cache$"),
+    ("version", _flip(4), "^cache version 254, expected 1$"),
+    ("n", _flip(8), "^header degree n=253 is outside"),
+    ("modulus", _flip(12), "^header names modulus 0xf8 and generator 2,"),
+    ("generator", _flip(20), "^header names modulus 0x7 and generator 253,"),
+    ("n_points", _flip(28), "^the counts or point coordinates differ"),
+    ("n_lines", _flip(32), "^the counts or point coordinates differ"),
+    ("n_planes", _flip(36), "^the counts or point coordinates differ"),
+    ("first_point", _flip(_HEAD), "^the counts or point coordinates differ"),
+    ("last_point", _flip(_LINES - 4),
+     "^the counts or point coordinates differ"),
+    ("first_line", _flip(_LINES), "^line 0 differs" + _DIFFERS),
+    ("last_line", _flip(_PLANES - 4), "^line 356 differs" + _DIFFERS),
+    ("first_plane", _flip(_PLANES), "^plane normals differ" + _DIFFERS),
+    ("last_plane", _flip(_PLANES + 16 * 85 - 4),
+     "^plane normals differ" + _DIFFERS),
+    ("appended", _appended, "^truncated or padded cache$"),
+    ("dropped", _dropped, "^line 100 differs" + _DIFFERS),
+)]
+
+
+@pytest.mark.parametrize("corrupt, message", _SWEEP)
+def test_corruption_sweep_q4(corrupt, message, geo2, tmp_path, capsys):
+    cold = geocache.serialize_geometry(geo2)
+    data = bytearray(cold)
+    corrupt(data)
+    path = tmp_path / geocache.cache_filename(2, geo2.ctx.modulus)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=message):
+        geocache.load_geometry(path)
+    g = geocache.load_or_build(2, tmp_path)
+    assert geocache.serialize_geometry(g) == cold
+    assert path.read_bytes() == cold
+    err = capsys.readouterr().err
+    assert err.startswith(f"cache: rebuilding {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_load_or_build_rebuilds_cache_of_another_degree(geo1, geo2, tmp_path):
@@ -226,12 +306,11 @@ def test_foreign_modulus_rejected_before_any_table(geo3, tmp_path,
         built.append(args)
         return real(*args)
 
-    def no_table(*args):
-        raise AssertionError("a table was derived from a foreign header")
+    def no_build(*args):
+        raise AssertionError("a geometry was built from a foreign header")
 
     monkeypatch.setattr(geocache, "FieldCtx", spy)
-    monkeypatch.setattr(geocache, "plane_masks", no_table)
-    monkeypatch.setattr(geocache, "point_coords", no_table)
+    monkeypatch.setattr(geocache, "build_geometry", no_build)
     with pytest.raises(ValueError, match="header names modulus 0xd and "
                                          "generator 2, not GF.8.'s 0xb"):
         geocache.load_geometry(bad)
@@ -317,7 +396,7 @@ def test_cli_rebuilds_corrupt_cache(capsys, geo2, tmp_path):
     assert code == 0 and "Traceback" not in err
     assert err.startswith(f"cache: rebuilding {path}: ")
     assert err.count(str(path)) == 1
-    assert "points of line 0 are out of range" in err
+    assert "line 0 differs from the build of PG(3,4)" in err
     assert err.count("\n") == 1
     assert out == run_cli(capsys, "geometry", "--n", "2", "--no-cache")[1]
     loaded = geocache.load_geometry(path)

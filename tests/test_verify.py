@@ -3,12 +3,14 @@ import time
 
 import pytest
 
-from ovoidlab.fibration import Fibration, SingerContext
-from ovoidlab.ovoids import Ovoid
+from ovoidlab.fibration import (Fibration, SingerContext, Spread,
+                                find_regular_spread_in_complex)
+from ovoidlab.ovoids import Ovoid, tangent_lines
 from ovoidlab.verify import (verify_lemma5, verify_main_theorem,
                              verify_proposition1,
                              verify_radical_and_corollary3, verify_segre)
 
+from kfibration import fibrate_ovoid
 from linecols import plane_points
 from test_failure_branches import replaced
 
@@ -61,6 +63,30 @@ def test_suites_pass_q8(suite, request):
     assert r.passed
     assert r.failures == []
     assert r.q == 8
+
+
+def test_suzuki_tits_fibration_reports_q8(tits3, geo3):
+    # a fibration that is no Singer T-orbit fibration: the orbit of the
+    # Suzuki-Tits ovoid under the group fixing a regular spread of its
+    # tangents.  Lemma 5 and the codes suite read T, the Singer subgroup,
+    # so they apply to the Singer family only.
+    lines, nodes = find_regular_spread_in_complex(tangent_lines(tits3, geo3),
+                                                  geo3)
+    assert (len(lines), nodes) == (65, 4)
+    f = fibrate_ovoid(tits3, Spread(tuple(lines)), geo3)
+    assert len(f.members) == 9 and tits3 in f.members
+    assert {ov.kind for ov in f.members} == {"tits-claimed"}
+    reports = [verify_proposition1(f, geo3), verify_main_theorem(f, geo3),
+               verify_segre(tits3, geo3)]
+    assert all(r.passed for r in reports)
+    assert [r.counters for r in reports] == [
+        {"spread": 65, "lines_checked": 4680, "expected_profile": [1, 4, 4],
+         "failures_total": 0},
+        {"theta0_choices": 9, "dual_grids_checked": 18720,
+         "failures_total": 0},
+        {"tangent_lines": 585, "non_tangent_lines": 4160,
+         "ovoid_kind": "tits-claimed", "failures_total": 0},
+    ]
 
 
 def swap_points(ov: Ovoid, g, off_point):
