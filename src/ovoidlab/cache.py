@@ -12,11 +12,11 @@ Layout (all integers little-endian, fixed width):
   plane normal n_planes * 4 * u32
 
 A cache is read or written only in a directory that the caller names, and
-every consumer succeeds cold.  n fixes every table, so a file is valid only
-if it equals the serialization of build_geometry(n); a load checks the
-header, then builds and compares, and costs a build plus the comparison.
-A file is written under a temporary name and renamed into place, so
-concurrent writers never leave a torn file.
+every consumer succeeds cold.  n fixes every table, so the one valid file
+for n is the serialization of build_geometry(n): load_or_build builds
+PG(3,2^n) once, before it reads the file, and a load only compares the
+file's bytes with that build.  A file is written under a temporary name
+and renamed into place, so concurrent writers never leave a torn file.
 """
 
 from __future__ import annotations
@@ -28,12 +28,14 @@ import sys
 from array import array
 from pathlib import Path
 
-from .gfield import MODULI, FieldCtx
-from .projspace import (SUPPORTED_N, GeometryTables, build_geometry,
-                        check_degree)
+from .projspace import GeometryTables, build_geometry
 
 MAGIC = b"OVGE"
 VERSION = 1
+
+# the header fields before the counts, each with its end offset
+_HEADER = ((4, "magic"), (8, "version"), (12, "degree"), (20, "modulus"),
+           (28, "generator"))
 
 
 def cache_filename(n: int, modulus: int) -> str:
@@ -41,19 +43,17 @@ def cache_filename(n: int, modulus: int) -> str:
 
 
 def serialize_geometry(g: GeometryTables) -> bytes:
-    out = [MAGIC,
-           struct.pack("<IIQQ", VERSION, g.ctx.n, g.ctx.modulus,
-                       g.ctx.generator),
-           struct.pack("<III", len(g.points), len(g.lines), len(g.planes))]
-    for p in g.points:
-        out.append(struct.pack("<4I", *p.coords))
+    # plane i's normal is point i's coordinates, so one block serves both
+    coords = b"".join(struct.pack("<4I", *p.coords) for p in g.points)
     flat = array("I", g.line_pts)          # 4-byte ints, little-endian
     if sys.byteorder == "big":
         flat.byteswap()
-    out.append(flat.tobytes())
-    for pl in g.planes:
-        out.append(struct.pack("<4I", *pl.normal))
-    return b"".join(out)
+    return b"".join([
+        MAGIC,
+        struct.pack("<IIQQ", VERSION, g.ctx.n, g.ctx.modulus,
+                    g.ctx.generator),
+        struct.pack("<III", len(g.points), len(g.lines), len(g.planes)),
+        coords, flat.tobytes(), coords])
 
 
 def save_geometry(g: GeometryTables, cache_dir: Path) -> Path:
@@ -72,28 +72,11 @@ def save_geometry(g: GeometryTables, cache_dir: Path) -> Path:
     return path
 
 
-def load_geometry(path: Path) -> GeometryTables:
-    """The build of the degree a cache file's header names, if the file
-    is byte-identical to its serialization.  Raises ValueError otherwise,
-    naming the header field or the first section that differs."""
+def load_geometry(path: Path, g: GeometryTables) -> GeometryTables:
+    """g, if the cache file at path is byte-identical to its
+    serialization.  Raises ValueError otherwise, naming the header field,
+    the section or the line where the file first differs."""
     data = Path(path).read_bytes()
-    head = 4 + struct.calcsize("<IIQQ")
-    if data[:4] != MAGIC or len(data) < head + struct.calcsize("<III"):
-        raise ValueError("not an ovoidlab geometry cache")
-    version, n, modulus, generator = struct.unpack_from("<IIQQ", data, 4)
-    if version != VERSION:
-        raise ValueError(f"cache version {version}, expected {VERSION}")
-    # checked first: no field is built for a degree outside the range
-    if n not in SUPPORTED_N:
-        raise ValueError(f"header degree n={n} is outside the supported "
-                         f"range {SUPPORTED_N[0]}..{SUPPORTED_N[-1]}")
-    # n fixes the field; any other modulus would derive another geometry
-    ctx = FieldCtx(n)
-    if (modulus, generator) != (ctx.modulus, ctx.generator):
-        raise ValueError(f"header names modulus {modulus:#x} and generator "
-                         f"{generator}, not GF({ctx.size})'s "
-                         f"{ctx.modulus:#x} and {ctx.generator}")
-    g = build_geometry(n)
     want = serialize_geometry(g)
     if data != want:
         raise ValueError(_first_difference(data, want, g))
@@ -108,7 +91,10 @@ def _first_difference(data: bytes, want: bytes, g: GeometryTables) -> str:
         return "truncated or padded cache"
     planes = len(want) - 16 * len(g.planes)
     lines = planes - 4 * len(g.line_pts)
-    if off < lines:
+    field = next((name for end, name in _HEADER if off < end), None)
+    if field is not None:
+        where = f"the header's {field} differs"
+    elif off < lines:
         where = "the counts or point coordinates differ"
     elif off < planes:
         where = f"line {(off - lines) // (4 * (g.q + 1))} differs"
@@ -118,21 +104,17 @@ def _first_difference(data: bytes, want: bytes, g: GeometryTables) -> str:
 
 
 def load_or_build(n: int, cache_dir: Path | None) -> GeometryTables:
+    """The build of PG(3,2^n).  With a cache_dir, the cache file there is
+    left as it is if it equals the build, and rewritten otherwise."""
+    g = build_geometry(n)
     if cache_dir is None:
-        return build_geometry(n)
-    check_degree(n)  # before MODULI[n] names the file
-    path = Path(cache_dir) / cache_filename(n, MODULI[n])
+        return g
+    path = Path(cache_dir) / cache_filename(n, g.ctx.modulus)
     if path.exists():
         try:
-            g = load_geometry(path)
+            return load_geometry(path, g)
         except (ValueError, OSError) as exc:
-            reason = exc
-        else:
-            if g.ctx.n == n:
-                return g
-            reason = f"header names n={g.ctx.n}, modulus {g.ctx.modulus:#x}"
-        print(f"cache: rebuilding {path}: {reason}", file=sys.stderr)
-    g = build_geometry(n)
+            print(f"cache: rebuilding {path}: {exc}", file=sys.stderr)
     try:
         save_geometry(g, Path(cache_dir))
     except OSError as exc:  # the cache is best-effort
@@ -142,14 +124,15 @@ def load_or_build(n: int, cache_dir: Path | None) -> GeometryTables:
 
 def export_geometry_json(g: GeometryTables) -> str:
     """Human-readable mirror of the binary cache."""
+    points = [list(p.coords) for p in g.points]
     doc = {
         "format_version": VERSION,
         "n": g.ctx.n,
         "q": g.q,
         "modulus": g.ctx.modulus,
         "generator": g.ctx.generator,
-        "points": [list(p.coords) for p in g.points],
+        "points": points,
         "lines": [list(row) for row in g.line_rows()],
-        "planes": [list(pl.normal) for pl in g.planes],
+        "planes": points,                  # plane i's normal is point i
     }
     return json.dumps(doc, indent=None, separators=(",", ":"))

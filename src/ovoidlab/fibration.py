@@ -6,6 +6,7 @@ search for regular spreads inside a complex."""
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvariantViolation, NotAFibration, NotASpread
 from .gfield import ExtFieldCtx, mat_pow, mult_matrix
@@ -36,17 +37,9 @@ class Fibration:
         self.members = members
 
 
-class Spread:
+class Spread(NamedTuple):
     """Sorted indices of q^2+1 pairwise skew lines; compared by value."""
-
-    def __init__(self, lines: tuple[int, ...]):
-        self.lines = lines
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.lines == self.lines
-
-    def __hash__(self):
-        return hash(self.lines)
+    lines: tuple[int, ...]
 
 
 def singer_context(g: GeometryTables, ext: ExtFieldCtx) -> SingerContext:

@@ -111,8 +111,7 @@ def radical_codim_check(d: BitMat) -> tuple[int, int, int]:
     row, row 0 keeps it as its pivot and every later row is reduced by it
     to row0 + rowi, so the rest of the echelon is a basis of S.  D is S
     plus row 0, and row 0 adds a dimension unless it reduces to zero by
-    S, that is unless the lone parity bit lies in the span.  The echelon
-    of D follows from the same elimination and is kept for later queries.
+    S, that is unless the lone parity bit lies in the span.
     """
     if not d.rows:
         raise EmptyMatrix("code_D matrix has no rows")
@@ -120,9 +119,6 @@ def radical_codim_check(d: BitMat) -> tuple[int, int, int]:
     dp = BitMat((r | parity for r in d.rows), width=d.width + 1)
     sums = dp._build_echelon()[1:]
     rest = dp.reduce(parity)           # row 0 reduced by S
-    if d._echelon is None:
-        extra = [(rest.bit_length() - 1, rest)] if rest else []
-        d._echelon = sorted(sums + extra, reverse=True)
     dim_sum = len(sums)
     dim_d = dim_sum + (rest != 0)
     return dim_d, dim_sum, dim_d - dim_sum

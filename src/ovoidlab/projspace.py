@@ -36,13 +36,6 @@ def line_typecode(n_lines: int) -> str:
     return "H" if n_lines < 1 << 16 else "I"
 
 
-def check_degree(n: int) -> None:
-    """Raise SizeGuard unless n lies in SUPPORTED_N."""
-    if n not in SUPPORTED_N:
-        raise SizeGuard(f"n={n} is outside the supported range "
-                        f"{SUPPORTED_N[0]}..{SUPPORTED_N[-1]}")
-
-
 class Point(NamedTuple):
     index: int
     coords: tuple[int, int, int, int]
@@ -289,7 +282,9 @@ def meet_mask(pmask, i: int, j: int) -> int:
 
 def build_geometry(n: int) -> GeometryTables:
     """Construct the complete PG(3,q) tables for q = 2^n, n in SUPPORTED_N."""
-    check_degree(n)
+    if n not in SUPPORTED_N:
+        raise SizeGuard(f"n={n} is outside the supported range "
+                        f"{SUPPORTED_N[0]}..{SUPPORTED_N[-1]}")
     ctx = FieldCtx(n)
     coords = point_coords(ctx.size)
     pmasks = plane_masks(ctx, coords)

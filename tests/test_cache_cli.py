@@ -5,8 +5,8 @@ import struct
 import pytest
 
 from ovoidlab import cache as geocache
+from ovoidlab import projspace
 from ovoidlab.cli import main
-from ovoidlab.errors import OvoidlabError
 
 from linecols import lines_by_point, plane_points
 
@@ -16,18 +16,20 @@ from linecols import lines_by_point, plane_points
 def test_cache_round_trip(geo2, tmp_path):
     path = geocache.save_geometry(geo2, tmp_path)
     assert path.exists() and path.name.startswith("ovoidlab-geo-v1-n2")
-    loaded = geocache.load_geometry(path)
-    assert geocache.serialize_geometry(loaded) == geocache.serialize_geometry(geo2)
+    fresh = projspace.build_geometry(2)
+    assert geocache.load_geometry(path, fresh) is fresh
 
 
 def test_cache_round_trip_q8(geo3, tmp_path):
-    loaded = geocache.load_geometry(geocache.save_geometry(geo3, tmp_path))
-    assert geocache.serialize_geometry(loaded) == geocache.serialize_geometry(geo3)
-    assert loaded.q == 8 and len(loaded.lines) == 4745
+    path = geocache.save_geometry(geo3, tmp_path)
+    fresh = projspace.build_geometry(3)
+    assert geocache.load_geometry(path, fresh) is fresh
+    assert fresh.q == 8 and len(fresh.lines) == 4745
 
 
 def test_cache_loaded_tables_usable(geo2, tmp_path):
-    loaded = geocache.load_geometry(geocache.save_geometry(geo2, tmp_path))
+    geocache.save_geometry(geo2, tmp_path)
+    loaded = geocache.load_or_build(2, tmp_path)
     assert loaded.pair_to_line == geo2.pair_to_line
     assert loaded.point_index == geo2.point_index
     assert lines_by_point(loaded) == lines_by_point(geo2)
@@ -108,14 +110,14 @@ def _header_truncated(d):
 
 
 def _header_degree_41(d):
-    # x^41 + x^3 + 1 is irreducible: only the range check stops a slow
-    # modulus test and an unbuildable field
+    # x^41 + x^3 + 1 is irreducible: a header naming it is compared with
+    # the build of PG(3,4), and no field of degree 41 is built
     struct.pack_into("<IQ", d, 8, 41, (1 << 41) | 0b1001)
     del d[_HEAD:]
 
 
 # a file is accepted only if it is byte-identical to the build, and a
-# rejection names the first section or line that differs
+# rejection names the first header field, section or line that differs
 @pytest.mark.parametrize("corrupt, message", [
     (_point_out_of_range, "^line 0 differs from the build of PG.3,4.$"),
     (_line_not_increasing, "^line 0 differs from the build of PG.3,4.$"),
@@ -124,8 +126,8 @@ def _header_degree_41(d):
     (_pair_on_two_lines, "^line 1 differs from the build of PG.3,4.$"),
     (_labels_5_6_swapped, "^line 21 differs from the build of PG.3,4.$"),
     (_lines_10_200_swapped, "^line 10 differs from the build of PG.3,4.$"),
-    (_header_truncated, "not an ovoidlab geometry cache"),
-    (_header_degree_41, "header degree n=41 is outside the supported range"),
+    (_header_truncated, "^truncated or padded cache$"),
+    (_header_degree_41, "^the header's degree differs from the build of PG"),
 ])
 def test_cache_rejects_corruption(corrupt, message, geo2, tmp_path):
     data = bytearray(geocache.serialize_geometry(geo2))
@@ -133,14 +135,14 @@ def test_cache_rejects_corruption(corrupt, message, geo2, tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=message):
-        geocache.load_geometry(bad)
+        geocache.load_geometry(bad, geo2)
 
 
-def test_cache_rejects_garbage(tmp_path):
+def test_cache_rejects_garbage(geo2, tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOPE" + bytes(64))
-    with pytest.raises((OvoidlabError, ValueError)):
-        geocache.load_geometry(bad)
+    with pytest.raises(ValueError, match="^the header's magic differs"):
+        geocache.load_geometry(bad, geo2)
 
 
 def test_load_or_build_uses_cache(tmp_path):
@@ -172,6 +174,67 @@ def test_cache_hit_builds_once_and_leaves_the_file(geo3, tmp_path,
     assert list(tmp_path.iterdir()) == [path]
 
 
+def _foreign_modulus_q8(geo3) -> bytes:
+    """geo3's cache with the header naming x^3+x^2+1 (0xD), also
+    primitive with generator x, instead of x^3+x+1."""
+    data = bytearray(geocache.serialize_geometry(geo3))
+    struct.pack_into("<Q", data, 12, 0xD)
+    return bytes(data)
+
+
+def _degree_4_header_q8(geo3) -> bytes:
+    """geo3's cache with the header naming n = 4 and GF(16)'s modulus
+    x^4+x+1 (0x13) and generator 2."""
+    data = bytearray(geocache.serialize_geometry(geo3))
+    struct.pack_into("<IQQ", data, 8, 4, 0x13, 2)
+    return bytes(data)
+
+
+def _flipped_line_q8(geo3) -> bytes:
+    data = bytearray(geocache.serialize_geometry(geo3))
+    data[_HEAD + 16 * len(geo3.points)] ^= 1    # first point of line 0
+    return bytes(data)
+
+
+def _garbage(geo3) -> bytes:
+    return b"NOPE" + bytes(64)
+
+
+# what the q = 8 cache directory holds, and whether its file is rebuilt
+@pytest.mark.parametrize("content, rebuilt", [
+    pytest.param(None, False, id="no_file"),
+    pytest.param(geocache.serialize_geometry, False, id="good"),
+    pytest.param(_flipped_line_q8, True, id="flipped_line"),
+    pytest.param(_foreign_modulus_q8, True, id="foreign_modulus"),
+    pytest.param(_degree_4_header_q8, True, id="degree_4_header"),
+    pytest.param(_garbage, True, id="garbage"),
+])
+def test_load_or_build_builds_once(content, rebuilt, geo3, tmp_path,
+                                   monkeypatch, capsys):
+    # whatever the directory holds, PG(3,8) is built once and nothing else
+    path = tmp_path / geocache.cache_filename(3, geo3.ctx.modulus)
+    if content is not None:
+        path.write_bytes(content(geo3))
+    real, builds = geocache.build_geometry, []
+
+    def counted(n):
+        builds.append(n)
+        return real(n)
+
+    monkeypatch.setattr(geocache, "build_geometry", counted)
+    g = geocache.load_or_build(3, tmp_path)
+    assert builds == [3]
+    good = geocache.serialize_geometry(geo3)
+    assert geocache.serialize_geometry(g) == good
+    assert path.read_bytes() == good
+    err = capsys.readouterr().err
+    if rebuilt:
+        assert err.startswith(f"cache: rebuilding {path}: ")
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def _flip(off):
     def corrupt(d):
         d[off] ^= 0xFF
@@ -192,11 +255,11 @@ _DIFFERS = " from the build of PG.3,4.$"
 # dropped byte, with the reason each is rejected for
 _SWEEP = [pytest.param(corrupt, message, id=name)
           for name, corrupt, message in (
-    ("magic", _flip(0), "^not an ovoidlab geometry cache$"),
-    ("version", _flip(4), "^cache version 254, expected 1$"),
-    ("n", _flip(8), "^header degree n=253 is outside"),
-    ("modulus", _flip(12), "^header names modulus 0xf8 and generator 2,"),
-    ("generator", _flip(20), "^header names modulus 0x7 and generator 253,"),
+    ("magic", _flip(0), "^the header's magic differs" + _DIFFERS),
+    ("version", _flip(4), "^the header's version differs" + _DIFFERS),
+    ("n", _flip(8), "^the header's degree differs" + _DIFFERS),
+    ("modulus", _flip(12), "^the header's modulus differs" + _DIFFERS),
+    ("generator", _flip(20), "^the header's generator differs" + _DIFFERS),
     ("n_points", _flip(28), "^the counts or point coordinates differ"),
     ("n_lines", _flip(32), "^the counts or point coordinates differ"),
     ("n_planes", _flip(36), "^the counts or point coordinates differ"),
@@ -221,7 +284,7 @@ def test_corruption_sweep_q4(corrupt, message, geo2, tmp_path, capsys):
     path = tmp_path / geocache.cache_filename(2, geo2.ctx.modulus)
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=message):
-        geocache.load_geometry(path)
+        geocache.load_geometry(path, geo2)
     g = geocache.load_or_build(2, tmp_path)
     assert geocache.serialize_geometry(g) == cold
     assert path.read_bytes() == cold
@@ -275,7 +338,8 @@ def test_load_or_build_reports_rebuild_and_failed_save(geo1, geo2, tmp_path,
     path.write_bytes(geocache.serialize_geometry(geo1))
     geocache.load_or_build(2, tmp_path)
     assert capsys.readouterr().err == (
-        f"cache: rebuilding {path}: header names n=1, modulus 0x3\n")
+        f"cache: rebuilding {path}: the header's degree differs from the "
+        f"build of PG(3,4)\n")
     geocache.load_or_build(2, tmp_path)           # a hit prints nothing
     assert capsys.readouterr().err == ""
     not_a_dir = tmp_path / "file"
@@ -287,34 +351,29 @@ def test_load_or_build_reports_rebuild_and_failed_save(geo1, geo2, tmp_path,
                           f"{not_a_dir / path.name}: ")
 
 
-def _foreign_modulus_q8(geo3) -> bytes:
-    """geo3's cache with the header naming x^3+x^2+1 (0xD), also
-    primitive with generator x, instead of x^3+x+1."""
-    data = bytearray(geocache.serialize_geometry(geo3))
-    struct.pack_into("<Q", data, 12, 0xD)
-    return bytes(data)
-
-
 def test_foreign_modulus_rejected_before_any_table(geo3, tmp_path,
                                                   monkeypatch):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(_foreign_modulus_q8(geo3))
-    real = geocache.FieldCtx
-    built = []
+    # only GF(8) and PG(3,8) are built: no table of the header's field
+    path = tmp_path / geocache.cache_filename(3, geo3.ctx.modulus)
+    path.write_bytes(_foreign_modulus_q8(geo3))
+    with pytest.raises(ValueError, match="^the header's modulus differs "
+                                         "from the build of PG.3,8.$"):
+        geocache.load_geometry(path, geo3)
+    fields, builds = [], []
+    real_field, real_build = projspace.FieldCtx, geocache.build_geometry
 
-    def spy(*args):
-        built.append(args)
-        return real(*args)
+    def field_spy(*args):
+        fields.append(args)
+        return real_field(*args)
 
-    def no_build(*args):
-        raise AssertionError("a geometry was built from a foreign header")
+    def build_spy(n):
+        builds.append(n)
+        return real_build(n)
 
-    monkeypatch.setattr(geocache, "FieldCtx", spy)
-    monkeypatch.setattr(geocache, "build_geometry", no_build)
-    with pytest.raises(ValueError, match="header names modulus 0xd and "
-                                         "generator 2, not GF.8.'s 0xb"):
-        geocache.load_geometry(bad)
-    assert built == [(3,)]
+    monkeypatch.setattr(projspace, "FieldCtx", field_spy)
+    monkeypatch.setattr(geocache, "build_geometry", build_spy)
+    geocache.load_or_build(3, tmp_path)
+    assert (fields, builds) == ([(3,)], [3])
 
 
 def test_load_or_build_rebuilds_foreign_modulus(geo3, tmp_path, capsys):
@@ -322,8 +381,8 @@ def test_load_or_build_rebuilds_foreign_modulus(geo3, tmp_path, capsys):
     path.write_bytes(_foreign_modulus_q8(geo3))
     g = geocache.load_or_build(3, tmp_path)
     assert capsys.readouterr().err == (
-        f"cache: rebuilding {path}: header names modulus 0xd and generator "
-        f"2, not GF(8)'s 0xb and 2\n")
+        f"cache: rebuilding {path}: the header's modulus differs from the "
+        f"build of PG(3,8)\n")
     assert (g.ctx.modulus, g.q) == (0xB, 8)
     assert path.read_bytes() == geocache.serialize_geometry(geo3)
 
@@ -399,9 +458,7 @@ def test_cli_rebuilds_corrupt_cache(capsys, geo2, tmp_path):
     assert "line 0 differs from the build of PG(3,4)" in err
     assert err.count("\n") == 1
     assert out == run_cli(capsys, "geometry", "--n", "2", "--no-cache")[1]
-    loaded = geocache.load_geometry(path)
-    assert geocache.serialize_geometry(loaded) == \
-        geocache.serialize_geometry(geo2)
+    assert path.read_bytes() == geocache.serialize_geometry(geo2)
 
 
 def _without_elapsed(out: str) -> list:

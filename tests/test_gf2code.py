@@ -236,7 +236,7 @@ def test_radical_check_matches_two_eliminations(case):
     for rows in variants:
         d = BitMat(rows, width=m.width)
         assert radical_codim_check(d) == radical_oracle(rows, m.width)
-        # the echelon the check leaves on D is one of D
+        # D's echelon, built when first read, is one of D
         assert_echelon_matches_oracle(d, probes)
 
 
