@@ -110,11 +110,11 @@ def load_or_build(n: int, cache_dir: Path | None) -> GeometryTables:
     if cache_dir is None:
         return g
     path = Path(cache_dir) / cache_filename(n, g.ctx.modulus)
-    if path.exists():
-        try:
+    try:  # a path that cannot be stat'ed is a cache that cannot be read
+        if path.exists():
             return load_geometry(path, g)
-        except (ValueError, OSError) as exc:
-            print(f"cache: rebuilding {path}: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"cache: rebuilding {path}: {exc}", file=sys.stderr)
     try:
         save_geometry(g, Path(cache_dir))
     except OSError as exc:  # the cache is best-effort

@@ -62,9 +62,9 @@ def perm_cycles(perm) -> list[list[int]]:
     """The cycles of perm, each walked from its least element, in
     increasing order of those elements.
 
-    Raises InvariantViolation when a walk runs into an earlier walk
-    instead of closing on its own start, which happens exactly when perm
-    is not a permutation of range(len(perm)).
+    Raises InvariantViolation when a walk leaves range(len(perm)) or runs
+    into an earlier walk instead of closing on its own start, which
+    happens exactly when perm is not a permutation of range(len(perm)).
     """
     seen = [False] * len(perm)
     out = []
@@ -77,6 +77,9 @@ def perm_cycles(perm) -> list[list[int]]:
             seen[cur] = True
             cycle.append(cur)
             cur = perm[cur]
+            if not 0 <= cur < len(perm):
+                raise InvariantViolation(
+                    f"the walk from {start} leaves the range at {cur}")
         if cur != start:
             raise InvariantViolation(
                 f"the walk from {start} runs into {cur} without closing")

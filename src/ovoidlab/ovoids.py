@@ -137,8 +137,8 @@ def fit_quadric(s, g: GeometryTables) -> tuple[int, ...]:
     exactly s; raises NoQuadric if none exists.
 
     Candidates are the projective classes of the nullspace of the
-    evaluation system; enumeration is capped, which never binds at desk
-    scale (nullity is 0 or 1 for every input the package produces).
+    evaluation system, or its basis alone above 4096 classes.  The nullity
+    is 1 for an elliptic quadric at q >= 4 and 5 for an ovoid of PG(3,2).
     """
     ctx = g.ctx
     rows = []

@@ -26,11 +26,30 @@ _Q2_NOTE = "q=2 is outside the paper's hypotheses (q = 2^n > 2); advisory only"
 
 
 class VerificationReport:
-    def __init__(self, theorem: str, q: int, passed: bool, counters: dict,
-                 failures: list, elapsed_ms: int, advisory: str | None = None):
-        self.theorem, self.q, self.passed = theorem, q, passed
-        self.counters, self.failures = counters, failures
-        self.elapsed_ms, self.advisory = elapsed_ms, advisory
+    """One suite's report, filled while the suite runs: its counters and
+    failure witnesses, capped at MAX_WITNESSES while the count of failures
+    is not, timed from construction to finish()."""
+
+    def __init__(self, theorem: str, g: GeometryTables):
+        self.theorem, self.q = theorem, g.q
+        self.counters: dict = {}
+        self.failures: list = []
+        self.failures_total = 0
+        self.advisory = _Q2_NOTE if g.q == 2 else None
+        self.passed, self.elapsed_ms = None, None
+        self._start = time.monotonic()
+
+    def fail(self, description: str, indices=()) -> None:
+        self.failures_total += 1
+        if len(self.failures) < MAX_WITNESSES:
+            self.failures.append({"witness": description,
+                                  "indices": list(indices)})
+
+    def finish(self) -> "VerificationReport":
+        self.counters["failures_total"] = self.failures_total
+        self.passed = self.failures_total == 0
+        self.elapsed_ms = int((time.monotonic() - self._start) * 1000)
+        return self
 
     def to_dict(self) -> dict:
         out = {
@@ -46,44 +65,14 @@ class VerificationReport:
         return out
 
 
-class _Recorder:
-    """Shared failure bookkeeping: witnesses are capped, counts are not."""
-
-    def __init__(self):
-        self.failures: list = []
-        self.count = 0
-
-    def fail(self, description: str, indices=()):
-        self.count += 1
-        if len(self.failures) < MAX_WITNESSES:
-            self.failures.append({"witness": description,
-                                  "indices": list(indices)})
-
-
-def _finish(theorem: str, g: GeometryTables, rec: _Recorder,
-            counters: dict, start: float) -> VerificationReport:
-    counters["failures_total"] = rec.count
-    return VerificationReport(
-        theorem=theorem,
-        q=g.q,
-        passed=rec.count == 0,
-        counters=counters,
-        failures=rec.failures,
-        elapsed_ms=int((time.monotonic() - start) * 1000),
-        advisory=_Q2_NOTE if g.q == 2 else None,
-    )
-
-
 def verify_proposition1(f: Fibration, g: GeometryTables) -> VerificationReport:
     """Common tangents form a regular spread; tangent complexes pairwise
     meet in it; every non-spread line has profile (1, q/2, q/2)."""
-    start = time.monotonic()
-    rec = _Recorder()
+    rec = VerificationReport("proposition1", g)
     q = g.q
-    counters: dict = {}
 
     common = common_tangents(f, g)
-    counters["spread"] = len(common)
+    rec.counters["spread"] = len(common)
     spread_set = set(common)
     if len(common) != q * q + 1:
         rec.fail(f"common tangent set has {len(common)} lines, "
@@ -111,24 +100,22 @@ def verify_proposition1(f: Fibration, g: GeometryTables) -> VerificationReport:
     for i, prof in enumerate(tangency_table(f, g)[0]):
         if i not in spread_set and prof != want:
             rec.fail(f"line {i} has profile {prof}, expected {want}", (i,))
-    counters["lines_checked"] = len(g.line_masks) - len(spread_set)
-    counters["expected_profile"] = list(want)
-    return _finish("proposition1", g, rec, counters, start)
+    rec.counters["lines_checked"] = len(g.line_masks) - len(spread_set)
+    rec.counters["expected_profile"] = list(want)
+    return rec.finish()
 
 
 def verify_lemma5(sc: SingerContext) -> VerificationReport:
     """T-orbit sum of every line is the all-one vector (spread lines) or
     the characteristic vector of the unique tangent T-orbit."""
-    start = time.monotonic()
     g = sc.geometry
-    rec = _Recorder()
-    counters: dict = {}
+    rec = VerificationReport("lemma5", g)
     try:
         fib = t_orbit_fibration(sc)
         spread = set(common_tangent_spread(fib, g).lines)
     except OvoidlabError as exc:
         rec.fail(f"T-orbit setup failed: {exc}")
-        return _finish("lemma5", g, rec, counters, start)
+        return rec.finish()
 
     labels = tangency_table(fib, g)[1]
     in_spread = not_in_spread = 0
@@ -149,11 +136,11 @@ def verify_lemma5(sc: SingerContext) -> VerificationReport:
             elif s != fib.members[lbl].mask:
                 rec.fail(f"line {li} orbit sum differs from its "
                          f"tangent orbit E_{lbl}", (li, lbl))
-    counters["lines_in_spread"] = in_spread
-    counters["lines_not_in_spread"] = not_in_spread
-    counters["weight_histogram"] = {str(k): v for k, v
-                                    in sorted(weight_hist.items())}
-    return _finish("lemma5", g, rec, counters, start)
+    rec.counters["lines_in_spread"] = in_spread
+    rec.counters["lines_not_in_spread"] = not_in_spread
+    rec.counters["weight_histogram"] = {str(k): v for k, v
+                                        in sorted(weight_hist.items())}
+    return rec.finish()
 
 
 def verify_main_theorem(f: Fibration, g: GeometryTables,
@@ -164,9 +151,7 @@ def verify_main_theorem(f: Fibration, g: GeometryTables,
     theta0=None sweeps every member as the distinguished ovoid.  A
     fibration with no members, or a theta0 naming no member, fails.
     """
-    start = time.monotonic()
-    rec = _Recorder()
-    counters: dict = {}
+    rec = VerificationReport("main_theorem", g)
     n_members = len(f.members)
     if not n_members:
         rec.fail("the fibration has no members")
@@ -198,9 +183,9 @@ def verify_main_theorem(f: Fibration, g: GeometryTables,
             elif j == k or j == t0 or k == t0:
                 rec.fail(f"dual grid ({m},{mp}) of W(theta_{t0}) "
                          f"has labels ({j},{k})", (t0, m, mp))
-    counters["theta0_choices"] = choices_done
-    counters["dual_grids_checked"] = grids_checked
-    return _finish("main_theorem", g, rec, counters, start)
+    rec.counters["theta0_choices"] = choices_done
+    rec.counters["dual_grids_checked"] = grids_checked
+    return rec.finish()
 
 
 def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
@@ -211,21 +196,23 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
     sum of two distinct nonzero-labeled T-orbits.
 
     The form must be the polarity of the least T-orbit (label 0)."""
-    start = time.monotonic()
     g = sc.geometry
-    rec = _Recorder()
-    counters: dict = {}
+    rec = VerificationReport("radical_corollary3", g)
     try:
         fib = t_orbit_fibration(sc)
     except OvoidlabError as exc:
         rec.fail(f"T-orbit setup failed: {exc}")
-        return _finish("radical_corollary3", g, rec, counters, start)
+        return rec.finish()
 
     # W(q)-lines: the polar map's fixed points; dual grids: its 2-cycles
-    polar = polar_lines(form, g)
+    try:
+        polar = polar_lines(form, g)
+    except OvoidlabError as exc:  # a degenerate form has no polar map
+        rec.fail(f"polar map of the form failed: {exc}")
+        return rec.finish()
     n_grids = sum(m < mp for m, mp in enumerate(polar))
-    counters["lines_of_W"] = sum(m == mp for m, mp in enumerate(polar))
-    counters["dual_grids"] = n_grids
+    rec.counters["lines_of_W"] = sum(m == mp for m, mp in enumerate(polar))
+    rec.counters["dual_grids"] = n_grids
 
     # the T-module ranks when T provably maps both row sets onto
     # themselves, else one elimination of each code
@@ -239,9 +226,9 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
     else:
         dim_c, dim_d, dim_sum, d_in_c_perp = fast
     codim = dim_d - dim_sum
-    counters.update(dim_C=dim_c, dim_C_perp=g.n_points - dim_c,
-                    dim_D=dim_d, dim_pairwise_sum_span=dim_sum,
-                    radical_codim=codim)
+    rec.counters.update(dim_C=dim_c, dim_C_perp=g.n_points - dim_c,
+                        dim_D=dim_d, dim_pairwise_sum_span=dim_sum,
+                        radical_codim=codim)
     if codim != 1:
         rec.fail(f"radical codimension is {codim}, expected 1")
 
@@ -279,7 +266,7 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
         elif s != fib.members[i].mask ^ fib.members[j].mask:
             rec.fail(f"sigma of dual grid ({m},{mp}) is not E_{i} + E_{j}",
                      (m, mp))
-    return _finish("radical_corollary3", g, rec, counters, start)
+    return rec.finish()
 
 
 def tangents_by_point(theta: Ovoid, tangents, g: GeometryTables) -> dict:
@@ -296,20 +283,18 @@ def verify_segre(theta: Ovoid, g: GeometryTables) -> VerificationReport:
     """The Segre polarity of an ovoid exists, its isotropic lines are the
     tangents, tangent planes match point perps, and perp swaps secant and
     external lines."""
-    start = time.monotonic()
-    rec = _Recorder()
-    counters: dict = {}
+    rec = VerificationReport("segre", g)
     try:
         tset = set(tangent_lines(theta, g))
     except OvoidlabError as exc:
         rec.fail(f"tangent sweep failed: {exc}")
-        return _finish("segre", g, rec, counters, start)
-    counters["tangent_lines"] = len(tset)
+        return rec.finish()
+    rec.counters["tangent_lines"] = len(tset)
     try:
         form = polarity_from_ovoid(theta, g)
     except NoPolarity as exc:
         rec.fail(f"no symplectic polarity: {exc}")
-        return _finish("segre", g, rec, counters, start)
+        return rec.finish()
 
     iso = set(isotropic_lines(form, g))
     if iso != tset:
@@ -338,6 +323,6 @@ def verify_segre(theta: Ovoid, g: GeometryTables) -> VerificationReport:
         if meets[i] != 1 and pair != {0, 2}:
             rec.fail(f"line {i} and its perp meet the ovoid in "
                      f"{sorted(pair)} points", (i, mp))
-    counters["non_tangent_lines"] = len(g.line_masks) - len(tset)
-    counters["ovoid_kind"] = theta.kind
-    return _finish("segre", g, rec, counters, start)
+    rec.counters["non_tangent_lines"] = len(g.line_masks) - len(tset)
+    rec.counters["ovoid_kind"] = theta.kind
+    return rec.finish()

@@ -461,6 +461,18 @@ def test_cli_rebuilds_corrupt_cache(capsys, geo2, tmp_path):
     assert path.read_bytes() == geocache.serialize_geometry(geo2)
 
 
+def test_cli_cache_dir_that_cannot_be_stated(capsys, tmp_path):
+    # a 300-character name: stat and mkdir both fail with ENAMETOOLONG
+    # (whether stat raises or reports a miss depends on the Python version)
+    unusable = str(tmp_path / ("d" * 300))
+    code, out, err = run_cli(capsys, "geometry", "--n", "1",
+                             "--cache-dir", unusable)
+    assert (code, out) == run_cli(capsys, "geometry", "--n", "1",
+                                  "--no-cache")[:2]
+    assert err
+    assert all(line.startswith("cache: ") for line in err.splitlines())
+
+
 def _without_elapsed(out: str) -> list:
     reports = json.loads(out)
     for rep in reports:

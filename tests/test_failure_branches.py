@@ -16,10 +16,10 @@ from ovoidlab.fibration import (Fibration, SingerContext,
                                 common_tangent_spread)
 from ovoidlab.gf2code import BitMat
 from ovoidlab.ovoids import Ovoid
-from ovoidlab.symplectic import polarity_from_ovoid
+from ovoidlab.symplectic import SymplecticForm, polarity_from_ovoid
 from ovoidlab.verify import (verify_lemma5, verify_main_theorem,
                              verify_proposition1,
-                             verify_radical_and_corollary3)
+                             verify_radical_and_corollary3, verify_segre)
 
 from test_regulus_kernel import regulus
 
@@ -152,6 +152,48 @@ def singer_report(key: str, sc, form, monkeypatch) -> dict:
 def test_lemma5_and_codes_report_is_pinned(key, sc2, form2, monkeypatch):
     assert_pinned(singer_report(key, sc2, form2, monkeypatch),
                   SINGER_REPORTS[key])
+
+
+# the rank-2 form x0 y1 + x1 y0: it has no polar map
+DEGENERATE = SymplecticForm(gram=((0, 1, 0, 0), (1, 0, 0, 0),
+                                  (0, 0, 0, 0), (0, 0, 0, 0)))
+
+
+def not_a_permutation(sc: SingerContext, entry=None) -> SingerContext:
+    """sc with point 1 sent where point 0 goes, or to `entry`."""
+    perm = list(sc.t_perm)
+    perm[1] = perm[0] if entry is None else entry
+    return replaced(sc, t_perm=tuple(perm))
+
+
+# each entry: (sc, geometry, form of member 0) -> report;
+# an empty fibration and plane 0 as member 0 are pinned in full for Prop 1
+# and the main theorem above (no_members, theta0_is_plane0)
+MALFORMED = {
+    "codes/degenerate_form":
+        lambda sc, g, form: verify_radical_and_corollary3(DEGENERATE, sc),
+    "codes/t_perm_not_a_permutation":
+        lambda sc, g, form: verify_radical_and_corollary3(
+            form, not_a_permutation(sc)),
+    "codes/t_perm_out_of_range":
+        lambda sc, g, form: verify_radical_and_corollary3(
+            form, not_a_permutation(sc, g.n_points)),
+    "lemma5/t_perm_not_a_permutation":
+        lambda sc, g, form: verify_lemma5(not_a_permutation(sc)),
+    "lemma5/t_perm_truncated":
+        lambda sc, g, form: verify_lemma5(
+            replaced(sc, t_perm=sc.t_perm[:-1])),
+    "segre/plane0": lambda sc, g, form: verify_segre(
+        Ovoid.from_points(plane_points(g.planes[0])), g),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_gives_a_failing_report(case, sc2, geo2, form2):
+    report = MALFORMED[case](sc2, geo2, form2)
+    assert not report.passed and report.failures
+    assert report.counters["failures_total"] >= len(report.failures)
+    json.dumps(report.to_dict())
 
 
 def swapped_line_set(spread, g) -> list[int]:

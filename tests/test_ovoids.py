@@ -185,6 +185,27 @@ def test_fit_quadric_on_singer_orbits(fib2, geo2):
         assert any(coeffs)
 
 
+def test_fit_quadric_q2_enumerates_projective_classes(geo1):
+    # an ovoid of PG(3,2) has 5 points, which leave the 10 coefficients a
+    # nullspace of dimension 5: the fit walks its 31 projective classes
+    from ovoidlab.gfield import ExtFieldCtx, nullspace
+    from ovoidlab.fibration import singer_context, t_orbit_fibration
+    from ovoidlab.ovoids import _MONOMIALS, _eval_quadric
+    quadric = elliptic_quadric(geo1)
+    orbits = t_orbit_fibration(singer_context(geo1, ExtFieldCtx.build(1)))
+    for ov in (quadric,) + orbits.members:
+        rows = [[geo1.ctx.mul(geo1.points[p].coords[i],
+                              geo1.points[p].coords[j])
+                 for i, j in _MONOMIALS] for p in ov.pts]
+        assert len(nullspace(geo1.ctx, rows, 10)) == 5
+        coeffs = fit_quadric(ov.pts, geo1)
+        assert {p.index for p in geo1.points
+                if _eval_quadric(geo1.ctx, coeffs, p.coords) == 0
+                } == set(ov.pts)
+    # the constructor's x0 x1 + x2^2 + x2 x3 + x3^2
+    assert fit_quadric(quadric.pts, geo1) == (0, 1, 0, 0, 0, 0, 0, 1, 1, 1)
+
+
 def test_w_ovoid_is_pg_ovoid(quadric2, geo2):
     # pairwise non-collinearity in W(q) forces the PG(3,q) ovoid property
     from ovoidlab.symplectic import isotropic_lines, polarity_from_ovoid

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from ovoidlab import verify
 from ovoidlab.fibration import (Fibration, SingerContext, Spread,
                                 find_regular_spread_in_complex)
 from ovoidlab.ovoids import Ovoid, tangent_lines
@@ -329,6 +330,30 @@ def test_report_determinism(fib2, geo2):
     assert a == b
 
 
+@pytest.mark.parametrize("cap", [0, 20])
+def test_report_caps_witnesses_not_the_count(cap, geo2, monkeypatch):
+    monkeypatch.setattr(verify, "MAX_WITNESSES", cap)
+    rec = verify.VerificationReport("t", geo2)
+    for i in range(cap + 5):
+        rec.fail(f"w{i}", (i,))
+    r = rec.finish()
+    assert r is rec and r.passed is False
+    assert r.failures == [{"witness": f"w{i}", "indices": [i]}
+                          for i in range(cap)]
+    assert r.counters == {"failures_total": cap + 5}
+    assert list(r.to_dict()) == ["theorem", "q", "pass", "counters",
+                                 "failures", "elapsed_ms"]
+
+
+def test_report_without_failures_passes(geo1):
+    r = verify.VerificationReport("t", geo1).finish()
+    assert r.passed is True and isinstance(r.elapsed_ms, int)
+    assert r.to_dict() == {"theorem": "t", "q": 2, "pass": True,
+                           "counters": {"failures_total": 0},
+                           "failures": [], "elapsed_ms": r.elapsed_ms,
+                           "advisory": verify._Q2_NOTE}
+
+
 def test_failure_witnesses_capped(fib2, geo2):
     r = verify_proposition1(corrupt_fibration(fib2, geo2), geo2)
     assert len(r.failures) <= 20
@@ -338,7 +363,6 @@ def test_failure_witnesses_capped(fib2, geo2):
 def test_segre_mutation_secant_polar_of_a_secant(quadric2, geo2, monkeypatch):
     # a polar map sending one secant line to another secant: only the
     # perp-swap check can see it, and only by reading the polar line
-    from ovoidlab import verify
     secants = [ln.index for ln in geo2.lines
                if (ln.mask & quadric2.mask).bit_count() == 2]
     a, b = secants[:2]
