@@ -1,17 +1,18 @@
 """Singer group machinery: the cyclic generator from GF(q^4) multiplication,
 its subgroup T of order q^2+1, the cycles of a permutation, T-orbit
-fibrations, common-tangent spreads and regularity checks, plus a budgeted
-search for regular spreads inside a complex."""
+fibrations, the orbits of a verified group on their members and lines,
+common-tangent spreads and regularity checks, plus a budgeted search for
+regular spreads inside a complex."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import InvariantViolation, NotAFibration, NotASpread
 from .gfield import ExtFieldCtx, mat_pow, mult_matrix
-from .ovoids import Ovoid, is_ovoid, line_meets
-from .projspace import GeometryTables, point_permutation
+from .ovoids import Ovoid, is_ovoid
+from .projspace import GeometryTables, line_permutation, point_permutation
 
 
 class SingerContext:
@@ -31,10 +32,17 @@ class SingerContext:
 class Fibration:
     """q+1 pairwise disjoint ovoids covering every point, labeled by
     least contained point index; hashed and compared by identity, so
-    tables cached on it never hash the members."""
+    tables cached on it never hash the members.
 
-    def __init__(self, members: tuple[Ovoid, ...]):
-        self.members = members
+    group, if given, is claimed to preserve the fibration: any object with
+    the attributes gen and t_gen, each a 4x4 matrix over GF(q) or None,
+    such as the SingerContext.  gen should permute the members in one
+    cycle and t_gen fix each member; fibration_orbits checks both before a
+    suite reads one line per orbit.
+    """
+
+    def __init__(self, members: tuple[Ovoid, ...], group=None):
+        self.members, self.group = members, group
 
 
 class Spread(NamedTuple):
@@ -89,8 +97,13 @@ def perm_cycles(perm) -> list[list[int]]:
 
 @lru_cache(maxsize=2)
 def t_orbit_fibration(sc: SingerContext) -> Fibration:
-    """The point T-orbits, each an elliptic ovoid, as a fibration; built
-    once per Singer context."""
+    """The point T-orbits, each an elliptic ovoid, as a fibration whose
+    group is the Singer group; built once per Singer context.
+
+    The Singer generator, once fibration_orbits has checked that it
+    permutes the orbits in one cycle, maps the lines meeting member 0 in
+    at most two points onto those of every other member, so member 0's
+    ovoid check proves them all."""
     g = sc.geometry
     q = g.q
     try:
@@ -100,11 +113,171 @@ def t_orbit_fibration(sc: SingerContext) -> Fibration:
     if len(orbits) != q + 1 or any(len(o) != q * q + 1 for o in orbits):
         raise NotAFibration("T-orbits do not split as q+1 sets of q^2+1")
     # perm_cycles lists the orbits by least point, the member label order
-    members = tuple(Ovoid.from_points(o, "orbit") for o in orbits)
-    for ov in members:
-        if not is_ovoid(ov.pts, g):
+    fib = Fibration(tuple(Ovoid.from_points(o, "orbit") for o in orbits),
+                    group=sc)
+    for i, _ in fibration_orbits(fib, g).members:
+        if not is_ovoid(fib.members[i].pts, g):
             raise NotAFibration("a T-orbit failed the ovoid check")
-    return Fibration(members)
+    return fib
+
+
+@lru_cache(maxsize=2)
+def collineation_lines(g: GeometryTables, m) -> list[int]:
+    """line_permutation of the collineation with matrix m, computed once
+    per matrix; the orbits of T and the codes suite's T-module share T's.
+    Raises InvariantViolation for a singular matrix."""
+    return line_permutation(g, point_permutation(g, m))
+
+
+def commute(a, b) -> bool:
+    """True iff the permutations a and b of one range commute, checked
+    entry by entry until the first that differs."""
+    return not any(a[x] != b[y] for x, y in zip(b, a))
+
+
+def orbit_leaders(perm, partner, items) -> list[int]:
+    """The entries of `items` whose orbit under perm, partners included,
+    holds no earlier one; partner is an involution that commutes with
+    perm, such as a polar map."""
+    seen = [False] * len(perm)
+    out = []
+    for x in items:
+        if not seen[x]:
+            out.append(x)
+            while not seen[x]:
+                seen[x] = seen[partner[x]] = True
+                x = perm[x]
+    return out
+
+
+def _image_masks(f: Fibration, g: GeometryTables, m) -> list[int] | None:
+    """The point masks of the members' images under the collineation with
+    matrix m, its point permutation recomputed from m; None if m is
+    singular."""
+    try:
+        perm = point_permutation(g, m)
+    except InvariantViolation:
+        return None
+    out = []
+    for ov in f.members:
+        mask = 0
+        for p in ov.pts:
+            mask |= 1 << perm[p]
+        out.append(mask)
+    return out
+
+
+def _cycles_members(f: Fibration, g: GeometryTables, gen) -> bool:
+    """True iff gen maps the q+1 members onto members in one cycle."""
+    images = _image_masks(f, g, gen)
+    if images is None or len(images) != g.q + 1:
+        return False
+    index = {ov.mask: i for i, ov in enumerate(f.members)}
+    moved = [index.get(mask) for mask in images]
+    if None in moved:
+        return False
+    try:
+        return len(perm_cycles(moved)) == 1
+    except InvariantViolation:         # two members onto one
+        return False
+
+
+class Orbits:
+    """One representative per orbit of a group of collineations that
+    preserves a fibration, each with the size of its orbit.
+
+    members holds (member, orbit size) for the group's orbits on the
+    members; lines holds (line, orbit size) for the orbits on the lines of
+    T, the subgroup fixing every member, and t_lines is T's line
+    permutation.  Each representative is the least entry of its orbit.
+    Under the trivial group every member and every line is its own
+    representative, of size 1, and t_lines is the identity.
+
+    gen and t_gen generate the group.  gen is kept only if it maps the
+    members onto themselves in one cycle of length q+1, and t_gen only if
+    it maps each member onto itself and every cycle of its line
+    permutation has length q^2+1; each point permutation is recomputed
+    from its matrix.
+    """
+
+    def __init__(self, f: Fibration, g: GeometryTables, gen=None,
+                 t_gen=None):
+        self.f, self.g, self._t_gen = f, g, t_gen
+        n = len(f.members)
+        if gen is not None and _cycles_members(f, g, gen):
+            self.members = [(0, n)]
+        else:
+            self.members = [(i, 1) for i in range(n)]
+
+    @cached_property
+    def _line_orbits(self) -> tuple:
+        """(t_lines, lines), found when a suite first reads the lines."""
+        g, t_gen = self.g, self._t_gen
+        if t_gen is not None and _image_masks(self.f, g, t_gen) == [
+                ov.mask for ov in self.f.members]:
+            tl = collineation_lines(g, t_gen)
+            try:
+                cycles = perm_cycles(tl)
+            except InvariantViolation:
+                cycles = []
+            if cycles and all(len(c) == g.q * g.q + 1 for c in cycles):
+                return tl, [(c[0], len(c)) for c in cycles]
+        n = len(g.line_masks)
+        return range(n), [(i, 1) for i in range(n)]
+
+    @property
+    def t_lines(self):
+        return self._line_orbits[0]
+
+    @property
+    def lines(self) -> list[tuple[int, int]]:
+        return self._line_orbits[1]
+
+    @property
+    def reduced(self) -> bool:
+        """True unless this is the trivial group."""
+        return (len(self.members) < len(self.f.members)
+                or len(self.lines) < len(self.t_lines))
+
+    def orbit(self, li: int) -> list[int]:
+        """The lines of li's orbit, from li."""
+        out, nxt = [li], self.t_lines[li]
+        while nxt != li:
+            out.append(nxt)
+            nxt = self.t_lines[nxt]
+        return out
+
+    def grids(self, polar) -> list[tuple[int, int, int]] | None:
+        """(m, m^perp, orbit size) for one dual grid per orbit of T on the
+        2-cycles m < m^perp of the polar map, m the least line of its
+        grid's orbit; None unless T commutes with the polar map.
+
+        T's orbits on lines have odd length, so a line's polar, unless it
+        is the line itself, lies in another orbit: a grid's orbit is two
+        line orbits, and their least line lies on the lesser side."""
+        tl = self.t_lines
+        if not commute(tl, polar):
+            return None
+        size = dict(self.lines)
+        return [(m, polar[m], size[m]) for m in orbit_leaders(
+            tl, polar, (i for i, j in enumerate(polar) if i < j))]
+
+
+@lru_cache(maxsize=2)
+def fibration_orbits(f: Fibration, g: GeometryTables) -> Orbits:
+    """The orbits of f.group on f's members and lines, each generator
+    kept only if its checks pass; those of the trivial group if f has no
+    group.  Built once per fibration."""
+    group = f.group
+    if group is None:
+        return trivial_orbits(f, g)
+    return Orbits(f, g, group.gen, group.t_gen)
+
+
+def trivial_orbits(f: Fibration, g: GeometryTables) -> Orbits:
+    """Every member and every line of f, each its own orbit: the full
+    sweep."""
+    return Orbits(f, g)
 
 
 def tangency_profile(line_mask: int, f: Fibration) -> tuple[int, int, int]:
@@ -136,36 +309,14 @@ def tangent_member(line_mask: int, f: Fibration) -> int | None:
     return found
 
 
-# the suites read one fibration at a time; a small cache keeps peak
-# memory flat while holding few geometries alive
-@lru_cache(maxsize=2)
-def tangency_table(f: Fibration, g: GeometryTables
-                   ) -> tuple[tuple[tuple[int, int, int], ...],
-                              tuple[int | None, ...]]:
-    """(profiles, labels): entry i holds tangency_profile and
-    tangent_member of line i.
-
-    Read from the members' line_meets vectors, not from a per-point
-    label, because the members of a corrupted fibration can overlap.
-    """
-    vecs = [line_meets(ov.mask, g) for ov in f.members]
-    profiles, labels = [], []
-    share = {}.setdefault          # one tuple per distinct profile
-    # the masks lead the zip, so every line gets an entry even with no members
-    for _, *col in zip(g.line_masks, *vecs):
-        tan, sec, ext = col.count(1), col.count(2), col.count(0)
-        # a tangent count of -1 flags a meet above 2, as in tangency_profile
-        prof = (tan if tan + sec + ext == len(col) else -1, sec, ext)
-        profiles.append(share(prof, prof))
-        labels.append(col.index(1) if tan == 1 else None)
-    return tuple(profiles), tuple(labels)
-
-
 def common_tangents(f: Fibration, g: GeometryTables) -> list[int]:
-    """Sorted indices of the lines tangent to every member."""
-    every = (len(f.members), 0, 0)
-    return [i for i, prof in enumerate(tangency_table(f, g)[0])
-            if prof == every]
+    """Sorted indices of the lines tangent to every member, read on one
+    line per orbit of the fibration's group (fibration_orbits)."""
+    orbits = fibration_orbits(f, g)
+    every, masks = (len(f.members), 0, 0), g.line_masks
+    return sorted(li for rep, _ in orbits.lines
+                  if tangency_profile(masks[rep], f) == every
+                  for li in orbits.orbit(rep))
 
 
 def common_tangent_spread(f: Fibration, g: GeometryTables) -> Spread:
@@ -203,6 +354,27 @@ def is_regular_spread(s: Spread, g: GeometryTables, *,
     check walks the line pairs and computes q(q^2+1) reguli instead of one
     per triple.
     """
+    return _reguli_inside(s, g, range(len(s.lines)), sample, seed)
+
+
+def regular_through(s: Spread, lines, g: GeometryTables) -> bool:
+    """True iff the regulus through each line of `lines` and any two
+    later lines of the spread stays inside it; a KeyError names a line of
+    `lines` outside the spread.
+
+    With every spread line this is is_regular_spread.  When a group maps
+    the spread onto itself transitively, the least spread line alone
+    suffices: the group carries every regulus of the spread onto one
+    through that line.
+    """
+    pos = {li: i for i, li in enumerate(s.lines)}
+    return _reguli_inside(s, g, sorted(pos[li] for li in lines))
+
+
+def _reguli_inside(s: Spread, g: GeometryTables, starts,
+                   sample: int | None = None, seed: int = 0) -> bool:
+    """The walk of is_regular_spread over the triples a < b < c of spread
+    positions with a in starts, or over `sample` random triples."""
     if not _is_spread(s.lines, g):
         raise NotASpread("input is not a spread")
     lines = s.lines
@@ -212,7 +384,7 @@ def is_regular_spread(s: Spread, g: GeometryTables, *,
     # already proved to be inside the spread
     done = [0] * (k * k)
     if sample is None:
-        triples = _pair_walk(k, done)
+        triples = _pair_walk(k, done, starts)
     else:
         import random
         rng = random.Random(seed)
@@ -235,11 +407,12 @@ def is_regular_spread(s: Spread, g: GeometryTables, *,
     return True
 
 
-def _pair_walk(k: int, done: list[int]):
-    """The triples a < b < c < k, pair by pair, skipping each c whose bit
-    is set in done[a * k + b]; done is read again after every yield."""
+def _pair_walk(k: int, done: list[int], starts):
+    """The triples a < b < c < k with a in starts, pair by pair, skipping
+    each c whose bit is set in done[a * k + b]; done is read again after
+    every yield."""
     full = (1 << k) - 1
-    for a in range(k):
+    for a in starts:
         for b in range(a + 1, k):
             ab = a * k + b
             todo = (full >> b + 1 << b + 1) & ~done[ab]

@@ -11,10 +11,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import EmptyMatrix, InvariantViolation, LengthMismatch
-from .fibration import Fibration, SingerContext, perm_cycles
+from .fibration import (Fibration, SingerContext, collineation_lines,
+                        commute, orbit_leaders, perm_cycles)
 from .gfield import FieldCtx, echelon
-from .projspace import (GeometryTables, Line, line_permutation,
-                        point_permutation)
+from .projspace import GeometryTables, Line, point_permutation
 from .symplectic import (SymplecticForm, enumerate_dual_grids,
                          isotropic_lines, polar_lines)
 
@@ -231,20 +231,6 @@ def t_module_dims(sc: SingerContext, coords, c_points, d_points
     return dim_c, dim_d, dim_s, perp
 
 
-def _t_orbit_leaders(tl, polar, lines) -> list[int]:
-    """The lines of `lines` whose T-orbit, polars included, holds no
-    earlier one; tl is T's line permutation, and it commutes with polar."""
-    seen = [False] * len(tl)
-    out = []
-    for li in lines:
-        if not seen[li]:
-            out.append(li)
-            while not seen[li]:
-                seen[li] = seen[polar[li]] = True
-                li = tl[li]
-    return out
-
-
 def t_module_counters(form: SymplecticForm, sc: SingerContext,
                       fib: Fibration) -> tuple[int, int, int, bool] | None:
     """t_module_dims of the form's C (its isotropic lines, the fixed points
@@ -257,15 +243,16 @@ def t_module_counters(form: SymplecticForm, sc: SingerContext,
     if coords is None:
         return None
     polar = polar_lines(form, g)
-    tl = line_permutation(g, sc.t_perm)
-    if any(tl[p] != polar[t] for p, t in zip(polar, tl)):
+    # t_coordinates proved t_perm the permutation of t_gen
+    tl = collineation_lines(g, sc.t_gen)
+    if not commute(tl, polar):
         return None
     row = g.line_row
     iso = (i for i, j in enumerate(polar) if i == j)
     grid = (i for i, j in enumerate(polar) if i < j)
-    c_points = [row(i) for i in _t_orbit_leaders(tl, polar, iso)]
+    c_points = [row(i) for i in orbit_leaders(tl, polar, iso)]
     d_points = [set(row(i)).union(row(polar[i]))
-                for i in _t_orbit_leaders(tl, polar, grid)]
+                for i in orbit_leaders(tl, polar, grid)]
     return t_module_dims(sc, coords, c_points, d_points)
 
 

@@ -3,16 +3,25 @@
 Every suite records failures as witnesses instead of raising, so a
 corrupted input yields a failing report rather than a traceback.  Reports
 are deterministic for identical inputs, elapsed_ms aside.
+
+Every statement the fibration suites check is invariant under the group
+that preserves the fibration, so each checks one member and one line per
+orbit of it (fibration_orbits) and counts each with its orbit size.  A
+report that fails there is discarded, and the suite runs again under the
+trivial group, every member and every line: only the full sweep reports
+a failure.
 """
 
 from __future__ import annotations
 
 import time
+from functools import cache
 
 from .errors import NoPolarity, NotASpread, OvoidlabError
 from .fibration import (Fibration, SingerContext, Spread,
                         common_tangent_spread, common_tangents,
-                        is_regular_spread, t_orbit_fibration, tangency_table)
+                        fibration_orbits, regular_through, t_orbit_fibration,
+                        tangency_profile, tangent_member, trivial_orbits)
 from .gf2code import (code_C, code_D, orbit_sum, orthogonal,
                       radical_codim_check, t_module_counters)
 from .ovoids import Ovoid, line_meets, tangent_lines
@@ -65,28 +74,61 @@ class VerificationReport:
         return out
 
 
+def _reduced_or_full(theorem: str, check, f: Fibration, g: GeometryTables,
+                     *args) -> VerificationReport:
+    """check(report, f, g, orbits, *args) under the orbits of the
+    fibration's group if that report passes, else under the trivial group.
+    check returns None when a guard of its own declines the group.  Both
+    reports are timed from the start."""
+    reduced = VerificationReport(theorem, g)
+    full = VerificationReport(theorem, g)
+    orbits = fibration_orbits(f, g)
+    if orbits.reduced:
+        rec = check(reduced, f, g, orbits, *args)
+        if rec is not None and rec.passed:
+            return rec
+    return check(full, f, g, trivial_orbits(f, g), *args)
+
+
 def verify_proposition1(f: Fibration, g: GeometryTables) -> VerificationReport:
     """Common tangents form a regular spread; tangent complexes pairwise
     meet in it; every non-spread line has profile (1, q/2, q/2)."""
-    rec = VerificationReport("proposition1", g)
-    q = g.q
+    return _reduced_or_full("proposition1", _proposition1, f, g)
 
+
+def _proposition1(rec, f, g, orbits) -> VerificationReport:
+    q = g.q
     common = common_tangents(f, g)
     rec.counters["spread"] = len(common)
     spread_set = set(common)
+    want = (1, q // 2, q // 2)
+    masks = g.line_masks
+    bad, starts = [], []
+    for li, _ in orbits.lines:
+        if li in spread_set:
+            starts.append(li)
+        else:
+            prof = tangency_profile(masks[li], f)
+            if prof != want:
+                bad.append((li, prof))
     if len(common) != q * q + 1:
         rec.fail(f"common tangent set has {len(common)} lines, "
                  f"expected {q * q + 1}")
     else:
+        # starts holds the spread's representatives: every spread line
+        # under the trivial group, and under T, which is transitive on
+        # the spread, its least line
         try:
-            if not is_regular_spread(Spread(tuple(common)), g):
+            if not regular_through(Spread(tuple(common)), starts, g):
                 rec.fail("common tangent spread fails regulus closure")
         except NotASpread:
             rec.fail("common tangent lines do not form a spread")
 
-    # tangent complexes pairwise intersect exactly in the spread
+    # tangent complexes pairwise intersect exactly in the spread, as they
+    # do unless some line outside it has another profile than `want`
     try:
-        complexes = [set(tangent_lines(ov, g)) for ov in f.members]
+        complexes = [set(tangent_lines(ov, g)) for ov in f.members] \
+            if bad else []
         for i in range(len(complexes)):
             for j in range(i + 1, len(complexes)):
                 meet = complexes[i] & complexes[j]
@@ -96,11 +138,9 @@ def verify_proposition1(f: Fibration, g: GeometryTables) -> VerificationReport:
     except OvoidlabError as exc:
         rec.fail(f"tangent complex computation failed: {exc}")
 
-    want = (1, q // 2, q // 2)
-    for i, prof in enumerate(tangency_table(f, g)[0]):
-        if i not in spread_set and prof != want:
-            rec.fail(f"line {i} has profile {prof}, expected {want}", (i,))
-    rec.counters["lines_checked"] = len(g.line_masks) - len(spread_set)
+    for li, prof in bad:
+        rec.fail(f"line {li} has profile {prof}, expected {want}", (li,))
+    rec.counters["lines_checked"] = len(masks) - len(spread_set)
     rec.counters["expected_profile"] = list(want)
     return rec.finish()
 
@@ -109,28 +149,35 @@ def verify_lemma5(sc: SingerContext) -> VerificationReport:
     """T-orbit sum of every line is the all-one vector (spread lines) or
     the characteristic vector of the unique tangent T-orbit."""
     g = sc.geometry
-    rec = VerificationReport("lemma5", g)
     try:
         fib = t_orbit_fibration(sc)
+    except OvoidlabError as exc:
+        rec = VerificationReport("lemma5", g)
+        rec.fail(f"T-orbit setup failed: {exc}")
+        return rec.finish()
+    return _reduced_or_full("lemma5", _lemma5, fib, g, sc)
+
+
+def _lemma5(rec, fib, g, orbits, sc) -> VerificationReport:
+    try:
         spread = set(common_tangent_spread(fib, g).lines)
     except OvoidlabError as exc:
         rec.fail(f"T-orbit setup failed: {exc}")
         return rec.finish()
 
-    labels = tangency_table(fib, g)[1]
     in_spread = not_in_spread = 0
     weight_hist: dict[int, int] = {}
-    for li, row in enumerate(g.line_rows()):
-        s = orbit_sum(row, sc)
+    for li, size in orbits.lines:
+        s = orbit_sum(g.line_row(li), sc)
         w = s.bit_count()
-        weight_hist[w] = weight_hist.get(w, 0) + 1
+        weight_hist[w] = weight_hist.get(w, 0) + size
         if li in spread:
-            in_spread += 1
+            in_spread += size
             if s != g.all_one:
                 rec.fail(f"spread line {li} orbit sum is not all-one", (li,))
         else:
-            not_in_spread += 1
-            lbl = labels[li]
+            not_in_spread += size
+            lbl = tangent_member(g.line_masks[li], fib)
             if lbl is None:
                 rec.fail(f"line {li} has no unique tangent orbit", (li,))
             elif s != fib.members[lbl].mask:
@@ -151,15 +198,19 @@ def verify_main_theorem(f: Fibration, g: GeometryTables,
     theta0=None sweeps every member as the distinguished ovoid.  A
     fibration with no members, or a theta0 naming no member, fails.
     """
-    rec = VerificationReport("main_theorem", g)
+    return _reduced_or_full("main_theorem", _main_theorem, f, g, theta0)
+
+
+def _main_theorem(rec, f, g, orbits, theta0) -> VerificationReport | None:
     n_members = len(f.members)
     if not n_members:
         rec.fail("the fibration has no members")
-    choices = range(n_members) if theta0 is None else (theta0,)
-    labels = tangency_table(f, g)[1]
+    choices = orbits.members if theta0 is None else ((theta0, 1),)
+    masks = g.line_masks
+    label = cache(lambda li: tangent_member(masks[li], f))
     grids_checked = 0
     choices_done = 0
-    for t0 in choices:
+    for t0, weight in choices:
         if not 0 <= t0 < n_members:
             rec.fail(f"theta_0 = {t0} is not a member index (the "
                      f"fibration has {n_members} members)", (t0,))
@@ -169,13 +220,13 @@ def verify_main_theorem(f: Fibration, g: GeometryTables,
         except OvoidlabError as exc:
             rec.fail(f"polarity from member {t0} failed: {exc}", (t0,))
             continue
-        choices_done += 1
-        # the dual grids are the 2-cycles m < m^perp of the polar map
-        for m, mp in enumerate(polar_lines(form, g)):
-            if m >= mp:
-                continue
-            grids_checked += 1
-            j, k = labels[m], labels[mp]
+        choices_done += weight
+        grids = orbits.grids(polar_lines(form, g))
+        if grids is None:
+            return None
+        for m, mp, size in grids:
+            grids_checked += weight * size
+            j, k = label(m), label(mp)
             if j is None or k is None:
                 rec.fail(f"dual grid ({m},{mp}) of W(theta_{t0}) "
                          "has a line without a unique tangent member",
@@ -197,13 +248,16 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
 
     The form must be the polarity of the least T-orbit (label 0)."""
     g = sc.geometry
-    rec = VerificationReport("radical_corollary3", g)
     try:
         fib = t_orbit_fibration(sc)
     except OvoidlabError as exc:
+        rec = VerificationReport("radical_corollary3", g)
         rec.fail(f"T-orbit setup failed: {exc}")
         return rec.finish()
+    return _reduced_or_full("radical_corollary3", _codes, fib, g, form, sc)
 
+
+def _codes(rec, fib, g, orbits, form, sc) -> VerificationReport | None:
     # W(q)-lines: the polar map's fixed points; dual grids: its 2-cycles
     try:
         polar = polar_lines(form, g)
@@ -254,12 +308,13 @@ def verify_radical_and_corollary3(form: SymplecticForm, sc: SingerContext
                  f"dim C-perp = {g.n_points - dim_c}")
 
     # sigma of each dual grid is E_i + E_j, 0 < i != j
-    labels = tangency_table(fib, g)[1]
-    for m, mp in enumerate(polar):
-        if m >= mp:
-            continue
+    grids = orbits.grids(polar)
+    if grids is None:
+        return None
+    masks = g.line_masks
+    for m, mp, _ in grids:
         s = orbit_sum(g.line_row(m), sc) ^ orbit_sum(g.line_row(mp), sc)
-        i, j = labels[m], labels[mp]
+        i, j = tangent_member(masks[m], fib), tangent_member(masks[mp], fib)
         if i is None or j is None or i == j or i == 0 or j == 0:
             rec.fail(f"dual grid ({m},{mp}) has orbit labels ({i},{j})",
                      (m, mp))

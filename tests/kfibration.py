@@ -7,9 +7,11 @@ spread of a T-orbit fibration it is the Singer subgroup K, and the K-orbit
 of a member is the T-orbit fibration again.
 """
 
+from typing import NamedTuple
+
 from ovoidlab.errors import NotAFibration, OvoidlabError
 from ovoidlab.fibration import (Fibration, SingerContext, Spread,
-                                is_regular_spread)
+                                is_regular_spread, perm_cycles)
 from ovoidlab.gfield import mat_pow, nullspace
 from ovoidlab.ovoids import Ovoid, is_ovoid, tangent_lines
 from ovoidlab.projspace import GeometryTables, point_permutation
@@ -21,6 +23,14 @@ class NotRegular(OvoidlabError):
 
 class SpreadNotTangent(OvoidlabError):
     """A spread line is not tangent to the given ovoid."""
+
+
+class Symmetry(NamedTuple):
+    """A group for Fibration.group, by its generator matrices: gen
+    permutes the members in one cycle and t_gen fixes each; None for
+    neither."""
+    gen: tuple | None = None
+    t_gen: tuple | None = None
 
 
 def singer_k(sc: SingerContext) -> tuple[tuple, list[int]]:
@@ -116,3 +126,11 @@ def fibrate_ovoid(theta: Ovoid, s: Spread, g: GeometryTables) -> Fibration:
         if not is_ovoid(ov.pts, g):
             raise NotAFibration("a K-orbit member is not an ovoid")
     return Fibration(tuple(members))
+
+
+def k_generator(s: Spread, g: GeometryTables) -> tuple:
+    """A generator of the cyclic group K of order q+1 that fixes every
+    line of the regular spread s: K acts on the points without fixed
+    points, so a generator's point cycles have length q+1."""
+    return next(m for m in k_stabilizer(s, g)
+                if len(perm_cycles(point_permutation(g, m))[0]) == g.q + 1)

@@ -649,32 +649,30 @@ def test_cli_all_builds_singer_context_once(capsys, monkeypatch):
     assert verify.t_orbit_fibration is not fibration.t_orbit_fibration
 
 
-def test_cli_verify_reads_one_tangency_table(capsys, request):
-    # every suite reads the lines' meets with an ovoid from one vector per
-    # distinct ovoid: the q+1 T-orbits, which the tangency table, the
-    # tangent complexes and the polarities share with the CLI's fibration,
-    # and the elliptic quadric of the Segre suite
+def test_cli_verify_sweeps_the_lines_against_two_ovoids(capsys):
+    # a passing run checks one line per T-orbit: the lines are swept
+    # against member 0, for the fibration check and its polarity, and
+    # against the elliptic quadric of the Segre suite, and the orbits of
+    # the Singer group are found once
     from ovoidlab import fibration, ovoids
     for n in (2, 3):
-        fib = request.getfixturevalue(f"fib{n}")
-        quadric = request.getfixturevalue(f"quadric{n}")
-        ovoid_masks = {ov.mask for ov in fib.members} | {quadric.mask}
-        for cached in (fibration.t_orbit_fibration, fibration.tangency_table,
+        for cached in (fibration.t_orbit_fibration, fibration.fibration_orbits,
                        ovoids.line_meets):
             cached.cache_clear()
         code, _, _ = run_cli(capsys, "verify", "--n", str(n), "--suite",
                              "all", "--no-cache")
         assert code == 0
         assert fibration.t_orbit_fibration.cache_info().misses == 1
-        assert fibration.tangency_table.cache_info().misses == 1
-        assert ovoids.line_meets.cache_info().misses == len(ovoid_masks)
-        assert ovoids.line_meets.cache_info().currsize == len(ovoid_masks)
+        assert fibration.fibration_orbits.cache_info().misses == 1
+        info = ovoids.line_meets.cache_info()
+        assert info.misses == info.currsize == 2
 
 
 def test_cli_verify_solves_and_maps_each_form_once(capsys, monkeypatch):
-    # q+1 member forms for the main sweep, which the codes suite reads
-    # again, and the elliptic quadric's for Segre: q+2 = 6 of each at
-    # q = 4, where solving member 0 again for the codes suite made 7
+    # member 0's form, which the main theorem checks on one line per
+    # T-orbit and the codes suite reads again, and the elliptic quadric's
+    # for Segre: 2 of each, where the full main sweep solved and mapped
+    # all q+1 member forms, q+2 = 6 at q = 4
     from ovoidlab import symplectic
     solves = []
     real = symplectic.tangent_nullspace
@@ -689,5 +687,5 @@ def test_cli_verify_solves_and_maps_each_form_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--n", "2", "--suite", "all",
                          "--no-cache")
     assert code == 0
-    assert len(solves) <= 6
-    assert symplectic.polar_lines.cache_info().misses <= 6
+    assert len(solves) == 2
+    assert symplectic.polar_lines.cache_info().misses == 2

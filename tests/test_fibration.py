@@ -10,9 +10,10 @@ from ovoidlab.fibration import (Fibration, Spread, common_tangent_spread,
                                 find_regular_spread_in_complex,
                                 is_regular_spread, perm_cycles,
                                 point_permutation, tangency_profile,
-                                tangency_table, tangent_member)
+                                tangent_member)
 from ovoidlab.ovoids import Ovoid, elliptic_quadric, is_ovoid, tangent_lines
 
+from linecols import tangency_table
 from kfibration import (SpreadNotTangent, fibrate_ovoid, k_stabilizer,
                         singer_k)
 from test_failure_branches import REPORTS as CORRUPTIONS, corrupted
@@ -250,8 +251,8 @@ def test_profile_corruption_flag_is_sticky(geo2):
 
 
 def test_fibration_hashes_by_identity(fib2):
-    # tangency_table caches on the fibration: an identity hash keeps each
-    # lookup from hashing the members
+    # fibration_orbits caches on the fibration: an identity hash keeps
+    # each lookup from hashing the members
     assert hash(fib2) == object.__hash__(fib2)
     assert Fibration(fib2.members) != fib2
 

@@ -8,11 +8,12 @@ from array import array
 import pytest
 
 from ovoidlab import cache as geocache
-from ovoidlab.fibration import tangency_table
 from ovoidlab.ovoids import elliptic_quadric, tangent_lines
 from ovoidlab.projspace import Line
 from ovoidlab.symplectic import polar_lines
 from ovoidlab.verify import tangents_by_point
+
+from linecols import tangency_table
 
 GEOS = ["geo1", "geo2", "geo3"]
 

@@ -1,13 +1,15 @@
 """Metamorphic check of the five suites (Chen, Cheung and Yiu, 1998): a
 collineation M of PG(3,q) maps every input to an equivalent one, so every
-counter of every report must stay the same."""
+counter of every report must stay the same, on one line per orbit of the
+conjugated Singer group and on the full sweep alike."""
 
 import random
 
 import pytest
 
 from ovoidlab import verify
-from ovoidlab.fibration import Fibration, SingerContext, t_orbit_fibration
+from ovoidlab.fibration import (Fibration, SingerContext, fibration_orbits,
+                                t_orbit_fibration, trivial_orbits)
 from ovoidlab.gf2code import t_module_counters
 from ovoidlab.gfield import mat_identity, mat_mul
 from ovoidlab.ovoids import Ovoid, elliptic_quadric
@@ -61,15 +63,24 @@ def projective(gram, ctx) -> list:
     return [ctx.mul(lead, x) for x in flat]
 
 
-def reports(f, sc, form, theta, g, monkeypatch) -> dict:
+def reports(f, sc, form, theta, g, monkeypatch, full: bool) -> dict:
     """Every report without elapsed_ms; the codes suite twice, on the
-    T-module path and on the elimination path."""
-    out = {"prop1": verify_proposition1(f, g),
-           "lemma5": verify_lemma5(sc),
-           "main": verify_main_theorem(f, g),
-           "codes": verify_radical_and_corollary3(form, sc),
-           "segre": verify_segre(theta, g)}
+    T-module path and on the elimination path.  full runs the fibration
+    suites under the trivial group; otherwise a suite that enters the
+    full sweep fails the test."""
+    def entered(f, g):
+        raise AssertionError("the full sweep was entered")
+
     with monkeypatch.context() as patch:
+        if full:
+            patch.setattr(verify, "fibration_orbits", trivial_orbits)
+        else:
+            patch.setattr(verify, "trivial_orbits", entered)
+        out = {"prop1": verify_proposition1(f, g),
+               "lemma5": verify_lemma5(sc),
+               "main": verify_main_theorem(f, g),
+               "codes": verify_radical_and_corollary3(form, sc),
+               "segre": verify_segre(theta, g)}
         patch.setattr(verify, "t_module_counters", lambda *a: None)
         out["codes_eliminated"] = verify_radical_and_corollary3(form, sc)
     docs = {name: rep.to_dict() for name, rep in out.items()}
@@ -101,12 +112,18 @@ def test_suites_are_invariant_under_a_collineation(n, seed, request,
     assert t_module_counters(form, sc, fib) is not None
     assert t_module_counters(mform, msc, mfib) is not None
 
+    orbits = fibration_orbits(mfib, g)
+    assert orbits.reduced and orbits.members == [(0, g.q + 1)]
+
     quadric = elliptic_quadric(g)
-    want = reports(fib, sc, form, quadric, g, monkeypatch)
-    got = reports(Fibration(tuple(members)), msc, mform,
-                  mapped_ovoid(quadric, perm), g, monkeypatch)
+    mquadric = mapped_ovoid(quadric, perm)
+    want = reports(fib, sc, form, quadric, g, monkeypatch, full=False)
     assert all(doc["pass"] for doc in want.values())
-    assert got == want
+    assert reports(mfib, msc, mform, mquadric, g, monkeypatch,
+                   full=False) == want
+    assert reports(fib, sc, form, quadric, g, monkeypatch, full=True) == want
+    assert reports(Fibration(tuple(members)), msc, mform, mquadric, g,
+                   monkeypatch, full=True) == want
 
     # the polarity of the image of member i is M^-T G_i M^-1, G_i the
     # polarity of member i, up to a scalar

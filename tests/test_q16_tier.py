@@ -11,10 +11,10 @@ import pytest
 from ovoidlab import (ExtFieldCtx, build_geometry, elliptic_quadric,
                       singer_context, t_orbit_fibration, verify)
 from ovoidlab import ovoids
-from ovoidlab.fibration import tangency_table
 from ovoidlab.symplectic import member_polarity, polar_lines
 
 from test_gfield import ext_build_size
+from test_orbits import differential
 from test_t_module import codes_suite_peak
 
 pytestmark = pytest.mark.slow
@@ -61,7 +61,6 @@ def test_codes_suite_q16_closed_forms_on_the_fast_path(sc4, monkeypatch):
     form = member_polarity(fib, 0, g)
     # 70,161 lines: the polar map needs 4-byte entries
     assert polar_lines(form, g).typecode == "I"
-    tangency_table(fib, g)  # built by Proposition 1 in a full run
     calls = []
     real = verify.radical_codim_check
     monkeypatch.setattr(verify, "radical_codim_check",
@@ -120,3 +119,10 @@ def test_other_suites_q16(sc4):
     assert reps["main_theorem"].counters["dual_grids_checked"] == (
         (q + 1) * grids)
     assert reps["segre"].counters["tangent_lines"] == g.n_points
+
+
+def test_reduced_reports_equal_the_full_sweep_q16(sc4, monkeypatch):
+    # 273 line orbits of 257 lines each, against the sweep of all 70,161
+    reduced, full = differential(sc4, monkeypatch)
+    assert reduced == full
+    assert all(doc["pass"] for doc in full.values())

@@ -225,8 +225,8 @@ def test_pair_walk_yields_one_triple_per_regulus(spread3, geo3,
     offered = []
     walk = fibration._pair_walk
 
-    def counting(k, done):
-        for t in walk(k, done):
+    def counting(k, done, starts):
+        for t in walk(k, done, starts):
             offered.append(t)
             yield t
 

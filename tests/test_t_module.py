@@ -11,8 +11,8 @@ import tracemalloc
 import pytest
 
 from ovoidlab import ExtFieldCtx, singer_context, t_orbit_fibration, verify
-from ovoidlab.fibration import Fibration, tangency_table
-from ovoidlab.gf2code import (BitMat, _t_orbit_leaders, code_C, code_D,
+from ovoidlab.fibration import Fibration, fibration_orbits, orbit_leaders
+from ovoidlab.gf2code import (BitMat, code_C, code_D,
                               orthogonal, point_orbit_sums,
                               radical_codim_check, t_coordinates,
                               t_module_counters, t_module_dims)
@@ -28,6 +28,8 @@ from test_failure_branches import replaced, swapped_form, swapped_t
 # tracemalloc's peak during the q = 8 codes suite, on a warm polar map,
 # tangency table and orbit sums: 0.149 MiB measured (Python 3.11), 20 %
 # headroom above it.  Building C, D and the grid list took it to 0.84 MiB.
+# With the sigma sweep on one grid per T-orbit, and T's line orbits warm
+# in place of the tangency table, it is 0.07-0.10 MiB.
 CODES_PEAK_BUDGET_MIB = 0.18
 
 
@@ -73,8 +75,8 @@ def test_one_generator_per_t_orbit(n, request):
     tl = line_permutation(g, sc.t_perm)
     iso = [i for i, j in enumerate(polar) if i == j]
     grid = [i for i, j in enumerate(polar) if i < j]
-    assert len(_t_orbit_leaders(tl, polar, iso)) == q + 1
-    assert len(_t_orbit_leaders(tl, polar, grid)) == q * q // 2
+    assert len(orbit_leaders(tl, polar, iso)) == q + 1
+    assert len(orbit_leaders(tl, polar, grid)) == q * q // 2
 
 
 def t_orbits(lines, tl, partner) -> list[list[int]]:
@@ -193,7 +195,7 @@ def codes_suite_peak(sc):
     fib = t_orbit_fibration(sc)
     form = member_polarity(fib, 0, g)
     polar_lines(form, g)
-    tangency_table(fib, g)
+    fibration_orbits(fib, g).lines
     point_orbit_sums(sc)
     tracemalloc.start()
     try:
