@@ -6,7 +6,9 @@ Exit codes: 0 = all checks passed, 1 = some verification failed,
 2 = usage or internal error.
 
 Each command imports the modules it runs when it runs them, so that
-`geometry` loads no suite and `search-spread` loads no code or polarity.
+`geometry` loads no suite, `search-spread` loads no code or polarity, and
+only a command that reads a cache directory or exports JSON loads the
+cache module.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import cache as geocache
 from .errors import OvoidlabError
 from .gfield import ExtFieldCtx
+from .projspace import build_geometry
 
 SUITES = ("prop1", "lemma5", "main", "codes", "segre")
 
@@ -159,9 +161,13 @@ def main(argv=None) -> int:
         print("error: --budget must be > 0", file=sys.stderr)
         return 2
 
+    cache_dir = None if args.no_cache else args.cache_dir
     try:
-        g = geocache.load_or_build(
-            args.n, None if args.no_cache else args.cache_dir)
+        if cache_dir is None:
+            g = build_geometry(args.n)
+        else:
+            from .cache import load_or_build
+            g = load_or_build(args.n, cache_dir)
     except OvoidlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -169,7 +175,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "geometry":
             if args.export_json:
-                print(geocache.export_geometry_json(g))
+                from .cache import export_geometry_json
+                print(export_geometry_json(g))
             else:
                 _emit(_geometry_summary(g), args.format)
             return 0

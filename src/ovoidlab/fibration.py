@@ -124,7 +124,7 @@ def t_orbit_fibration(sc: SingerContext) -> Fibration:
 @lru_cache(maxsize=2)
 def collineation_lines(g: GeometryTables, m) -> list[int]:
     """line_permutation of the collineation with matrix m, computed once
-    per matrix; the orbits of T and the codes suite's T-module share T's.
+    per matrix, for the orbits of T.
     Raises InvariantViolation for a singular matrix."""
     return line_permutation(g, point_permutation(g, m))
 
@@ -203,6 +203,7 @@ class Orbits:
     def __init__(self, f: Fibration, g: GeometryTables, gen=None,
                  t_gen=None):
         self.f, self.g, self._t_gen = f, g, t_gen
+        self._grids = None, None        # the last polar map and its grids
         n = len(f.members)
         if gen is not None and _cycles_members(f, g, gen):
             self.members = [(0, n)]
@@ -234,6 +235,11 @@ class Orbits:
         return self._line_orbits[1]
 
     @property
+    def t_gen(self):
+        """T's matrix if it passed its guards, else None."""
+        return self._t_gen if len(self.lines) < len(self.t_lines) else None
+
+    @property
     def reduced(self) -> bool:
         """True unless this is the trivial group."""
         return (len(self.members) < len(self.f.members)
@@ -254,13 +260,17 @@ class Orbits:
 
         T's orbits on lines have odd length, so a line's polar, unless it
         is the line itself, lies in another orbit: a grid's orbit is two
-        line orbits, and their least line lies on the lesser side."""
-        tl = self.t_lines
-        if not commute(tl, polar):
-            return None
-        size = dict(self.lines)
-        return [(m, polar[m], size[m]) for m in orbit_leaders(
-            tl, polar, (i for i, j in enumerate(polar) if i < j))]
+        line orbits, and their least line lies on the lesser side.  The
+        last polar map's list is kept, so the suites that read one map in
+        turn walk it once."""
+        if self._grids[0] is not polar:
+            tl, out = self.t_lines, None
+            if commute(tl, polar):
+                size = dict(self.lines)
+                out = [(m, polar[m], size[m]) for m in orbit_leaders(
+                    tl, polar, (i for i, j in enumerate(polar) if i < j))]
+            self._grids = polar, out
+        return self._grids[1]
 
 
 @lru_cache(maxsize=2)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import EmptyMatrix, InvariantViolation, LengthMismatch
-from .fibration import (Fibration, SingerContext, collineation_lines,
-                        commute, orbit_leaders, perm_cycles)
+from .fibration import (Fibration, SingerContext, fibration_orbits,
+                        perm_cycles)
 from .gfield import FieldCtx, echelon
 from .projspace import GeometryTables, Line, point_permutation
 from .symplectic import (SymplecticForm, enumerate_dual_grids,
@@ -235,24 +235,24 @@ def t_module_counters(form: SymplecticForm, sc: SingerContext,
                       fib: Fibration) -> tuple[int, int, int, bool] | None:
     """t_module_dims of the form's C (its isotropic lines, the fixed points
     of the polar map) and D (its dual grids, the 2-cycles), or None unless
-    two guards show that T maps both row sets onto themselves:
-    t_coordinates exist, and T's line permutation commutes with the polar
-    map."""
+    guards show that T maps both row sets onto themselves: t_coordinates
+    exist, and the fibration's orbits kept t_gen as their T, whose line
+    permutation commutes with the polar map.  The generators are the
+    orbit representatives: one W(q)-line per T-orbit, and the dual grids
+    that the main theorem and the sigma sweep read."""
     g = sc.geometry
     coords = t_coordinates(sc, fib)
     if coords is None:
         return None
     polar = polar_lines(form, g)
+    orbits = fibration_orbits(fib, g)
     # t_coordinates proved t_perm the permutation of t_gen
-    tl = collineation_lines(g, sc.t_gen)
-    if not commute(tl, polar):
+    grids = orbits.grids(polar) if orbits.t_gen == sc.t_gen else None
+    if grids is None:
         return None
     row = g.line_row
-    iso = (i for i, j in enumerate(polar) if i == j)
-    grid = (i for i, j in enumerate(polar) if i < j)
-    c_points = [row(i) for i in orbit_leaders(tl, polar, iso)]
-    d_points = [set(row(i)).union(row(polar[i]))
-                for i in orbit_leaders(tl, polar, grid)]
+    c_points = [row(li) for li, _ in orbits.lines if polar[li] == li]
+    d_points = [set(row(m)).union(row(mp)) for m, mp, _ in grids]
     return t_module_dims(sc, coords, c_points, d_points)
 
 

@@ -74,7 +74,7 @@ class GeometryTables:
     def __init__(self, ctx: FieldCtx, coords, line_pts, line_masks, pmasks):
         """Tables from the normalized point coordinates in lex order, the
         flat array of every line's q+1 sorted points in index order, the
-        lines' point masks, and the plane masks, plane_masks(ctx, coords).
+        lines' point masks, and the plane masks, plane_masks(mt, coords).
         build_geometry is the one caller.
 
         Plane i has normal coords[i]: normalized plane normals are the
@@ -122,10 +122,9 @@ class GeometryTables:
         """Entry v is the index of the point spanned by the vector packed
         as v, coordinate k in bits (3-k)n .. (4-k)n-1; entry 0, the zero
         vector, is -1.  Built on first use: q^4 entries."""
-        n, q, mul = self.ctx.n, self.q, self.ctx.mul
-        table = [-1] * q ** 4
-        for s in range(1, q):
-            row = [mul(s, a) for a in range(q)]
+        n = self.ctx.n
+        table = [-1] * self.q ** 4
+        for row in mul_table(self.ctx)[1:]:
             for p in self.points:
                 c0, c1, c2, c3 = p.coords
                 table[row[c0] << 3 * n | row[c1] << 2 * n
@@ -220,41 +219,33 @@ def line_permutation(g: GeometryTables, point_perm) -> list[int]:
 
 def point_coords(q: int) -> list[tuple[int, int, int, int]]:
     """Normalized coordinates of the points of PG(3,q) in lex order."""
-    return [vec for vec in product(range(q), repeat=4)
-            if next((c for c in vec if c), None) == 1]
+    return [(0,) * c + (1,) + rest for c in range(3, -1, -1)
+            for rest in product(range(q), repeat=3 - c)]
 
 
-def _members(mask: int) -> list[int]:
-    """The set bits of mask, in ascending order."""
-    out = []
-    while mask:                        # top bit first: the int shrinks
-        k = mask.bit_length() - 1
-        out.append(k)
-        mask ^= 1 << k
-    out.reverse()
-    return out
+def mul_table(ctx: FieldCtx) -> list[list[int]]:
+    """Row a lists a*x for every x in GF(q), from the q*n products a*2^j:
+    multiplication by a is GF(2)-linear."""
+    images = [[ctx.mul(a, 1 << j) for j in range(ctx.n)]
+              for a in range(ctx.size)]
+    return [[reduce(xor, (m for j, m in enumerate(img) if x >> j & 1), 0)
+             for x in range(ctx.size)] for img in images]
 
 
-def plane_masks(ctx: FieldCtx, coords) -> list[int]:
+def plane_masks(mt, coords) -> list[int]:
     """Point mask of plane i, the zero set of the form with coefficients
-    coords[i], for every i.
+    coords[i], for every i; mt is the field's mul_table.
 
     Bit-sliced: bit j of coordinate k is a mask over the points, and
     multiplication by a is GF(2)-linear, so bit b of a*x_k is the XOR of
     the slices j for which bit b of a*2^j is set.  A plane is the
     complement of the points at which some bit of the form is set."""
-    n = ctx.n
-    slices = [[0] * n for _ in range(4)]
-    for idx, vec in enumerate(coords):
-        for k, c in enumerate(vec):
-            for j in range(n):
-                if c >> j & 1:
-                    slices[k][j] |= 1 << idx
-    images = [[ctx.mul(a, 1 << j) for j in range(n)]
-              for a in range(ctx.size)]
+    n = len(mt).bit_length() - 1
+    slices = [[int("".join(["01"[v[k] >> j & 1] for v in reversed(coords)]),
+                   2) for j in range(n)] for k in range(4)]
     # prod[k][a][b]: the points at which bit b of a*x_k is set
-    prod = [[[reduce(xor, (sl[j] for j in range(n) if img[j] >> b & 1), 0)
-              for b in range(n)] for img in images] for sl in slices]
+    prod = [[[reduce(xor, (sl[j] for j in range(n) if row[1 << j] >> b & 1),
+                     0) for b in range(n)] for row in mt] for sl in slices]
     full = (1 << len(coords)) - 1
     masks = []
     for c0, c1, c2, c3 in coords:
@@ -274,40 +265,49 @@ def meet_mask(pmask, i: int, j: int) -> int:
     pmask(i) & pmask(j) is the set of planes through both points; its
     two least members meet in the line."""
     through = pmask(i) & pmask(j)
-    a = through & -through
-    through ^= a
-    return (pmask(a.bit_length() - 1)
-            & pmask((through & -through).bit_length() - 1))
+    rest = through & through - 1
+    return (pmask((through ^ rest).bit_length() - 1)
+            & pmask((rest & -rest).bit_length() - 1))
 
 
 def build_geometry(n: int) -> GeometryTables:
-    """Construct the complete PG(3,q) tables for q = 2^n, n in SUPPORTED_N."""
+    """Construct the complete PG(3,q) tables for q = 2^n, n in SUPPORTED_N.
+
+    A line's two least points are its reduced echelon basis: u, with the
+    later pivot c, and v, with v_c = 0.  Its other points v + a*u ascend
+    with a, their coordinate c, so u and then v in index order list the
+    lines in order of their least pair."""
     if n not in SUPPORTED_N:
         raise SizeGuard(f"n={n} is outside the supported range "
                         f"{SUPPORTED_N[0]}..{SUPPORTED_N[-1]}")
     ctx = FieldCtx(n)
-    coords = point_coords(ctx.size)
-    pmasks = plane_masks(ctx, coords)
-    npts = len(coords)
-    pmask = pmasks.__getitem__
-
-    # lines: first unjoined pair (i, j) is the lexicographically least
-    # pair of points on its line; bit j of joined[i] marks i, j on a line
-    joined = [0] * npts
+    q = ctx.size
+    mt = mul_table(ctx)
+    coords = point_coords(q)
+    pmasks = plane_masks(mt, coords)
+    # packed as in GeometryTables.vector_index, which keeps the lex order
+    packed = [c0 << 3 * n | c1 << 2 * n | c2 << n | c3
+              for c0, c1, c2, c3 in coords]
+    index = [0] * q ** 4               # normalized packed vector -> point
+    for i, pk in enumerate(packed):
+        index[pk] = i
+    # later[c]: the points v with pivot before c and v_c = 0, ascending
+    later = {c: [(i, pk) for i, pk in enumerate(packed)
+                 if pk >> (4 - c) * n and not pk >> (3 - c) * n & q - 1]
+             for c in (1, 2, 3)}
     line_pts = array(POINT_TYPECODE)
     line_masks: list[int] = []
-    after = (1 << npts) - 1
-    for i in range(npts):
-        after ^= 1 << i                    # the points j > i
-        rest = after & ~joined[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            mask = meet_mask(pmask, i, j)
-            pts = _members(mask)
-            for p in pts:
-                joined[p] |= mask
-            rest &= ~mask
-            line_pts.extend(pts)
-            line_masks.append(mask)
+    for iu in range(q * q + q + 1):    # pivot 3, 2, 1: pivot 0 is never u
+        u0, u1, u2, u3 = u = coords[iu]
+        scaled = [row[u0] << 3 * n | row[u1] << 2 * n | row[u2] << n
+                  | row[u3] for row in mt[1:]]           # a*u, a = 1..q-1
+        pu = pmasks[iu]
+        for iv, pv in later[u.index(1)]:
+            line_pts.extend((iu, iv, *[index[pv ^ s] for s in scaled]))
+            # the meet of the two least planes through u and v
+            through = pu & pmasks[iv]
+            rest = through & through - 1
+            line_masks.append(pmasks[(through ^ rest).bit_length() - 1]
+                              & pmasks[(rest & -rest).bit_length() - 1])
 
     return GeometryTables(ctx, coords, line_pts, line_masks, pmasks)

@@ -69,3 +69,25 @@ def test_every_export_resolves_and_is_listed():
             assert getattr(sys.modules[obj.__module__], name) is obj
     with pytest.raises(AttributeError, match="no_such_name"):
         ovoidlab.no_such_name
+
+
+@pytest.mark.parametrize("argv", [
+    ("geometry", "--n", "2", "--no-cache"),
+    ("verify", "--n", "2", "--suite", "lemma5"),
+    ("search-spread", "--n", "2", "--cache-dir", "unused", "--no-cache"),
+], ids=lambda argv: argv[0])
+def test_cold_command_does_not_load_the_cache_module(argv):
+    code, modules = modules_after(*argv)
+    assert code == 0
+    assert "ovoidlab.projspace" in modules
+    assert "ovoidlab.cache" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ("geometry", "--n", "1", "--export-json"),
+    ("geometry", "--n", "1", "--cache-dir", "{tmp}"),
+], ids=["export_json", "cache_dir"])
+def test_cache_module_loads_when_used(argv, tmp_path):
+    code, modules = modules_after(*(a.format(tmp=tmp_path) for a in argv))
+    assert code == 0
+    assert "ovoidlab.cache" in modules

@@ -14,7 +14,8 @@ from ovoidlab.fibration import (Fibration, Orbits, Spread,
                                 t_orbit_fibration, trivial_orbits)
 from ovoidlab.gfield import mat_identity, mat_mul
 from ovoidlab.ovoids import tangent_lines
-from ovoidlab.symplectic import member_polarity
+from ovoidlab.cli import main
+from ovoidlab.symplectic import member_polarity, polar_lines
 from ovoidlab.verify import (verify_lemma5, verify_main_theorem,
                              verify_proposition1,
                              verify_radical_and_corollary3)
@@ -205,13 +206,16 @@ def test_each_guard_declines_alone(case, fib2, geo2, sc2):
     assert genuine.members == [(0, 5)] and len(genuine.lines) == 21
     orbits = Orbits(fib2, geo2, **{**group._asdict(), which: matrix(sc2)})
     trivial = trivial_orbits(fib2, geo2)
+    assert genuine.t_gen == sc2.t_gen and trivial.t_gen is None
     if which == "gen":
         assert orbits.members == trivial.members
         assert orbits.lines == genuine.lines
+        assert orbits.t_gen == sc2.t_gen
     else:
         assert orbits.members == genuine.members
         assert orbits.lines == trivial.lines
         assert orbits.t_lines == range(len(geo2.lines))
+        assert orbits.t_gen is None
 
 
 def test_guards_read_the_matrices_not_the_stored_permutations(sc2, geo2):
@@ -249,3 +253,46 @@ def test_commuting_guard_declines_another_form(sc2, geo2, monkeypatch):
         want = as_pinned(verify_radical_and_corollary3(form, sc2))
     assert json.dumps(got) == json.dumps(want)
     assert not got["pass"]
+
+
+def count_walks(monkeypatch) -> list:
+    """The partner map of every dual-grid walk from now on."""
+    walks = []
+    real = fibration.orbit_leaders
+
+    def spy(perm, partner, items):
+        walks.append(partner)
+        return real(perm, partner, items)
+
+    monkeypatch.setattr(fibration, "orbit_leaders", spy)
+    return walks
+
+
+def test_a_passing_verify_walks_one_polar_map_once(capsys, monkeypatch):
+    # the main theorem, the T-module and the sigma sweep read member 0's
+    # dual grids: one walk
+    walks = count_walks(monkeypatch)
+    assert main(["verify", "--n", "3", "--suite", "all", "--no-cache"]) == 0
+    assert len(walks) == 1
+    for suite in ("main", "codes"):
+        walks.clear()
+        assert main(["verify", "--n", "2", "--suite", suite,
+                     "--no-cache"]) == 0
+        assert len(walks) == 1, suite
+
+
+@pytest.mark.parametrize("group", ["singer", "trivial"])
+def test_grids_walk_each_polar_map_once(group, fib2, geo2, monkeypatch):
+    orbits = (Orbits(fib2, geo2, fib2.group.gen, fib2.group.t_gen)
+              if group == "singer" else trivial_orbits(fib2, geo2))
+    polars = [polar_lines(member_polarity(fib2, i, geo2), geo2)
+              for i in range(len(fib2.members))]
+    walks = count_walks(monkeypatch)
+    for polar in polars:
+        # T fixes every member, so it commutes with every member's map
+        first = orbits.grids(polar)
+        assert first is not None and orbits.grids(polar) is first
+    assert walks == polars
+    assert len(orbits.grids(polars[0])) == (
+        len(geo2.lines) - len(geo2.points)) // 2 // orbits.lines[0][1]
+    assert walks == polars + polars[:1]

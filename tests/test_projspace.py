@@ -9,11 +9,11 @@ from ovoidlab import ExtFieldCtx, singer_context
 from ovoidlab.errors import (DuplicatePoint, InvariantViolation, SamePoint,
                              SizeGuard)
 from ovoidlab.gfield import FieldCtx, nullspace
-from ovoidlab.projspace import (Plane, build_geometry, plane_masks,
-                                point_coords, point_permutation)
+from ovoidlab.projspace import (Plane, build_geometry, mul_table,
+                                plane_masks, point_coords, point_permutation)
 
 from kfibration import singer_k
-from linecols import lines_by_point, plane_points
+from linecols import lines_by_point, mask_peeling_build, plane_points
 from test_regulus_kernel import regulus
 
 
@@ -240,7 +240,7 @@ def test_planes_match_scan(n, request):
     ctx = FieldCtx(n)
     coords = point_coords(ctx.size)
     want = plane_scan(ctx, coords)
-    assert plane_masks(ctx, coords) == [mask for _, mask in want]
+    assert plane_masks(mul_table(ctx), coords) == [mask for _, mask in want]
     g = request.getfixturevalue(f"geo{n}")
     assert [(plane_points(pl), pl.mask) for pl in g.planes] == want
 
@@ -261,7 +261,7 @@ def test_plane_masks_q16_sample():
     # fixed sample of planes is checked by evaluating the form at every point
     ctx = FieldCtx(4)
     coords = point_coords(ctx.size)
-    masks = plane_masks(ctx, coords)
+    masks = plane_masks(mul_table(ctx), coords)
     mul = ctx.mul
     for i in random.Random(16).sample(range(len(coords)), 12):
         nvec = coords[i]
@@ -284,6 +284,42 @@ def test_build_makes_no_per_pair_multiplications(monkeypatch):
     monkeypatch.setattr(FieldCtx, "mul", counted)
     assert len(build_geometry(3).lines) == 4745
     assert len(calls) <= 64
+
+
+def test_mul_table_matches_the_field():
+    for n in range(1, 5):
+        ctx = FieldCtx(n)
+        assert mul_table(ctx) == [[ctx.mul(a, x) for x in range(ctx.size)]
+                                  for a in range(ctx.size)]
+
+
+def assert_equals_mask_peeling_build(g):
+    coords, line_pts, line_masks, pmasks = mask_peeling_build(g.ctx.n)
+    assert [p.coords for p in g.points] == coords
+    assert [pl.mask for pl in g.planes] == pmasks
+    assert g.line_pts == line_pts
+    assert g.line_masks == line_masks
+
+
+@pytest.mark.parametrize("fix", ["geo1", "geo2", "geo3"])
+def test_build_equals_the_mask_peeling_build(fix, request):
+    assert_equals_mask_peeling_build(request.getfixturevalue(fix))
+
+
+def pivot(vec) -> int:
+    return next(k for k, x in enumerate(vec) if x)
+
+
+@pytest.mark.parametrize("fix", ["geo1", "geo2", "geo3"])
+def test_each_line_starts_with_its_echelon_pair(fix, request):
+    # u, the least point, has the later pivot c; v has v_c = 0; the
+    # points ascend
+    g = request.getfixturevalue(fix)
+    coords = [p.coords for p in g.points]
+    for row in g.line_rows():
+        u, v = coords[row[0]], coords[row[1]]
+        assert pivot(v) < pivot(u) and v[pivot(u)] == 0, row
+        assert list(row) == sorted(set(row)), row
 
 
 # --- the collineation kernel against per-point arithmetic ----------------

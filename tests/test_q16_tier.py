@@ -1,6 +1,7 @@
-"""The opt-in q = 16 tier, run with `pytest -m slow`; the default options
-in pyproject.toml deselect it.  Building PG(3,16) and its Singer context
-takes a few seconds and about 73 MB of peak RSS before any suite runs."""
+"""PG(3,16).  The suites' closed forms run in tier-1 on one module-scoped
+Singer context (about 0.4 s to build).  The memory budgets, the oracle
+builds and the full sweep are the opt-in slow tier, run with
+`pytest -m slow`; the default options in pyproject.toml deselect it."""
 
 import time
 import tracemalloc
@@ -15,9 +16,8 @@ from ovoidlab.symplectic import member_polarity, polar_lines
 
 from test_gfield import ext_build_size
 from test_orbits import differential
+from test_projspace import assert_equals_mask_peeling_build
 from test_t_module import codes_suite_peak
-
-pytestmark = pytest.mark.slow
 
 # the codes suite took 9.3 s on the elimination path and takes about
 # 1.3 s on the T-module path (2-vCPU Xeon VM, Python 3.11)
@@ -35,6 +35,7 @@ CODES_PEAK_BUDGET_MIB = 1.6
 EXT_BUILD_BUDGET_MIB = 0.48
 
 
+@pytest.mark.slow
 def test_build_keeps_the_line_tables_small_q16():
     # runs before the module fixture builds a second geometry
     tracemalloc.start()
@@ -78,6 +79,7 @@ def test_codes_suite_q16_closed_forms_on_the_fast_path(sc4, monkeypatch):
     assert elapsed < CODES_BUDGET_S, f"{elapsed:.2f} s"
 
 
+@pytest.mark.slow
 def test_codes_suite_working_set_q16(sc4):
     rep, peak = codes_suite_peak(sc4)
     assert rep.passed
@@ -88,6 +90,7 @@ def test_codes_suite_working_set_q16(sc4):
     assert ovoids._tangents(theta.mask, sc4.geometry).typecode == "I"
 
 
+@pytest.mark.slow
 def test_ext_build_keeps_two_byte_tables_q16():
     _, current = ext_build_size(4)
     assert current <= EXT_BUILD_BUDGET_MIB * 2 ** 20, \
@@ -121,8 +124,14 @@ def test_other_suites_q16(sc4):
     assert reps["segre"].counters["tangent_lines"] == g.n_points
 
 
+@pytest.mark.slow
 def test_reduced_reports_equal_the_full_sweep_q16(sc4, monkeypatch):
     # 273 line orbits of 257 lines each, against the sweep of all 70,161
     reduced, full = differential(sc4, monkeypatch)
     assert reduced == full
     assert all(doc["pass"] for doc in full.values())
+
+
+@pytest.mark.slow
+def test_build_equals_the_mask_peeling_build_q16(sc4):
+    assert_equals_mask_peeling_build(sc4.geometry)
