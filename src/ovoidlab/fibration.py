@@ -121,14 +121,6 @@ def t_orbit_fibration(sc: SingerContext) -> Fibration:
     return fib
 
 
-@lru_cache(maxsize=2)
-def collineation_lines(g: GeometryTables, m) -> list[int]:
-    """line_permutation of the collineation with matrix m, computed once
-    per matrix, for the orbits of T.
-    Raises InvariantViolation for a singular matrix."""
-    return line_permutation(g, point_permutation(g, m))
-
-
 def commute(a, b) -> bool:
     """True iff the permutations a and b of one range commute, checked
     entry by entry until the first that differs."""
@@ -150,30 +142,23 @@ def orbit_leaders(perm, partner, items) -> list[int]:
     return out
 
 
-def _image_masks(f: Fibration, g: GeometryTables, m) -> list[int] | None:
-    """The point masks of the members' images under the collineation with
-    matrix m, its point permutation recomputed from m; None if m is
-    singular."""
+def _images(f: Fibration, g: GeometryTables, m) -> tuple | None:
+    """(point permutation, member image masks) of the collineation with
+    matrix m, the permutation recomputed from m; None if m is singular."""
     try:
         perm = point_permutation(g, m)
     except InvariantViolation:
         return None
-    out = []
-    for ov in f.members:
-        mask = 0
-        for p in ov.pts:
-            mask |= 1 << perm[p]
-        out.append(mask)
-    return out
+    return perm, [sum(1 << perm[p] for p in ov.pts) for ov in f.members]
 
 
 def _cycles_members(f: Fibration, g: GeometryTables, gen) -> bool:
     """True iff gen maps the q+1 members onto members in one cycle."""
-    images = _image_masks(f, g, gen)
-    if images is None or len(images) != g.q + 1:
+    images = _images(f, g, gen)
+    if images is None or len(images[1]) != g.q + 1:
         return False
     index = {ov.mask: i for i, ov in enumerate(f.members)}
-    moved = [index.get(mask) for mask in images]
+    moved = [index.get(mask) for mask in images[1]]
     if None in moved:
         return False
     try:
@@ -188,10 +173,11 @@ class Orbits:
 
     members holds (member, orbit size) for the group's orbits on the
     members; lines holds (line, orbit size) for the orbits on the lines of
-    T, the subgroup fixing every member, and t_lines is T's line
-    permutation.  Each representative is the least entry of its orbit.
-    Under the trivial group every member and every line is its own
-    representative, of size 1, and t_lines is the identity.
+    T, the subgroup fixing every member, and t_points and t_lines are T's
+    point and line permutations.  Each representative is the least entry
+    of its orbit.  Under the trivial group every member and every line is
+    its own representative, of size 1, t_points is None and t_lines is
+    the identity.
 
     gen and t_gen generate the group.  gen is kept only if it maps the
     members onto themselves in one cycle of length q+1, and t_gen only if
@@ -212,32 +198,33 @@ class Orbits:
 
     @cached_property
     def _line_orbits(self) -> tuple:
-        """(t_lines, lines), found when a suite first reads the lines."""
+        """(t_points, t_lines, lines), found when a suite first reads the
+        lines."""
         g, t_gen = self.g, self._t_gen
-        if t_gen is not None and _image_masks(self.f, g, t_gen) == [
-                ov.mask for ov in self.f.members]:
-            tl = collineation_lines(g, t_gen)
+        images = None if t_gen is None else _images(self.f, g, t_gen)
+        if images and images[1] == [ov.mask for ov in self.f.members]:
+            perm = images[0]
+            tl = line_permutation(g, perm)
             try:
                 cycles = perm_cycles(tl)
             except InvariantViolation:
                 cycles = []
             if cycles and all(len(c) == g.q * g.q + 1 for c in cycles):
-                return tl, [(c[0], len(c)) for c in cycles]
+                return perm, tl, [(c[0], len(c)) for c in cycles]
         n = len(g.line_masks)
-        return range(n), [(i, 1) for i in range(n)]
+        return None, range(n), [(i, 1) for i in range(n)]
 
     @property
-    def t_lines(self):
+    def t_points(self) -> list[int] | None:
         return self._line_orbits[0]
 
     @property
-    def lines(self) -> list[tuple[int, int]]:
+    def t_lines(self):
         return self._line_orbits[1]
 
     @property
-    def t_gen(self):
-        """T's matrix if it passed its guards, else None."""
-        return self._t_gen if len(self.lines) < len(self.t_lines) else None
+    def lines(self) -> list[tuple[int, int]]:
+        return self._line_orbits[2]
 
     @property
     def reduced(self) -> bool:
@@ -319,20 +306,22 @@ def tangent_member(line_mask: int, f: Fibration) -> int | None:
     return found
 
 
-def common_tangents(f: Fibration, g: GeometryTables) -> list[int]:
+def common_tangents(f: Fibration, g: GeometryTables, orbits: Orbits
+                    ) -> list[int]:
     """Sorted indices of the lines tangent to every member, read on one
-    line per orbit of the fibration's group (fibration_orbits)."""
-    orbits = fibration_orbits(f, g)
+    line per orbit of `orbits`."""
     every, masks = (len(f.members), 0, 0), g.line_masks
     return sorted(li for rep, _ in orbits.lines
                   if tangency_profile(masks[rep], f) == every
                   for li in orbits.orbit(rep))
 
 
-def common_tangent_spread(f: Fibration, g: GeometryTables) -> Spread:
-    """Lines tangent to every member; must be q^2+1 pairwise skew lines."""
+def common_tangent_spread(f: Fibration, g: GeometryTables,
+                          orbits: Orbits | None = None) -> Spread:
+    """Lines tangent to every member, read on `orbits` (by default the
+    fibration's group); must be q^2+1 pairwise skew lines."""
     q = g.q
-    out = common_tangents(f, g)
+    out = common_tangents(f, g, orbits or fibration_orbits(f, g))
     if len(out) != q * q + 1:
         raise NotAFibration(
             f"common tangent set has {len(out)} lines, expected {q * q + 1}")
@@ -343,7 +332,8 @@ def common_tangent_spread(f: Fibration, g: GeometryTables) -> Spread:
 
 
 def _is_spread(lines, g: GeometryTables) -> bool:
-    if len(set(lines)) != g.q * g.q + 1:
+    if (len(set(lines)) != g.q * g.q + 1 or min(lines) < 0
+            or max(lines) >= len(g.line_masks)):
         return False
     acc = 0
     for li in lines:

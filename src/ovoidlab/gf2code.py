@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import EmptyMatrix, InvariantViolation, LengthMismatch
-from .fibration import (Fibration, SingerContext, fibration_orbits,
-                        perm_cycles)
+from .errors import EmptyMatrix, LengthMismatch
+from .fibration import Orbits, SingerContext, perm_cycles
 from .gfield import FieldCtx, echelon
-from .projspace import GeometryTables, Line, point_permutation
-from .symplectic import (SymplecticForm, enumerate_dual_grids,
-                         isotropic_lines, polar_lines)
+from .projspace import GeometryTables, Line
+from .symplectic import SymplecticForm, enumerate_dual_grids, isotropic_lines
 
 
 class BitMat:
@@ -135,27 +133,16 @@ def radical_codim_check(d: BitMat) -> tuple[int, int, int]:
 # of unity in GF(q^4).  Its GF(2) dimension is |c| times the rank of the
 # evaluations (Ling-Sole, IEEE Trans. IT 47, 2001).
 
-def t_coordinates(sc: SingerContext, fib: Fibration
-                  ) -> list[tuple[int, int]] | None:
-    """Entry p is (j, k) for p = t^k(least point of member j), or None
-    unless t_perm is the point permutation of t_gen and the members are
-    distinct cycles of t_perm of length q^2+1."""
-    g = sc.geometry
-    try:
-        if list(sc.t_perm) != point_permutation(g, sc.t_gen):
-            return None
-        cycles = {c[0]: c for c in perm_cycles(sc.t_perm)}
-    except InvariantViolation:
-        return None
-    order = g.q * g.q + 1
-    out: list = [None] * g.n_points
-    for j, ov in enumerate(fib.members):
-        cycle = cycles.pop(ov.pts[0], ())
-        if len(cycle) != order or sum(1 << p for p in cycle) != ov.mask:
+def t_coordinates(t_points, order: int) -> list[tuple[int, int]] | None:
+    """Entry p is (j, k) for p = t^k(least point of cycle j) of the point
+    permutation t_points, or None unless each cycle has length order."""
+    out: list = [None] * len(t_points)
+    for j, cycle in enumerate(perm_cycles(t_points)):
+        if len(cycle) != order:
             return None
         for k, p in enumerate(cycle):
             out[p] = (j, k)
-    return None if None in out else out
+    return out
 
 
 def _cyclotomic_cosets(n: int) -> list[tuple[int, int]]:
@@ -231,24 +218,21 @@ def t_module_dims(sc: SingerContext, coords, c_points, d_points
     return dim_c, dim_d, dim_s, perp
 
 
-def t_module_counters(form: SymplecticForm, sc: SingerContext,
-                      fib: Fibration) -> tuple[int, int, int, bool] | None:
-    """t_module_dims of the form's C (its isotropic lines, the fixed points
-    of the polar map) and D (its dual grids, the 2-cycles), or None unless
-    guards show that T maps both row sets onto themselves: t_coordinates
-    exist, and the fibration's orbits kept t_gen as their T, whose line
-    permutation commutes with the polar map.  The generators are the
-    orbit representatives: one W(q)-line per T-orbit, and the dual grids
-    that the main theorem and the sigma sweep read."""
-    g = sc.geometry
-    coords = t_coordinates(sc, fib)
-    if coords is None:
+def t_module_counters(polar, orbits: Orbits, sc: SingerContext
+                      ) -> tuple[int, int, int, bool] | None:
+    """t_module_dims of a form's C (its isotropic lines, the fixed points
+    of its polar map) and D (its dual grids, the 2-cycles), or None unless
+    guards show that T maps both row sets onto themselves: the orbits
+    kept a T, whose line permutation commutes with the polar map and
+    whose point cycles have length q^2+1.  The generators are the orbit
+    representatives: one W(q)-line per T-orbit, and the dual grids that
+    the main theorem and the sigma sweep read."""
+    g = orbits.g
+    if orbits.t_points is None:
         return None
-    polar = polar_lines(form, g)
-    orbits = fibration_orbits(fib, g)
-    # t_coordinates proved t_perm the permutation of t_gen
-    grids = orbits.grids(polar) if orbits.t_gen == sc.t_gen else None
-    if grids is None:
+    coords = t_coordinates(orbits.t_points, g.q * g.q + 1)
+    grids = orbits.grids(polar)
+    if coords is None or grids is None:
         return None
     row = g.line_row
     c_points = [row(li) for li, _ in orbits.lines if polar[li] == li]

@@ -111,9 +111,10 @@ def _tangents(mask: int, g: GeometryTables) -> array:
 
 
 def is_ovoid(s, g: GeometryTables) -> bool:
-    """True iff |s| = q^2+1 and every line meets s in at most 2 points."""
+    """True iff s is q^2+1 points and every line meets it in at most 2."""
     pts = set(s)
-    if len(pts) != g.q * g.q + 1:
+    if (len(pts) != g.q * g.q + 1 or min(pts) < 0
+            or max(pts) >= g.n_points):
         return False
     return max(line_meets(_mask_of(pts), g)) <= 2
 

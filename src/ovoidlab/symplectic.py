@@ -16,9 +16,10 @@ from .projspace import (SUPPORTED_N, GeometryTables, Line, line_typecode,
 # index pairs of the six free entries of an alternating 4x4 matrix
 _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-# the main sweep solves and maps the form of every member, then the codes
-# suite reads the first member's again: the caches hold the q+1 member
-# forms and one more at the largest q
+# a passing run solves and maps member 0's form alone; a failing main
+# theorem's full sweep solves and maps every member's, and the codes suite
+# then reads member 0's again: the caches hold the q+1 member forms and
+# one more at the largest q
 FORMS_KEPT = 2 ** SUPPORTED_N[-1] + 2
 
 

@@ -9,7 +9,7 @@ that preserves the fibration, so each checks one member and one line per
 orbit of it (fibration_orbits) and counts each with its orbit size.  A
 report that fails there is discarded, and the suite runs again under the
 trivial group, every member and every line: only the full sweep reports
-a failure.
+a failure, and it reads no group.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def verify_proposition1(f: Fibration, g: GeometryTables) -> VerificationReport:
 
 def _proposition1(rec, f, g, orbits) -> VerificationReport:
     q = g.q
-    common = common_tangents(f, g)
+    common = common_tangents(f, g, orbits)
     rec.counters["spread"] = len(common)
     spread_set = set(common)
     want = (1, q // 2, q // 2)
@@ -160,7 +160,7 @@ def verify_lemma5(sc: SingerContext) -> VerificationReport:
 
 def _lemma5(rec, fib, g, orbits, sc) -> VerificationReport:
     try:
-        spread = set(common_tangent_spread(fib, g).lines)
+        spread = set(common_tangent_spread(fib, g, orbits).lines)
     except OvoidlabError as exc:
         rec.fail(f"T-orbit setup failed: {exc}")
         return rec.finish()
@@ -270,7 +270,7 @@ def _codes(rec, fib, g, orbits, form, sc) -> VerificationReport | None:
 
     # the T-module ranks when T provably maps both row sets onto
     # themselves, else one elimination of each code
-    fast = t_module_counters(form, sc, fib)
+    fast = t_module_counters(polar, orbits, sc)
     if fast is None or not fast[3]:  # the elimination or witnesses read rows
         C, D = code_C(form, g), code_D(form, g)
     if fast is None:

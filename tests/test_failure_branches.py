@@ -218,7 +218,7 @@ def test_prop1_spread_witnesses(lines, witness, other, fib2, geo2, spread2,
                                 monkeypatch):
     common = lines(spread2, geo2)
     assert len(common) == geo2.q ** 2 + 1
-    monkeypatch.setattr(verify, "common_tangents", lambda f, g: common)
+    monkeypatch.setattr(verify, "common_tangents", lambda f, g, o: common)
     r = verify_proposition1(fib2, geo2)
     witnesses = [x["witness"] for x in r.failures]
     assert not r.passed
@@ -228,7 +228,8 @@ def test_prop1_spread_witnesses(lines, witness, other, fib2, geo2, spread2,
 def test_common_tangent_spread_rejects_meeting_lines(fib2, geo2, spread2,
                                                      monkeypatch):
     common = swapped_line_set(spread2, geo2)
-    monkeypatch.setattr(fibration, "common_tangents", lambda f, g: common)
+    monkeypatch.setattr(fibration, "common_tangents",
+                        lambda f, g, o: common)
     with pytest.raises(NotAFibration, match="not pairwise skew"):
         common_tangent_spread(fib2, geo2)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ovoidlab.errors import InvariantViolation, NotASpread
 from ovoidlab.fibration import (Fibration, Spread, common_tangent_spread,
-                                common_tangents,
+                                common_tangents, fibration_orbits,
                                 find_regular_spread_in_complex,
                                 is_regular_spread, perm_cycles,
                                 point_permutation, tangency_profile,
@@ -180,6 +180,21 @@ def test_is_regular_spread_rejects_non_spread(geo2):
         is_regular_spread(Spread((0, 1, 2)), geo2)
 
 
+@pytest.mark.parametrize("index", ["past_the_end", "negative"])
+def test_spread_check_rejects_indices_that_are_not_lines(index, spread2,
+                                                         geo2):
+    # the negative index names the same line as the one it replaces once
+    # read from the end of the line table
+    n_lines = len(geo2.line_masks)
+    lines = spread2.lines
+    if index == "past_the_end":
+        bad = lines[:-1] + (n_lines + 3,)
+    else:
+        bad = (lines[0] - n_lines,) + lines[1:]
+    with pytest.raises(NotASpread):
+        is_regular_spread(Spread(bad), geo2)
+
+
 def test_regulus_of_spread_triple_inside(spread2, geo2):
     reg, _ = regulus(geo2, *spread2.lines[:3])
     assert set(reg) <= set(spread2.lines)
@@ -265,7 +280,7 @@ def assert_table_matches_kernels(f: Fibration, g) -> None:
     for ln in g.lines:
         assert profiles[ln.index] == tangency_profile(ln.mask, f)
         assert labels[ln.index] == tangent_member(ln.mask, f)
-    assert common_tangents(f, g) == [
+    assert common_tangents(f, g, fibration_orbits(f, g)) == [
         ln.index for ln in g.lines
         if all((ln.mask & ov.mask).bit_count() == 1 for ov in f.members)]
 

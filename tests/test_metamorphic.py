@@ -14,7 +14,8 @@ from ovoidlab.gf2code import t_module_counters
 from ovoidlab.gfield import mat_identity, mat_mul
 from ovoidlab.ovoids import Ovoid, elliptic_quadric
 from ovoidlab.projspace import point_permutation
-from ovoidlab.symplectic import member_polarity, polarity_from_ovoid
+from ovoidlab.symplectic import (member_polarity, polar_lines,
+                                 polarity_from_ovoid)
 from ovoidlab.verify import (verify_lemma5, verify_main_theorem,
                              verify_proposition1,
                              verify_radical_and_corollary3, verify_segre)
@@ -47,7 +48,7 @@ def mapped_ovoid(ov: Ovoid, perm) -> Ovoid:
 
 def conjugated(sc: SingerContext, m, m_inv) -> SingerContext:
     """The Singer context of M gen M^-1, its permutations recomputed so
-    that the T-module guards accept them."""
+    that its T-orbits and orbit sums are those of the conjugated T."""
     g, ctx = sc.geometry, sc.geometry.ctx
     gen = mat_mul(ctx, m, mat_mul(ctx, sc.gen, m_inv))
     t_gen = mat_mul(ctx, m, mat_mul(ctx, sc.t_gen, m_inv))
@@ -109,10 +110,11 @@ def test_suites_are_invariant_under_a_collineation(n, seed, request,
 
     form = member_polarity(fib, 0, g)
     mform = member_polarity(mfib, 0, g)
-    assert t_module_counters(form, sc, fib) is not None
-    assert t_module_counters(mform, msc, mfib) is not None
-
     orbits = fibration_orbits(mfib, g)
+    assert t_module_counters(polar_lines(form, g), fibration_orbits(fib, g),
+                             sc) is not None
+    assert t_module_counters(polar_lines(mform, g), orbits,
+                             msc) is not None
     assert orbits.reduced and orbits.members == [(0, g.q + 1)]
 
     quadric = elliptic_quadric(g)

@@ -7,13 +7,14 @@ import json
 
 import pytest
 
-from ovoidlab import ExtFieldCtx, fibration, singer_context, verify
-from ovoidlab.fibration import (Fibration, Orbits, Spread,
-                                collineation_lines, fibration_orbits,
+from ovoidlab import (ExtFieldCtx, fibration, gf2code, singer_context,
+                      symplectic, verify)
+from ovoidlab.fibration import (Fibration, Orbits, Spread, fibration_orbits,
                                 find_regular_spread_in_complex,
                                 t_orbit_fibration, trivial_orbits)
 from ovoidlab.gfield import mat_identity, mat_mul
 from ovoidlab.ovoids import tangent_lines
+from ovoidlab.projspace import line_permutation, point_permutation
 from ovoidlab.cli import main
 from ovoidlab.symplectic import member_polarity, polar_lines
 from ovoidlab.verify import (verify_lemma5, verify_main_theorem,
@@ -123,6 +124,69 @@ def test_a_failing_representative_falls_back(fib2, geo2, sc2):
                 suite(f, geo2)
 
 
+def spy_on_the_group(patch, t_gen) -> list[str]:
+    """The names "fibration_orbits" and "t_gen", once per call that reads
+    the group's orbits or computes T's point permutation, in every module
+    that binds those functions, and "trivial" once per full sweep."""
+    events = []
+    t_gen = tuple(map(tuple, t_gen))
+
+    def spied_perm(real):
+        def point_permutation(g, m):
+            if tuple(map(tuple, m)) == t_gen:
+                events.append("t_gen")
+            return real(g, m)
+        return point_permutation
+
+    for mod in (fibration, gf2code, symplectic, verify):
+        if hasattr(mod, "fibration_orbits"):
+            patch.setattr(mod, "fibration_orbits",
+                          lambda f, g, _r=mod.fibration_orbits:
+                          events.append("fibration_orbits") or _r(f, g))
+        if hasattr(mod, "point_permutation"):
+            patch.setattr(mod, "point_permutation",
+                          spied_perm(mod.point_permutation))
+    real = verify.trivial_orbits
+    patch.setattr(verify, "trivial_orbits",
+                  lambda f, g: events.append("trivial") or real(f, g))
+    return events
+
+
+def test_the_full_sweep_reads_no_group(sc2, form2, monkeypatch):
+    # every statement is forced false, so each suite fails under the
+    # Singer group and runs again under the trivial group; from then on
+    # it reads neither the group's orbits nor T, and the codes suite
+    # eliminates C and D
+    g = sc2.geometry
+    fib = t_orbit_fibration(sc2)
+    monkeypatch.setattr(verify, "orbit_sum", lambda pts, sc: 0)
+    monkeypatch.setattr(verify, "regular_through", lambda s, lines, g: False)
+    monkeypatch.setattr(verify, "tangent_member", lambda mask, f: None)
+    built = []
+    for name in ("code_C", "code_D"):
+        monkeypatch.setattr(verify, name, lambda f, g, _n=name,
+                            _r=getattr(verify, name):
+                            built.append(_n) or _r(f, g))
+    events = spy_on_the_group(monkeypatch, sc2.t_gen)
+    for suite in (lambda: verify_proposition1(fib, g),
+                  lambda: verify_lemma5(sc2),
+                  lambda: verify_main_theorem(fib, g),
+                  lambda: verify_radical_and_corollary3(form2, sc2)):
+        events.clear()
+        assert not suite().passed
+        assert events.count("trivial") == 1
+        assert events[events.index("trivial") + 1:] == []
+    assert sorted(built) == ["code_C", "code_D"]
+
+
+def test_a_passing_verify_computes_t_points_twice(sc3, capsys,
+                                                  monkeypatch):
+    # singer_context checks T's order, and the orbits verify T once
+    events = spy_on_the_group(monkeypatch, sc3.t_gen)
+    assert main(["verify", "--n", "3", "--suite", "all", "--no-cache"]) == 0
+    assert events.count("t_gen") == 2 and "trivial" not in events
+
+
 def test_k_group_cycles_the_suzuki_tits_members(tits3, geo3, monkeypatch):
     # the Suzuki-Tits fibration has no T: its line-fixing group K permutes
     # the members in one cycle and fixes none, so only the member half of
@@ -206,16 +270,17 @@ def test_each_guard_declines_alone(case, fib2, geo2, sc2):
     assert genuine.members == [(0, 5)] and len(genuine.lines) == 21
     orbits = Orbits(fib2, geo2, **{**group._asdict(), which: matrix(sc2)})
     trivial = trivial_orbits(fib2, geo2)
-    assert genuine.t_gen == sc2.t_gen and trivial.t_gen is None
+    assert genuine.t_points == list(sc2.t_perm)
+    assert trivial.t_points is None
     if which == "gen":
         assert orbits.members == trivial.members
         assert orbits.lines == genuine.lines
-        assert orbits.t_gen == sc2.t_gen
+        assert orbits.t_points == genuine.t_points
     else:
         assert orbits.members == genuine.members
         assert orbits.lines == trivial.lines
         assert orbits.t_lines == range(len(geo2.lines))
-        assert orbits.t_gen is None
+        assert orbits.t_points is None
 
 
 def test_guards_read_the_matrices_not_the_stored_permutations(sc2, geo2):
@@ -235,7 +300,9 @@ def test_guards_read_the_matrices_not_the_stored_permutations(sc2, geo2):
     f = t_orbit_fibration(sc)
     assert f.members == fib.members
     orbits = fibration_orbits(f, geo2)
-    assert orbits.t_lines == collineation_lines(geo2, sc2.t_gen)
+    t_points = point_permutation(geo2, sc2.t_gen)
+    assert orbits.t_points == t_points != list(sc.t_perm)
+    assert orbits.t_lines == line_permutation(geo2, t_points)
     with pytest.MonkeyPatch.context() as patch:
         no_full_sweep(patch)
         for rep in (verify_proposition1(f, geo2), verify_lemma5(sc),

@@ -81,6 +81,14 @@ def test_is_ovoid_rejects_plane(geo2):
     assert not is_ovoid(plane_points(geo2.planes[0])[:17], geo2)
 
 
+@pytest.mark.parametrize("index", ["past_the_end", "negative"])
+def test_is_ovoid_rejects_indices_that_are_not_points(index, quadric2, geo2):
+    # one point swapped for an index outside range(n_points): no ovoid,
+    # whatever bits the index would set
+    bad = geo2.n_points + 5 if index == "past_the_end" else -1
+    assert not is_ovoid(quadric2.pts[:-1] + (bad,), geo2)
+
+
 def test_is_ovoid_rejects_swapped_point(quadric2, geo2):
     outside = next(p.index for p in geo2.points
                    if not (quadric2.mask >> p.index) & 1)

@@ -1,6 +1,6 @@
 """The codes suite's T-module path against the GF(2) elimination it
-replaces on T-invariant input, its two guards, and the line
-permutation kernel it reads.
+replaces on T-invariant input, its guards, and the line permutation
+kernel it reads.
 
 The oracle for every counter is the BitMat elimination: the rank of C,
 radical_codim_check on D and orthogonal(D, C), each on fresh matrices.
@@ -11,18 +11,18 @@ import tracemalloc
 import pytest
 
 from ovoidlab import ExtFieldCtx, singer_context, t_orbit_fibration, verify
-from ovoidlab.fibration import Fibration, fibration_orbits, orbit_leaders
+from ovoidlab.fibration import (Orbits, fibration_orbits, orbit_leaders,
+                                trivial_orbits)
 from ovoidlab.gf2code import (BitMat, code_C, code_D,
                               orthogonal, point_orbit_sums,
                               radical_codim_check, t_coordinates,
                               t_module_counters, t_module_dims)
-from ovoidlab.ovoids import Ovoid
 from ovoidlab.projspace import line_permutation
 from ovoidlab.symplectic import member_polarity, polar_lines
 from ovoidlab.verify import verify_radical_and_corollary3
 
 from kfibration import singer_k
-from test_failure_branches import replaced, swapped_form, swapped_t
+from test_failure_branches import swapped_form
 
 
 # tracemalloc's peak during the q = 8 codes suite, on a warm polar map,
@@ -54,9 +54,10 @@ def test_t_module_matches_elimination_on_every_member(n, request):
     sc = singer(n, request)
     g = sc.geometry
     fib = t_orbit_fibration(sc)
+    orbits = fibration_orbits(fib, g)
     for i in range(len(fib.members)):
         form = member_polarity(fib, i, g)
-        fast = t_module_counters(form, sc, fib)
+        fast = t_module_counters(polar_lines(form, g), orbits, sc)
         assert fast is not None, i
         c, d = code_C(form, g), code_D(form, g)
         assert fast == oracle_counters(c.rows, d.rows, g.n_points), i
@@ -132,7 +133,7 @@ def test_t_module_matches_elimination_on_invariant_row_sets(n, variant,
     g = sc.geometry
     fib = t_orbit_fibration(sc)
     form = member_polarity(fib, 0, g)
-    coords = t_coordinates(sc, fib)
+    coords = t_coordinates(fibration_orbits(fib, g).t_points, g.q ** 2 + 1)
     c_gens, c_rows, d_gens, d_rows, extra, pts, masks = \
         invariant_row_sets(form, sc)
     genuine = oracle_counters(c_rows, d_rows, g.n_points)
@@ -180,7 +181,8 @@ def test_fast_path_taken_on_genuine_input(form2, sc2, fib2, monkeypatch):
     # a fast path that finds D outside C-perp builds both codes to look
     # for witnesses, and eliminates neither
     calls.clear()
-    dims = t_module_counters(form2, sc2, fib2)
+    dims = t_module_counters(polar_lines(form2, sc2.geometry),
+                             fibration_orbits(fib2, sc2.geometry), sc2)
     monkeypatch.setattr(verify, "t_module_counters",
                         lambda *a: dims[:3] + (False,))
     verify_radical_and_corollary3(form2, sc2)
@@ -214,16 +216,21 @@ def test_codes_suite_working_set_q8(sc3):
 
 
 def test_each_guard_declines_alone(form2, sc2, fib2, geo2):
-    assert t_module_counters(form2, sc2, fib2) is not None
-    # 1: t_perm is not t_gen's permutation, or t_gen is singular
-    assert t_coordinates(swapped_t(sc2, 0, 1), fib2) is None
+    polar = polar_lines(form2, geo2)
+    assert t_module_counters(polar, fibration_orbits(fib2, geo2),
+                             sc2) is not None
+    # 1: the orbits kept no T: the trivial group, a group without T, and
+    # a singular t_gen
     singular = tuple((1, 0, 0, 0) for _ in range(4))
-    assert t_coordinates(replaced(sc2, t_gen=singular), fib2) is None
-    # 2: the swapped form passes guard 1, but T does not preserve it
+    for orbits in (trivial_orbits(fib2, geo2), Orbits(fib2, geo2, sc2.gen),
+                   Orbits(fib2, geo2, sc2.gen, singular)):
+        assert orbits.t_points is None
+        assert t_module_counters(polar, orbits, sc2) is None
+    # 2: T does not commute with the swapped form's polar map
     other = swapped_form(form2)
     oc, od = code_C(other, geo2), code_D(other, geo2)
-    assert t_coordinates(sc2, fib2) is not None
-    assert t_module_counters(other, sc2, fib2) is None
+    assert t_module_counters(polar_lines(other, geo2),
+                             fibration_orbits(fib2, geo2), sc2) is None
     rep = verify_radical_and_corollary3(other, sc2)
     dim_d, dim_s, codim = radical_codim_check(
         BitMat(od.rows, width=od.width))
@@ -232,24 +239,20 @@ def test_each_guard_declines_alone(form2, sc2, fib2, geo2):
     assert rep.counters["dim_C"] == BitMat(oc.rows, width=oc.width).rank
 
 
-def test_t_coordinates_decline_members_that_are_not_t_cycles(sc2, fib2,
-                                                              geo2):
-    # length: with the Singer generator as t, one member holding every
-    # point is the mask of a cycle, but of length (q^2+1)(q+1)
-    whole = Fibration((Ovoid.from_points(range(geo2.n_points)),))
-    singer_as_t = replaced(sc2, t_gen=sc2.gen, t_perm=sc2.gen_perm)
-    assert t_coordinates(singer_as_t, whole) is None
-    # mask: members 0 and 1 trade their last points, so each still starts
-    # on the least point of a T-cycle of the right length
-    m = fib2.members
-    traded = Fibration((Ovoid.from_points(m[0].pts[:-1] + m[1].pts[-1:]),
-                        Ovoid.from_points(m[1].pts[:-1] + m[0].pts[-1:]))
-                       + m[2:])
-    assert [ov.pts[0] for ov in traded.members] == [ov.pts[0] for ov in m]
-    assert t_coordinates(sc2, traded) is None
-    # a member listed twice
-    assert t_coordinates(sc2, Fibration(m[:-1] + m[:1])) is None
-    assert t_coordinates(sc2, fib2) is not None
+def test_t_coordinates_need_point_cycles_of_length_q2_plus_1(sc2, geo2):
+    # 3: the Singer generator's one cycle, or the identity's fixed points,
+    # number no point as t^k(b_j) with k < q^2+1
+    order = geo2.q ** 2 + 1
+    assert t_coordinates(sc2.gen_perm, order) is None
+    assert t_coordinates(range(geo2.n_points), order) is None
+    coords = t_coordinates(sc2.t_perm, order)
+    assert sorted(coords) == [(j, k) for j in range(geo2.q + 1)
+                              for k in range(order)]
+    for p, t in enumerate(sc2.t_perm):
+        j, k = coords[p]
+        assert coords[t] == (j, (k + 1) % order)
+    assert [p for p, (_, k) in enumerate(coords) if k == 0] == [
+        ov.pts[0] for ov in t_orbit_fibration(sc2).members]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
