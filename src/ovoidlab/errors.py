@@ -55,6 +55,10 @@ class NotASpread(OvoidlabError):
     """The line set is not a spread."""
 
 
+class NotALine(OvoidlabError):
+    """An index outside the geometry's line table was given as a line."""
+
+
 class InvariantViolation(OvoidlabError):
     """A construction broke a guaranteed invariant (a Singer generator of the
     wrong projective order, or a degenerate polarity)."""

@@ -9,7 +9,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .errors import InvariantViolation, NotAFibration, NotASpread
+from .errors import (InvariantViolation, NotAFibration, NotALine,
+                     NotASpread)
 from .gfield import ExtFieldCtx, mat_pow, mult_matrix
 from .ovoids import Ovoid, is_ovoid
 from .projspace import GeometryTables, line_permutation, point_permutation
@@ -429,48 +430,46 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
 
     Extends partial spreads by the line through the least uncovered point,
     propagating regulus closure; returns (spread_lines | None, nodes),
-    with nodes <= budget.
+    with nodes <= budget.  Raises NotALine naming the first entry of tl
+    that is not a line index of g.
     """
+    masks = g.line_masks
+    nl = len(masks)
+    tl = list(tl)
+    bad = [li for li in tl if li not in range(nl)]
+    if bad:
+        raise NotALine(f"line index {bad[0]!r} is outside 0..{nl - 1}")
     tlset = set(tl)
     q = g.q
     target = q * q + 1
-    masks = g.line_masks
-    nl = len(masks)
     lines_by_point: dict[int, list[int]] = {}
     for li in sorted(tlset):
         for p in g.line_row(li):
             lines_by_point.setdefault(p, []).append(li)
     nodes = 0
-    # line pair x * nl + y (x < y) -> the reguli met so far through x and y;
-    # each regulus is one frozenset shared by all of its pairs
-    reguli: dict[int, list[frozenset]] = {}
-
-    def regulus_of(x: int, y: int, z: int) -> frozenset:
-        """The regulus through three pairwise skew lines, computed once."""
-        for r in reguli.get(x * nl + y if x < y else y * nl + x, ()):
-            if z in r:
-                return r
-        r = frozenset(g._regulus_lines(x, y, z))
-        members = sorted(r)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                reguli.setdefault(u * nl + v, []).append(r)
-        return r
+    # regulus id, in the order found -> its lines; line -> the mask of the
+    # ids of the reguli through it
+    reg_lines: list[list[int]] = []
+    reg_of = [0] * nl
 
     def closure(chosen: list[int], covered: int, new: int):
         """Add new plus all regulus-forced lines; None on conflict."""
         chosen = list(chosen)
+        at = {li: i for i, li in enumerate(chosen)}
         seen = set(chosen)
         seen.add(new)
         queue = [new]
-        # reguli whose lines this closure has walked; fresh per closure,
-        # since a failed sibling may have walked a regulus it never added
-        walked: set[frozenset] = set()
+        # fresh per closure, since a failed sibling may have walked a
+        # regulus it never added: the ids walked, and regulus id -> the
+        # mask of its lines' positions in chosen, exact for each id held
+        walked: set[int] = set()
+        held: dict[int, int] = {}
 
-        def force(r: frozenset) -> bool:
-            """Queue the unseen lines of regulus r; False when one is
+        def force(rid: int) -> bool:
+            """Queue the unseen lines of regulus rid; False when one is
             outside tl or meets a chosen line."""
-            for t in r:
+            walked.add(rid)
+            for t in reg_lines[rid]:
                 if t not in tlset:
                     return False
                 if t not in seen:
@@ -486,23 +485,41 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
             if covered & m or li not in tlset:
                 return None, None
             covered |= m
+            n = at[li] = len(chosen)
             chosen.append(li)
-            if len(chosen) > target:
+            if n >= target:
                 return None, None
-            # reguli through pairs of existing lines and the new line; the
-            # lines of a regulus found through (la, li) give no other one
-            for a in range(len(chosen) - 1):
-                la = chosen[a]
-                found: set[int] = set()
-                for b in range(a + 1, len(chosen) - 1):
-                    lb = chosen[b]
-                    if lb in found:
-                        continue
-                    r = regulus_of(la, lb, li)
-                    found |= r
-                    if r not in walked:
-                        walked.add(r)
-                        if not force(r):
+            x = rli = reg_of[li]
+            while x:
+                rid = x.bit_length() - 1
+                x ^= 1 << rid
+                if rid in held:
+                    held[rid] |= 1 << n
+            # the reguli through la = chosen[a], li and a chosen line
+            # between them: the known ones through la and li that hold
+            # such a line, then the kernel for each line none of them holds;
+            # chosen[:n] is closed, so no later la needs a regulus found here
+            for a, la in enumerate(chosen[:n - 1]):
+                todo = (1 << n) - (2 << a)
+                known = rli & reg_of[la]
+                while todo:
+                    if known:
+                        rid = known.bit_length() - 1
+                        known ^= 1 << rid
+                    else:
+                        rid = len(reg_lines)
+                        lb = chosen[(todo & -todo).bit_length() - 1]
+                        reg_lines.append(g._regulus_lines(la, lb, li))
+                        for t in reg_lines[rid]:
+                            reg_of[t] |= 1 << rid
+                    hit = held.get(rid)
+                    if hit is None:
+                        hit = held[rid] = sum(1 << at[t]
+                                              for t in reg_lines[rid]
+                                              if t in at)
+                    if hit & todo:
+                        todo &= ~hit
+                        if rid not in walked and not force(rid):
                             return None, None
         return chosen, covered
 

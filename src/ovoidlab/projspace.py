@@ -15,7 +15,7 @@ from array import array
 from collections.abc import Sequence
 from functools import cached_property, reduce
 from itertools import combinations, product
-from operator import xor
+from operator import and_, xor
 from typing import NamedTuple
 
 from .errors import DuplicatePoint, InvariantViolation, SamePoint, SizeGuard
@@ -153,9 +153,11 @@ class GeometryTables:
             raise DuplicatePoint("three distinct points required")
         return bool(self.line_through(p1, p2).mask >> p3 & 1)
 
-    def _transversal_lines(self, l1: int, l2: int, l3: int) -> list[int]:
-        """Transversals of three lines, one through each point of l2;
-        unchecked, so the caller guarantees the lines are pairwise skew.
+    def _transversal_lines(self, l1: int, l2: int, l3: int,
+                           count: int | None = None) -> list[int]:
+        """Transversals of three lines, one through each of the first
+        count (by default all) points of l2; unchecked, so the caller
+        guarantees the lines are pairwise skew.
 
         Plane k contains point y iff point k lies on plane y, so the planes
         through l1 are the common bits of the plane masks of its first two
@@ -169,7 +171,7 @@ class GeometryTables:
         pencil3 = planes[c].mask & planes[d].mask
         line_of = self.line_of
         out = []
-        for y in self.line_row(l2):
+        for y in pts[l2 * k:l2 * k + (count or k)]:
             m = planes[y].mask
             out.append(line_of[planes[(pencil1 & m).bit_length() - 1].mask
                                & planes[(pencil3 & m).bit_length() - 1].mask])
@@ -178,8 +180,8 @@ class GeometryTables:
     def _regulus_lines(self, l1: int, l2: int, l3: int) -> list[int]:
         """The q+1 lines of the regulus through three pairwise skew lines
         (unchecked): the transversals of three of their transversals."""
-        opp = self._transversal_lines(l1, l2, l3)
-        return self._transversal_lines(opp[0], opp[1], opp[2])
+        opp = self._transversal_lines(l1, l2, l3, 3)
+        return self._transversal_lines(*opp)
 
 
 def scaled_columns(ctx: FieldCtx, m) -> list[list[int]]:
@@ -291,23 +293,30 @@ def build_geometry(n: int) -> GeometryTables:
     index = [0] * q ** 4               # normalized packed vector -> point
     for i, pk in enumerate(packed):
         index[pk] = i
-    # later[c]: the points v with pivot before c and v_c = 0, ascending
-    later = {c: [(i, pk) for i, pk in enumerate(packed)
-                 if pk >> (4 - c) * n and not pk >> (3 - c) * n & q - 1]
+    # later[c]: the indices and the packed vectors, ascending, of the
+    # points v with pivot before c and v_c = 0
+    later = {c: tuple(zip(*[(i, pk) for i, pk in enumerate(packed)
+                            if pk >> (4 - c) * n
+                            and not pk >> (3 - c) * n & q - 1]))
              for c in (1, 2, 3)}
-    line_pts = array(POINT_TYPECODE)
-    line_masks: list[int] = []
+    k, end = q + 1, 0
+    line_pts = array(POINT_TYPECODE, [0]) * (k * (q * q + 1) * (q * q + q + 1))
     for iu in range(q * q + q + 1):    # pivot 3, 2, 1: pivot 0 is never u
         u0, u1, u2, u3 = u = coords[iu]
-        scaled = [row[u0] << 3 * n | row[u1] << 2 * n | row[u2] << n
-                  | row[u3] for row in mt[1:]]           # a*u, a = 1..q-1
-        pu = pmasks[iu]
-        for iv, pv in later[u.index(1)]:
-            line_pts.extend((iu, iv, *[index[pv ^ s] for s in scaled]))
-            # the meet of the two least planes through u and v
-            through = pu & pmasks[iv]
-            rest = through & through - 1
-            line_masks.append(pmasks[(through ^ rest).bit_length() - 1]
-                              & pmasks[(rest & -rest).bit_length() - 1])
+        ivs, pvs = later[u.index(1)]
+        start, end = end, end + k * len(ivs)
+        # column j of these lines: u, v, then v + a*u for a = 1..q-1
+        line_pts[start:end:k] = array(POINT_TYPECODE, [iu]) * len(ivs)
+        line_pts[start + 1:end:k] = array(POINT_TYPECODE, ivs)
+        for j, row in enumerate(mt[1:], 2):
+            au = row[u0] << 3 * n | row[u1] << 2 * n | row[u2] << n | row[u3]
+            line_pts[start + j:end:k] = array(POINT_TYPECODE,
+                                              [index[pv ^ au] for pv in pvs])
+    # the meet of the two least planes through each line's first two
+    # points, meet_mask inlined over the planes t through both
+    line_masks = [pmasks[(t ^ (r := t & t - 1)).bit_length() - 1]
+                  & pmasks[(r & -r).bit_length() - 1]
+                  for t in map(and_, map(pmasks.__getitem__, line_pts[::k]),
+                               map(pmasks.__getitem__, line_pts[1::k]))]
 
     return GeometryTables(ctx, coords, line_pts, line_masks, pmasks)

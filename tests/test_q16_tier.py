@@ -1,8 +1,11 @@
 """PG(3,16).  The suites' closed forms run in tier-1 on one module-scoped
 Singer context (about 0.4 s to build).  The memory budgets, the oracle
-builds and the full sweep are the opt-in slow tier, run with
-`pytest -m slow`; the default options in pyproject.toml deselect it."""
+builds, the full sweep and the spread search are the opt-in slow tier,
+run with `pytest -m slow`; the default options in pyproject.toml
+deselect it."""
 
+import hashlib
+import json
 import time
 import tracemalloc
 from array import array
@@ -12,11 +15,14 @@ import pytest
 from ovoidlab import (ExtFieldCtx, build_geometry, elliptic_quadric,
                       singer_context, t_orbit_fibration, verify)
 from ovoidlab import ovoids
+from ovoidlab.fibration import find_regular_spread_in_complex
+from ovoidlab.projspace import line_typecode
 from ovoidlab.symplectic import member_polarity, polar_lines
 
 from test_gfield import ext_build_size
 from test_orbits import differential
 from test_projspace import assert_equals_mask_peeling_build
+from test_regulus_kernel import listscan_search
 from test_t_module import codes_suite_peak
 
 # the codes suite took 9.3 s on the elimination path and takes about
@@ -135,3 +141,24 @@ def test_reduced_reports_equal_the_full_sweep_q16(sc4, monkeypatch):
 @pytest.mark.slow
 def test_build_equals_the_mask_peeling_build_q16(sc4):
     assert_equals_mask_peeling_build(sc4.geometry)
+
+
+# sha256 of the JSON list of the 257 lines the search finds in the
+# elliptic quadric's tangent complex at q = 16
+SPREAD_Q16_SHA256 = ("4ca29fe32669943d9ddc10938603e757"
+                     "c4061c280f21db7d6a701440e6793ced")
+
+
+@pytest.mark.slow
+def test_search_q16_elliptic_is_pinned_and_equals_listscan(sc4):
+    # about 0.9 s, and 1.6 s for the list-scan closure; line indices
+    # here need 4-byte arrays, and the spread holds some above 65,535
+    g = sc4.geometry
+    tl = ovoids.tangent_lines(elliptic_quadric(g), g)
+    sp, nodes = find_regular_spread_in_complex(tl, g, budget=1000)
+    assert line_typecode(len(g.line_masks)) == "I" and max(sp) >= 1 << 16
+    assert nodes == 4 and len(sp) == 257
+    assert sp[:3] == (1, 289, 577)
+    assert hashlib.sha256(json.dumps(list(sp)).encode()).hexdigest() \
+        == SPREAD_Q16_SHA256
+    assert listscan_search(tl, g, 1000) == (sp, nodes)

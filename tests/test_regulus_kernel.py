@@ -5,7 +5,10 @@ regulus of every line triple with its own per-point transversal search
 (`oracle_transversals`) and shares no code with
 `GeometryTables._regulus_lines`.  The fast `is_regular_spread` and the
 memoized spread search must agree with it; `oracle_search` is the spread
-search with a closure that recomputes every triple until nothing is new.
+search with a closure that recomputes every triple until nothing is new,
+and `listscan_search` is the search with the closure it had before
+reguli were numbered: a known regulus is found by scanning the reguli
+met through a line pair, and a regulus's lines by scanning the list.
 """
 
 import json
@@ -19,6 +22,7 @@ import pytest
 from ovoidlab import (ExtFieldCtx, common_tangent_spread, singer_context,
                       t_orbit_fibration)
 from ovoidlab import fibration
+from ovoidlab.errors import NotALine
 from ovoidlab.fibration import (Spread, find_regular_spread_in_complex,
                                 is_regular_spread)
 from ovoidlab.ovoids import elliptic_quadric, tangent_lines, tits_ovoid
@@ -132,6 +136,103 @@ def oracle_search(tl, g, budget):
         return None
 
     return search(set()), nodes
+
+
+def listscan_search(tl, g, budget):
+    """find_regular_spread_in_complex with its earlier closure: each
+    regulus is a frozenset listed under every pair of its lines, a known
+    one is found by scanning that list for the third line, and a closure
+    skips the later lines of a regulus found through (la, li) by set
+    membership.  It computes every regulus with g._regulus_lines and ends
+    in fibration.is_regular_spread, as the search does."""
+    tlset = set(tl)
+    target = g.q * g.q + 1
+    masks = g.line_masks
+    nl = len(masks)
+    lines_by_point = {}
+    for li in sorted(tlset):
+        for p in g.line_row(li):
+            lines_by_point.setdefault(p, []).append(li)
+    nodes = 0
+    reguli = {}
+
+    def regulus_of(x, y, z):
+        for r in reguli.get(x * nl + y if x < y else y * nl + x, ()):
+            if z in r:
+                return r
+        r = frozenset(g._regulus_lines(x, y, z))
+        members = sorted(r)
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                reguli.setdefault(u * nl + v, []).append(r)
+        return r
+
+    def closure(chosen, covered, new):
+        chosen = list(chosen)
+        seen = set(chosen)
+        seen.add(new)
+        queue = [new]
+        walked = set()
+
+        def force(r):
+            for t in r:
+                if t not in tlset:
+                    return False
+                if t not in seen:
+                    if covered & masks[t]:
+                        return False
+                    seen.add(t)
+                    queue.append(t)
+            return True
+
+        while queue:
+            li = queue.pop()
+            m = masks[li]
+            if covered & m or li not in tlset:
+                return None, None
+            covered |= m
+            chosen.append(li)
+            if len(chosen) > target:
+                return None, None
+            for a in range(len(chosen) - 1):
+                la = chosen[a]
+                found = set()
+                for b in range(a + 1, len(chosen) - 1):
+                    lb = chosen[b]
+                    if lb in found:
+                        continue
+                    r = regulus_of(la, lb, li)
+                    found |= r
+                    if r not in walked:
+                        walked.add(r)
+                        if not force(r):
+                            return None, None
+        return chosen, covered
+
+    def search(chosen, covered):
+        nonlocal nodes
+        if len(chosen) == target:
+            sp = Spread(tuple(sorted(chosen)))
+            return sp.lines if fibration.is_regular_spread(sp, g) else None
+        if nodes >= budget:
+            return None
+        uncovered = g.all_one & ~covered
+        p = (uncovered & -uncovered).bit_length() - 1
+        for li in lines_by_point.get(p, ()):
+            if masks[li] & covered:
+                continue
+            nodes += 1
+            if nodes >= budget:
+                return None
+            ext_chosen, ext_covered = closure(chosen, covered, li)
+            if ext_chosen is None:
+                continue
+            res = search(ext_chosen, ext_covered)
+            if res is not None or nodes >= budget:
+                return res
+        return None
+
+    return search([], 0), nodes
 
 
 @pytest.fixture(scope="module")
@@ -310,35 +411,47 @@ def test_search_computes_each_regulus_once(request, key, monkeypatch):
 
 
 @pytest.mark.parametrize("key", ["2-elliptic", "3-tits"])
-def test_closure_looks_up_and_walks_each_regulus_once(request, key):
-    # the closure skips the lines of a regulus already found through the
-    # pair (chosen[a], new): 408 and 14,560 lookups, q-1 per line pair of
-    # the spread, where one per triple made C(q^2+1, 3); and it walks the
-    # lines of each regulus at most once
+def test_closure_looks_up_and_walks_each_regulus_once(request, key,
+                                                      monkeypatch):
+    # a closure finds the known reguli through (chosen[a], new) in the
+    # per-line masks of regulus ids and calls the kernel only for a later
+    # line that none of them holds: the search computes each regulus
+    # once, at most q-1 per line pair of the spread, where one per triple
+    # made C(q^2+1, 3); and each closure walks the lines of a regulus at
+    # most once
     g, tl = _search_input(request, key)
-    lookups = 0
+    computed = []                   # the reguli the kernel returned
     walks = []                      # per closure, the reguli walked
+    kernel = type(g)._regulus_lines
+
+    def counting(self, *lines):
+        out = kernel(self, *lines)
+        computed.append(frozenset(out))
+        return out
 
     def hook(frame, event, arg):
-        nonlocal lookups
         if event != "call":
             return
         name = frame.f_code.co_name
-        if name == "regulus_of":
-            lookups += 1
-        elif name == "closure":
+        if name == "closure":
             walks.append([])
         elif name == "force":
-            walks[-1].append(frame.f_locals["r"])
+            walks[-1].append(frame.f_locals["rid"])
 
+    monkeypatch.setattr(type(g), "_regulus_lines", counting)
+    monkeypatch.setattr(fibration, "is_regular_spread", lambda *a: True)
     sys.setprofile(hook)
     try:
         sp, _ = find_regular_spread_in_complex(tl, g, budget=1000)
     finally:
         sys.setprofile(None)
     k = g.q * g.q + 1
-    assert sp is not None and 0 < lookups <= (g.q - 1) * k * (k - 1) // 2
+    assert sp is not None
+    assert 0 < len(computed) <= (g.q - 1) * k * (k - 1) // 2
+    assert len(computed) == len(set(computed))
     assert walks and all(len(w) == len(set(w)) for w in walks)
+    # regulus ids number the computed reguli
+    assert {rid for w in walks for rid in w} <= set(range(len(computed)))
 
 
 @pytest.mark.parametrize("drop", [6, 12, 20])
@@ -363,3 +476,53 @@ def test_search_stops_at_its_budget(geo3, seed):
     pruned = sorted(set(tl) - set(random.Random(seed).sample(tl, 60)))
     sp, nodes = find_regular_spread_in_complex(pruned, geo3, budget=300)
     assert sp is None and nodes == 300
+
+
+@pytest.fixture(scope="module")
+def complexes3(geo3, quadric3, tits3):
+    return {"tits": tangent_lines(tits3, geo3),
+            "elliptic": tangent_lines(quadric3, geo3)}
+
+
+@pytest.mark.parametrize("kind", ["tits", "elliptic"])
+@pytest.mark.parametrize("drop", [30, 60, 120])
+@pytest.mark.parametrize("seed", range(4))
+def test_search_matches_listscan_on_pruned_complexes_q8(geo3, complexes3,
+                                                        kind, drop, seed):
+    # with 30 lines dropped every search here finds a spread, with 60 two
+    # of eight do, and with 120 none does.  Both ovoids have the lines of
+    # the same W(q) as their tangents, so the kind seeds its own draws.
+    tl = complexes3[kind]
+    rng = random.Random(f"{kind}-{seed}")
+    pruned = sorted(set(tl) - set(rng.sample(tl, drop)))
+    got = find_regular_spread_in_complex(pruned, geo3, budget=300)
+    assert got == listscan_search(pruned, geo3, 300)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 1000])
+def test_search_matches_listscan_at_small_budgets_q8(geo3, complexes3,
+                                                     budget):
+    # the search-spread benchmark's input; the elliptic quadric's is equal
+    tl = complexes3["tits"]
+    assert tl == complexes3["elliptic"]
+    got = find_regular_spread_in_complex(tl, geo3, budget=budget)
+    assert got == listscan_search(tl, geo3, budget)
+    assert got[1] == min(budget, 4)
+
+
+@pytest.mark.parametrize("extra", [[-1], ["nl"], [10 ** 6], ["nl", -1]])
+def test_search_rejects_indices_that_are_not_lines(quadric2, geo2, extra):
+    # -1 would read a mask from the end of the table, and an index past
+    # the end would read an empty row: both used to return the result for
+    # the complex without them
+    nl = len(geo2.line_masks)
+    extra = [nl if x == "nl" else x for x in extra]
+    tl = tangent_lines(quadric2, geo2) + extra
+    with pytest.raises(NotALine, match=rf"line index {extra[0]} "):
+        find_regular_spread_in_complex(tl, geo2, budget=300)
+
+
+def test_search_reads_a_one_shot_iterable_once(quadric2, geo2):
+    tl = tangent_lines(quadric2, geo2)
+    assert (find_regular_spread_in_complex(iter(tl), geo2, budget=300)
+            == find_regular_spread_in_complex(tl, geo2, budget=300))
