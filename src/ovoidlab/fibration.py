@@ -2,18 +2,34 @@
 its subgroup T of order q^2+1, the cycles of a permutation, T-orbit
 fibrations, the orbits of a verified group on their members and lines,
 common-tangent spreads and regularity checks, plus a budgeted search for
-regular spreads inside a complex."""
+regular spreads inside a complex.
+
+Regularity is read through the Klein correspondence, which maps each line
+to its Plücker point on the Klein quadric of PG(5,q), skew lines to
+non-collinear points.  A spread is regular iff its Plücker points lie in
+one solid, whose section of the quadric is then elliptic (Bruck 1969;
+Hirschfeld, Finite Projective Spaces of Three Dimensions, 1985, ch. 15
+and 17), so the exhaustive check is one rank test.  The search closes its
+partial spreads under reguli.  For q > 2 a closed set of pairwise skew
+lines has 0, 1, 2, q+1 (a regulus) or q^2+1 lines: two lines and a third
+close by one regulus, and a regulus and one more line by the solid their
+Plücker points span, which cuts the quadric in q+2 pairwise non-collinear
+points and so in an elliptic quadric of q^2+1.  At q = 2 a regulus is any
+three skew lines, so every set of skew lines is closed.
+"""
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_, xor
 from typing import NamedTuple
 
 from .errors import (InvariantViolation, NotAFibration, NotALine,
                      NotASpread)
-from .gfield import ExtFieldCtx, mat_pow, mult_matrix
+from .gfield import ExtFieldCtx, echelon, mat_pow, mult_matrix, nullspace
 from .ovoids import Ovoid, is_ovoid
-from .projspace import GeometryTables, line_permutation, point_permutation
+from .projspace import (GeometryTables, line_permutation, plucker,
+                        point_permutation)
 
 
 class SingerContext:
@@ -349,77 +365,26 @@ def is_regular_spread(s: Spread, g: GeometryTables, *,
                       sample: int | None = None, seed: int = 0) -> bool:
     """True iff the regulus of every line triple stays inside the spread.
 
-    sample=N checks N random triples instead of all of them.  Three skew
-    lines lie in exactly one regulus, so once a regulus is found inside the
-    spread all its triples are marked done and skipped: the exhaustive
-    check walks the line pairs and computes q(q^2+1) reguli instead of one
-    per triple.
+    That holds iff the Plücker points of the lines lie in one solid of
+    PG(5,q), so the exhaustive check is one rank test.  sample=N instead
+    checks the reguli of N random triples.  Raises NotASpread unless s is
+    q^2+1 pairwise skew lines of g.
     """
-    return _reguli_inside(s, g, range(len(s.lines)), sample, seed)
-
-
-def regular_through(s: Spread, lines, g: GeometryTables) -> bool:
-    """True iff the regulus through each line of `lines` and any two
-    later lines of the spread stays inside it; a KeyError names a line of
-    `lines` outside the spread.
-
-    With every spread line this is is_regular_spread.  When a group maps
-    the spread onto itself transitively, the least spread line alone
-    suffices: the group carries every regulus of the spread onto one
-    through that line.
-    """
-    pos = {li: i for i, li in enumerate(s.lines)}
-    return _reguli_inside(s, g, sorted(pos[li] for li in lines))
-
-
-def _reguli_inside(s: Spread, g: GeometryTables, starts,
-                   sample: int | None = None, seed: int = 0) -> bool:
-    """The walk of is_regular_spread over the triples a < b < c of spread
-    positions with a in starts, or over `sample` random triples."""
     if not _is_spread(s.lines, g):
         raise NotASpread("input is not a spread")
     lines = s.lines
-    k = len(lines)
-    pos = {li: i for i, li in enumerate(lines)}
-    # done[a * k + b] has bit c set once triple (a, b, c) lies in a regulus
-    # already proved to be inside the spread
-    done = [0] * (k * k)
     if sample is None:
-        triples = _pair_walk(k, done, starts)
-    else:
-        import random
-        rng = random.Random(seed)
-        triples = (tuple(sorted(rng.sample(range(k), 3)))
-                   for _ in range(sample))
-    for a, b, c in triples:
-        if done[a * k + b] >> c & 1:
-            continue
-        reg = []
-        for li in g._regulus_lines(lines[a], lines[b], lines[c]):
-            i = pos.get(li)
-            if i is None:
-                return False
-            reg.append(i)
-        reg.sort()
-        mask = sum(1 << i for i in reg)
-        for j, x in enumerate(reg):
-            for y in reg[j + 1:]:
-                done[x * k + y] |= mask
+        return len(echelon(g.ctx, (plucker(g, li) for li in lines),
+                           stop=5)) <= 4
+    import random
+    rng = random.Random(seed)
+    inside = set(lines)
+    for _ in range(sample):
+        a, b, c = sorted(rng.sample(range(len(lines)), 3))
+        if not inside.issuperset(g._regulus_lines(lines[a], lines[b],
+                                                  lines[c])):
+            return False
     return True
-
-
-def _pair_walk(k: int, done: list[int], starts):
-    """The triples a < b < c < k with a in starts, pair by pair, skipping
-    each c whose bit is set in done[a * k + b]; done is read again after
-    every yield."""
-    full = (1 << k) - 1
-    for a in starts:
-        for b in range(a + 1, k):
-            ab = a * k + b
-            todo = (full >> b + 1 << b + 1) & ~done[ab]
-            while todo:
-                yield a, b, (todo & -todo).bit_length() - 1
-                todo &= ~done[ab]
 
 
 def find_regular_spread_in_complex(tl, g: GeometryTables, *,
@@ -429,99 +394,67 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
     line set tl (JSON-friendly result; NotFound is not a disproof).
 
     Extends partial spreads by the line through the least uncovered point,
-    propagating regulus closure; returns (spread_lines | None, nodes),
-    with nodes <= budget.  Raises NotALine naming the first entry of tl
-    that is not a line index of g.
+    closing each under reguli; returns (spread_lines | None, nodes), with
+    nodes <= budget.  Raises NotALine naming the first entry of tl that is
+    not an int line index of g (a bool is not one).
     """
     masks = g.line_masks
     nl = len(masks)
     tl = list(tl)
-    bad = [li for li in tl if li not in range(nl)]
+    bad = [li for li in tl if type(li) is not int or not 0 <= li < nl]
     if bad:
-        raise NotALine(f"line index {bad[0]!r} is outside 0..{nl - 1}")
+        raise NotALine(f"line index {bad[0]!r} is not an int in "
+                       f"0..{nl - 1}")
     tlset = set(tl)
-    q = g.q
+    q, mul = g.q, g.ctx.mul
     target = q * q + 1
     lines_by_point: dict[int, list[int]] = {}
     for li in sorted(tlset):
         for p in g.line_row(li):
             lines_by_point.setdefault(p, []).append(li)
     nodes = 0
-    # regulus id, in the order found -> its lines; line -> the mask of the
-    # ids of the reguli through it
-    reg_lines: list[list[int]] = []
-    reg_of = [0] * nl
+
+    def least_point(covered: int) -> int:
+        uncovered = g.all_one & ~covered
+        return (uncovered & -uncovered).bit_length() - 1
 
     def closure(chosen: list[int], covered: int, new: int):
-        """Add new plus all regulus-forced lines; None on conflict."""
-        chosen = list(chosen)
-        at = {li: i for i, li in enumerate(chosen)}
-        seen = set(chosen)
-        seen.add(new)
-        queue = [new]
-        # fresh per closure, since a failed sibling may have walked a
-        # regulus it never added: the ids walked, and regulus id -> the
-        # mask of its lines' positions in chosen, exact for each id held
-        walked: set[int] = set()
-        held: dict[int, int] = {}
-
-        def force(rid: int) -> bool:
-            """Queue the unseen lines of regulus rid; False when one is
-            outside tl or meets a chosen line."""
-            walked.add(rid)
-            for t in reg_lines[rid]:
-                if t not in tlset:
-                    return False
-                if t not in seen:
-                    if covered & masks[t]:
-                        return False
-                    seen.add(t)
-                    queue.append(t)
-            return True
-
-        while queue:
-            li = queue.pop()
-            m = masks[li]
-            if covered & m or li not in tlset:
-                return None, None
-            covered |= m
-            n = at[li] = len(chosen)
-            chosen.append(li)
-            if n >= target:
-                return None, None
-            x = rli = reg_of[li]
-            while x:
-                rid = x.bit_length() - 1
-                x ^= 1 << rid
-                if rid in held:
-                    held[rid] |= 1 << n
-            # the reguli through la = chosen[a], li and a chosen line
-            # between them: the known ones through la and li that hold
-            # such a line, then the kernel for each line none of them holds;
-            # chosen[:n] is closed, so no later la needs a regulus found here
-            for a, la in enumerate(chosen[:n - 1]):
-                todo = (1 << n) - (2 << a)
-                known = rli & reg_of[la]
-                while todo:
-                    if known:
-                        rid = known.bit_length() - 1
-                        known ^= 1 << rid
-                    else:
-                        rid = len(reg_lines)
-                        lb = chosen[(todo & -todo).bit_length() - 1]
-                        reg_lines.append(g._regulus_lines(la, lb, li))
-                        for t in reg_lines[rid]:
-                            reg_of[t] |= 1 << rid
-                    hit = held.get(rid)
-                    if hit is None:
-                        hit = held[rid] = sum(1 << at[t]
-                                              for t in reg_lines[rid]
-                                              if t in at)
-                    if hit & todo:
-                        todo &= ~hit
-                        if rid not in walked and not force(rid):
-                            return None, None
-        return chosen, covered
+        """(lines, points covered) of the least regulus-closed set holding
+        chosen, itself closed and covering `covered`, and new, a line
+        skew to it; None when one of its lines is outside tl.  For q > 2
+        a closed set of pairwise skew lines has 0, 1, 2, q+1 (a regulus)
+        or q^2+1 lines; at q = 2 a regulus is any three skew lines, so
+        every set is closed."""
+        n = len(chosen)
+        if n < 2 or q == 2:
+            return [*chosen, new], covered | masks[new]
+        if n == 2:
+            reg = g._regulus_lines(chosen[0], chosen[1], new)
+            if not tlset.issuperset(reg):
+                return None
+            return reg, reduce(or_, map(masks.__getitem__, reg))
+        if n != q + 1:
+            raise InvariantViolation(
+                f"a regulus-closed partial spread has {n} lines")
+        # the Plücker points of three regulus lines and new span a solid,
+        # cut out by the linear complexes eqs; its section of the Klein
+        # quadric holds q+2 pairwise non-collinear points, so it is
+        # elliptic, and its q^2+1 lines, one through each point, are the
+        # ones the reguli force
+        eqs = nullspace(g.ctx, [plucker(g, li)
+                                for li in (*chosen[:3], new)], 6)
+        grown = list(chosen)
+        while covered != g.all_one:
+            p = least_point(covered)
+            li = next((li for li in lines_by_point.get(p, ())
+                       if not masks[li] & covered and not any(
+                           reduce(xor, map(mul, plucker(g, li), e))
+                           for e in eqs)), None)
+            if li is None:
+                return None
+            grown.append(li)
+            covered |= masks[li]
+        return grown, covered
 
     def search(chosen: list[int], covered: int):
         nonlocal nodes
@@ -533,9 +466,7 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
             return None
         if nodes >= budget:
             return None
-        uncovered = g.all_one & ~covered
-        p = (uncovered & -uncovered).bit_length() - 1
-        for li in lines_by_point.get(p, ()):
+        for li in lines_by_point.get(least_point(covered), ()):
             if masks[li] & covered:
                 continue
             nodes += 1
@@ -543,10 +474,10 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
                 return None
             if progress and nodes % 100000 == 0:
                 progress(nodes)
-            ext_chosen, ext_covered = closure(chosen, covered, li)
-            if ext_chosen is None:
+            grown = closure(chosen, covered, li)
+            if grown is None:
                 continue
-            res = search(ext_chosen, ext_covered)
+            res = search(*grown)
             if res is not None or nodes >= budget:
                 return res             # found, or the budget is spent
         return None

@@ -219,6 +219,22 @@ def line_permutation(g: GeometryTables, point_perm) -> list[int]:
             for a, b in zip(pts[::k], pts[1::k])]
 
 
+def plucker(g: GeometryTables, li: int) -> tuple[int, ...]:
+    """The Plücker vector of line li, p_ij = u_i v_j + u_j v_i for the
+    pairs i < j in the order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3),
+    from its first two points u and v.
+
+    Under the Klein correspondence this is a point of the Klein quadric
+    p01 p23 + p02 p13 + p03 p12 = 0 in PG(5,q), one per line; another
+    pair of points of the line scales it."""
+    k, pts, points, mul = g.q + 1, g.line_pts, g.points, g.ctx.mul
+    u0, u1, u2, u3 = points[pts[li * k]].coords
+    v0, v1, v2, v3 = points[pts[li * k + 1]].coords
+    return (mul(u0, v1) ^ mul(u1, v0), mul(u0, v2) ^ mul(u2, v0),
+            mul(u0, v3) ^ mul(u3, v0), mul(u1, v2) ^ mul(u2, v1),
+            mul(u1, v3) ^ mul(u3, v1), mul(u2, v3) ^ mul(u3, v2))
+
+
 def point_coords(q: int) -> list[tuple[int, int, int, int]]:
     """Normalized coordinates of the points of PG(3,q) in lex order."""
     return [(0,) * c + (1,) + rest for c in range(3, -1, -1)

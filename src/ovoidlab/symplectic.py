@@ -11,9 +11,10 @@ from .fibration import Fibration
 from .gfield import echelon, nullspace
 from .ovoids import tangent_lines
 from .projspace import (SUPPORTED_N, GeometryTables, Line, line_typecode,
-                        point_permutation, scaled_columns)
+                        plucker, point_permutation, scaled_columns)
 
-# index pairs of the six free entries of an alternating 4x4 matrix
+# index pairs of the six free entries of an alternating 4x4 matrix, in
+# the order of the Plücker coordinates of projspace.plucker
 _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 # a passing run solves and maps member 0's form alone; a failing main
@@ -111,15 +112,11 @@ def tangent_nullspace(g: GeometryTables, tangents) -> list[tuple[int, ...]]:
     then checked against each remaining tangent, and the first tangent it
     fails makes the nullity 0.
     """
-    mul, pts, k = g.ctx.mul, g.line_pts, g.q + 1
-    coords = [p.coords for p in g.points]
-
-    def row(li):
-        u, v = coords[pts[li * k]], coords[pts[li * k + 1]]
-        return [mul(u[i], v[j]) ^ mul(u[j], v[i]) for (i, j) in _UPPER]
-
+    pts, k = g.line_pts, g.q + 1
+    # a line is isotropic iff its Plücker vector is orthogonal to the six
+    # free entries
     it = iter(tangents)
-    pivots = echelon(g.ctx, (row(li) for li in it), stop=5)
+    pivots = echelon(g.ctx, (plucker(g, li) for li in it), stop=5)
     basis = nullspace(g.ctx, [prow for _, prow in pivots], 6)
     if len(basis) != 1:
         return basis
@@ -129,7 +126,7 @@ def tangent_nullspace(g: GeometryTables, tangents) -> list[tuple[int, ...]]:
     index, planes = g.vector_index, g.planes
     for li in it:
         a, b = pts[li * k], pts[li * k + 1]
-        c0, c1, c2, c3 = coords[a]
+        c0, c1, c2, c3 = g.points[a].coords
         plane = index[t0[c0] ^ t1[c1] ^ t2[c2] ^ t3[c3]]
         if plane >= 0 and not planes[plane].mask >> b & 1:
             return []

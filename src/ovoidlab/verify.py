@@ -20,8 +20,9 @@ from functools import cache
 from .errors import NoPolarity, NotASpread, OvoidlabError
 from .fibration import (Fibration, SingerContext, Spread,
                         common_tangent_spread, common_tangents,
-                        fibration_orbits, regular_through, t_orbit_fibration,
-                        tangency_profile, tangent_member, trivial_orbits)
+                        fibration_orbits, is_regular_spread,
+                        t_orbit_fibration, tangency_profile, tangent_member,
+                        trivial_orbits)
 from .gf2code import (code_C, code_D, orbit_sum, orthogonal,
                       radical_codim_check, t_module_counters)
 from .ovoids import Ovoid, line_meets, tangent_lines
@@ -103,11 +104,9 @@ def _proposition1(rec, f, g, orbits) -> VerificationReport:
     spread_set = set(common)
     want = (1, q // 2, q // 2)
     masks = g.line_masks
-    bad, starts = [], []
+    bad = []
     for li, _ in orbits.lines:
-        if li in spread_set:
-            starts.append(li)
-        else:
+        if li not in spread_set:
             prof = tangency_profile(masks[li], f)
             if prof != want:
                 bad.append((li, prof))
@@ -115,11 +114,8 @@ def _proposition1(rec, f, g, orbits) -> VerificationReport:
         rec.fail(f"common tangent set has {len(common)} lines, "
                  f"expected {q * q + 1}")
     else:
-        # starts holds the spread's representatives: every spread line
-        # under the trivial group, and under T, which is transitive on
-        # the spread, its least line
         try:
-            if not regular_through(Spread(tuple(common)), starts, g):
+            if not is_regular_spread(Spread(tuple(common)), g):
                 rec.fail("common tangent spread fails regulus closure")
         except NotASpread:
             rec.fail("common tangent lines do not form a spread")

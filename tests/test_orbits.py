@@ -160,7 +160,7 @@ def test_the_full_sweep_reads_no_group(sc2, form2, monkeypatch):
     g = sc2.geometry
     fib = t_orbit_fibration(sc2)
     monkeypatch.setattr(verify, "orbit_sum", lambda pts, sc: 0)
-    monkeypatch.setattr(verify, "regular_through", lambda s, lines, g: False)
+    monkeypatch.setattr(verify, "is_regular_spread", lambda s, g: False)
     monkeypatch.setattr(verify, "tangent_member", lambda mask, f: None)
     built = []
     for name in ("code_C", "code_D"):

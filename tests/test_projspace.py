@@ -10,7 +10,9 @@ from ovoidlab.errors import (DuplicatePoint, InvariantViolation, SamePoint,
                              SizeGuard)
 from ovoidlab.gfield import FieldCtx, nullspace
 from ovoidlab.projspace import (Plane, build_geometry, mul_table,
-                                plane_masks, point_coords, point_permutation)
+                                plane_masks, plucker, point_coords,
+                                point_permutation)
+from ovoidlab.symplectic import _UPPER
 
 from kfibration import singer_k
 from linecols import lines_by_point, mask_peeling_build, plane_points
@@ -398,3 +400,53 @@ def test_dual_matches_nullspace(n, request):
         want = g.line_through(g.index_of(a), g.index_of(b)).index
         assert dual(ln.index) == want
         assert dual(want) == ln.index
+
+
+def klein_form(mul, p, r):
+    """The polar form of the Klein quadric p01 p23 + p02 p13 + p03 p12:
+    zero exactly when the lines with Plücker vectors p and r meet."""
+    return (mul(p[0], r[5]) ^ mul(p[5], r[0]) ^ mul(p[1], r[4])
+            ^ mul(p[4], r[1]) ^ mul(p[2], r[3]) ^ mul(p[3], r[2]))
+
+
+@pytest.mark.parametrize("fix", ["geo1", "geo2", "geo3"])
+def test_plucker_points_are_distinct_and_on_the_klein_quadric(fix,
+                                                              request):
+    g = request.getfixturevalue(fix)
+    mul = g.ctx.mul
+    keys = set()
+    for li in range(len(g.line_masks)):
+        p = plucker(g, li)
+        assert mul(p[0], p[5]) ^ mul(p[1], p[4]) ^ mul(p[2], p[3]) == 0
+        keys.add(g.normalize(p))
+    assert len(keys) == len(g.line_masks)
+
+
+@pytest.mark.parametrize("fix", ["geo1", "geo2", "geo3"])
+def test_plucker_is_the_exterior_product_of_any_two_points(fix, request):
+    # in the order of the alternating form's free entries, from the first
+    # two points, and the same projective point from any other pair
+    g = request.getfixturevalue(fix)
+    mul = g.ctx.mul
+
+    def wedge(a, b):
+        u, v = g.points[a].coords, g.points[b].coords
+        return tuple(mul(u[i], v[j]) ^ mul(u[j], v[i]) for i, j in _UPPER)
+
+    rng = random.Random(fix)
+    for li in rng.sample(range(len(g.line_masks)), 35):
+        row = list(g.line_row(li))
+        assert plucker(g, li) == wedge(*row[:2])
+        assert g.normalize(wedge(*rng.sample(row, 2))) \
+            == g.normalize(plucker(g, li))
+
+
+def test_plucker_points_of_meeting_lines_are_orthogonal(geo2):
+    mul = geo2.ctx.mul
+    rng = random.Random(4)
+    n_lines = len(geo2.line_masks)
+    for _ in range(2000):
+        l1, l2 = rng.sample(range(n_lines), 2)
+        meet = bool(geo2.line_masks[l1] & geo2.line_masks[l2])
+        form = klein_form(mul, plucker(geo2, l1), plucker(geo2, l2))
+        assert (form == 0) == meet

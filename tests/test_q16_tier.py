@@ -1,6 +1,7 @@
-"""PG(3,16).  The suites' closed forms run in tier-1 on one module-scoped
-Singer context (about 0.4 s to build).  The memory budgets, the oracle
-builds, the full sweep and the spread search are the opt-in slow tier,
+"""PG(3,16).  The suites' closed forms, the pinned spread search and the
+Klein regularity verdicts run in tier-1 on one module-scoped Singer
+context (about 0.4 s to build).  The memory budgets, the oracle builds,
+the full sweep and the list-scan search oracle are the opt-in slow tier,
 run with `pytest -m slow`; the default options in pyproject.toml
 deselect it."""
 
@@ -15,7 +16,9 @@ import pytest
 from ovoidlab import (ExtFieldCtx, build_geometry, elliptic_quadric,
                       singer_context, t_orbit_fibration, verify)
 from ovoidlab import ovoids
-from ovoidlab.fibration import find_regular_spread_in_complex
+from ovoidlab.fibration import (Spread, common_tangent_spread,
+                                find_regular_spread_in_complex,
+                                is_regular_spread)
 from ovoidlab.projspace import line_typecode
 from ovoidlab.symplectic import member_polarity, polar_lines
 
@@ -149,10 +152,9 @@ SPREAD_Q16_SHA256 = ("4ca29fe32669943d9ddc10938603e757"
                      "c4061c280f21db7d6a701440e6793ced")
 
 
-@pytest.mark.slow
-def test_search_q16_elliptic_is_pinned_and_equals_listscan(sc4):
-    # about 0.9 s, and 1.6 s for the list-scan closure; line indices
-    # here need 4-byte arrays, and the spread holds some above 65,535
+def test_search_q16_elliptic_is_pinned(sc4):
+    # about 25 ms; line indices here need 4-byte arrays, and the spread
+    # holds some above 65,535
     g = sc4.geometry
     tl = ovoids.tangent_lines(elliptic_quadric(g), g)
     sp, nodes = find_regular_spread_in_complex(tl, g, budget=1000)
@@ -161,4 +163,27 @@ def test_search_q16_elliptic_is_pinned_and_equals_listscan(sc4):
     assert sp[:3] == (1, 289, 577)
     assert hashlib.sha256(json.dumps(list(sp)).encode()).hexdigest() \
         == SPREAD_Q16_SHA256
-    assert listscan_search(tl, g, 1000) == (sp, nodes)
+
+
+@pytest.mark.slow
+def test_search_q16_elliptic_equals_listscan(sc4):
+    # about 1.6 s for the list-scan closure
+    g = sc4.geometry
+    tl = ovoids.tangent_lines(elliptic_quadric(g), g)
+    assert listscan_search(tl, g, 1000) == \
+        find_regular_spread_in_complex(tl, g, budget=1000)
+
+
+def test_klein_verdicts_q16(sc4):
+    # the rank test on 257 Plücker points: the Singer spread is regular,
+    # and replacing one of its reguli by the opposite regulus is not
+    g = sc4.geometry
+    spread = common_tangent_spread(t_orbit_fibration(sc4), g)
+    assert max(spread.lines) >= 1 << 16
+    assert is_regular_spread(spread, g) is True
+    reg = g._regulus_lines(*spread.lines[:3])
+    opp = g._transversal_lines(*spread.lines[:3])
+    reversed_ = Spread(tuple(sorted((set(spread.lines) - set(reg))
+                                    | set(opp))))
+    assert reversed_ != spread
+    assert is_regular_spread(reversed_, g) is False

@@ -1,14 +1,20 @@
-"""Differential tests for the regulus kernel.
+"""Differential tests for the regulus kernel, the Klein regularity test
+and the spread search.
 
 `oracle_is_regular_spread` is the original triple sweep: it recomputes the
 regulus of every line triple with its own per-point transversal search
 (`oracle_transversals`) and shares no code with
-`GeometryTables._regulus_lines`.  The fast `is_regular_spread` and the
-memoized spread search must agree with it; `oracle_search` is the spread
-search with a closure that recomputes every triple until nothing is new,
-and `listscan_search` is the search with the closure it had before
-reguli were numbered: a known regulus is found by scanning the reguli
-met through a line pair, and a regulus's lines by scanning the list.
+`GeometryTables._regulus_lines`.  `walk_is_regular_spread` is the
+regularity check that walked the line pairs and computed each regulus of
+the spread once with the kernel, before the Plücker rank test replaced it.
+The rank test `is_regular_spread` and the spread search must agree with
+them.  `oracle_search` is the spread search with a closure that
+recomputes every triple until nothing is new; `listscan_search` is the
+search with the closure it had before reguli were numbered: a known
+regulus is found by scanning the reguli met through a line pair, and a
+regulus's lines by scanning the list; `regid_search` is the search with
+the closure that numbered the reguli, before a regulus plus one line was
+closed through the solid their Plücker points span.
 """
 
 import json
@@ -22,7 +28,7 @@ import pytest
 from ovoidlab import (ExtFieldCtx, common_tangent_spread, singer_context,
                       t_orbit_fibration)
 from ovoidlab import fibration
-from ovoidlab.errors import NotALine
+from ovoidlab.errors import NotALine, NotASpread
 from ovoidlab.fibration import (Spread, find_regular_spread_in_complex,
                                 is_regular_spread)
 from ovoidlab.ovoids import elliptic_quadric, tangent_lines, tits_ovoid
@@ -235,6 +241,166 @@ def listscan_search(tl, g, budget):
     return search([], 0), nodes
 
 
+def walk_is_regular_spread(s, g):
+    """True iff the regulus of every line triple stays inside the spread.
+
+    Three skew lines lie in exactly one regulus, so once a regulus is
+    found inside the spread all its triples are marked done and skipped:
+    the walk computes q(q^2+1) reguli, not one per triple.
+    """
+    lines = s.lines
+    k = len(lines)
+    pos = {li: i for i, li in enumerate(lines)}
+    # done[a * k + b] has bit c set once triple (a, b, c) lies in a regulus
+    # already proved to be inside the spread
+    done = [0] * (k * k)
+    for a, b, c in pair_walk(k, done, range(k)):
+        reg = []
+        for li in g._regulus_lines(lines[a], lines[b], lines[c]):
+            i = pos.get(li)
+            if i is None:
+                return False
+            reg.append(i)
+        reg.sort()
+        mask = sum(1 << i for i in reg)
+        for j, x in enumerate(reg):
+            for y in reg[j + 1:]:
+                done[x * k + y] |= mask
+    return True
+
+
+def pair_walk(k, done, starts):
+    """The triples a < b < c < k with a in starts, pair by pair, skipping
+    each c whose bit is set in done[a * k + b]; done is read again after
+    every yield."""
+    full = (1 << k) - 1
+    for a in starts:
+        for b in range(a + 1, k):
+            ab = a * k + b
+            todo = (full >> b + 1 << b + 1) & ~done[ab]
+            while todo:
+                yield a, b, (todo & -todo).bit_length() - 1
+                todo &= ~done[ab]
+
+
+def regid_search(tl, g, budget):
+    """find_regular_spread_in_complex with the closure that numbered the
+    reguli as it computed them and kept per line the bitmask of the ids of
+    the reguli through it, so the known reguli through a line pair were
+    one AND of two masks.  It ends in fibration.is_regular_spread, as the
+    search does."""
+    masks = g.line_masks
+    nl = len(masks)
+    tlset = set(tl)
+    q = g.q
+    target = q * q + 1
+    lines_by_point = {}
+    for li in sorted(tlset):
+        for p in g.line_row(li):
+            lines_by_point.setdefault(p, []).append(li)
+    nodes = 0
+    # regulus id, in the order found -> its lines; line -> the mask of the
+    # ids of the reguli through it
+    reg_lines = []
+    reg_of = [0] * nl
+
+    def closure(chosen, covered, new):
+        """Add new plus all regulus-forced lines; None on conflict."""
+        chosen = list(chosen)
+        at = {li: i for i, li in enumerate(chosen)}
+        seen = set(chosen)
+        seen.add(new)
+        queue = [new]
+        # fresh per closure, since a failed sibling may have walked a
+        # regulus it never added: the ids walked, and regulus id -> the
+        # mask of its lines' positions in chosen, exact for each id held
+        walked = set()
+        held = {}
+
+        def force(rid):
+            """Queue the unseen lines of regulus rid; False when one is
+            outside tl or meets a chosen line."""
+            walked.add(rid)
+            for t in reg_lines[rid]:
+                if t not in tlset:
+                    return False
+                if t not in seen:
+                    if covered & masks[t]:
+                        return False
+                    seen.add(t)
+                    queue.append(t)
+            return True
+
+        while queue:
+            li = queue.pop()
+            m = masks[li]
+            if covered & m or li not in tlset:
+                return None, None
+            covered |= m
+            n = at[li] = len(chosen)
+            chosen.append(li)
+            if n >= target:
+                return None, None
+            x = rli = reg_of[li]
+            while x:
+                rid = x.bit_length() - 1
+                x ^= 1 << rid
+                if rid in held:
+                    held[rid] |= 1 << n
+            # the reguli through la = chosen[a], li and a chosen line
+            # between them: the known ones through la and li that hold
+            # such a line, then the kernel for each line none of them holds;
+            # chosen[:n] is closed, so no later la needs a regulus found here
+            for a, la in enumerate(chosen[:n - 1]):
+                todo = (1 << n) - (2 << a)
+                known = rli & reg_of[la]
+                while todo:
+                    if known:
+                        rid = known.bit_length() - 1
+                        known ^= 1 << rid
+                    else:
+                        rid = len(reg_lines)
+                        lb = chosen[(todo & -todo).bit_length() - 1]
+                        reg_lines.append(g._regulus_lines(la, lb, li))
+                        for t in reg_lines[rid]:
+                            reg_of[t] |= 1 << rid
+                    hit = held.get(rid)
+                    if hit is None:
+                        hit = held[rid] = sum(1 << at[t]
+                                              for t in reg_lines[rid]
+                                              if t in at)
+                    if hit & todo:
+                        todo &= ~hit
+                        if rid not in walked and not force(rid):
+                            return None, None
+        return chosen, covered
+
+    def search(chosen, covered):
+        nonlocal nodes
+        if len(chosen) == target:
+            sp = Spread(tuple(sorted(chosen)))
+            return sp.lines if fibration.is_regular_spread(sp, g) else None
+        if nodes >= budget:
+            return None
+        uncovered = g.all_one & ~covered
+        p = (uncovered & -uncovered).bit_length() - 1
+        for li in lines_by_point.get(p, ()):
+            if masks[li] & covered:
+                continue
+            nodes += 1
+            if nodes >= budget:
+                return None
+            ext_chosen, ext_covered = closure(chosen, covered, li)
+            if ext_chosen is None:
+                continue
+            res = search(ext_chosen, ext_covered)
+            if res is not None or nodes >= budget:
+                return res
+        return None
+
+    return search([], 0), nodes
+
+
 @pytest.fixture(scope="module")
 def spread1(geo1):
     fib = t_orbit_fibration(singer_context(geo1, ExtFieldCtx.build(1)))
@@ -258,6 +424,7 @@ def _reversed(spread, g, start=0):
 def test_singer_spread_verdict_matches_oracle(request, q):
     g, spread = _spreads(request, q)
     assert is_regular_spread(spread, g) is True
+    assert walk_is_regular_spread(spread, g) is True
     assert oracle_is_regular_spread(spread, g) is True
 
 
@@ -274,7 +441,36 @@ def test_reversed_spread_verdict_matches_oracle(request, q, start):
     mutated = _reversed(spread, g, start)
     assert mutated.lines != spread.lines
     assert is_regular_spread(mutated, g) is False
+    assert walk_is_regular_spread(mutated, g) is False
     assert oracle_is_regular_spread(mutated, g) is False
+
+
+@pytest.mark.parametrize("q", ["q4", "q8"])
+@pytest.mark.parametrize("sample", [None, 50])
+def test_klein_check_rejects_a_non_spread(request, q, sample):
+    # one spread line swapped for another line: q^2+1 lines, not skew
+    g, spread = _spreads(request, q)
+    swap = next(li for li in range(len(g.line_masks))
+                if li not in spread.lines)
+    with pytest.raises(NotASpread):
+        is_regular_spread(Spread(spread.lines[1:] + (swap,)), g,
+                          sample=sample)
+
+
+@pytest.mark.parametrize("q,reverse", [("q2", False), ("q4", False),
+                                       ("q8", False), ("q4", True),
+                                       ("q8", True)])
+def test_exhaustive_check_calls_no_regulus_kernel(request, q, reverse,
+                                                  monkeypatch):
+    g, spread = _spreads(request, q)
+    if reverse:
+        spread = _reversed(spread, g)
+
+    def no_kernel(self, *lines):
+        raise AssertionError("the rank test computed a regulus")
+
+    monkeypatch.setattr(type(g), "_regulus_lines", no_kernel)
+    assert is_regular_spread(spread, g) is not reverse
 
 
 @pytest.mark.parametrize("q", ["q4", "q8"])
@@ -303,6 +499,7 @@ def test_sampled_triples_use_the_kernel(spread3, geo3, monkeypatch):
 
 def test_exhaustive_check_computes_each_regulus_once(spread3, geo3,
                                                      monkeypatch):
+    # the pair walk oracle
     calls = []
     kernel = type(geo3)._regulus_lines
 
@@ -312,7 +509,7 @@ def test_exhaustive_check_computes_each_regulus_once(spread3, geo3,
         return out
 
     monkeypatch.setattr(type(geo3), "_regulus_lines", counting)
-    assert is_regular_spread(spread3, geo3)
+    assert walk_is_regular_spread(spread3, geo3)
     q = geo3.q
     # a regular spread has exactly q(q^2+1) reguli
     assert len(calls) == len(set(calls)) == q * (q * q + 1)
@@ -324,15 +521,15 @@ def test_pair_walk_yields_one_triple_per_regulus(spread3, geo3,
     # triple of a regulus already found: q(q^2+1) triples, where the
     # triple sweep offered all C(q^2+1, 3)
     offered = []
-    walk = fibration._pair_walk
+    walk = pair_walk
 
     def counting(k, done, starts):
         for t in walk(k, done, starts):
             offered.append(t)
             yield t
 
-    monkeypatch.setattr(fibration, "_pair_walk", counting)
-    assert is_regular_spread(spread3, geo3)
+    monkeypatch.setitem(globals(), "pair_walk", counting)
+    assert walk_is_regular_spread(spread3, geo3)
     q = geo3.q
     assert len(offered) == len(set(offered)) == q * (q * q + 1)
 
@@ -386,6 +583,7 @@ def _search_input(request, key):
 
 @pytest.mark.parametrize("key", ["2-elliptic", "3-tits"])
 def test_search_computes_each_regulus_once(request, key, monkeypatch):
+    # the regulus-id closure oracle
     g, tl = _search_input(request, key)
     calls, checks = [], []
     kernel = type(g)._regulus_lines
@@ -402,7 +600,7 @@ def test_search_computes_each_regulus_once(request, key, monkeypatch):
 
     monkeypatch.setattr(type(g), "_regulus_lines", counting)
     monkeypatch.setattr(fibration, "is_regular_spread", checking)
-    sp, _ = find_regular_spread_in_complex(tl, g, budget=1000)
+    sp, _ = regid_search(tl, g, 1000)
     assert sp is not None and len(checks) == 1
     search = calls[:checks[0]]
     q = g.q
@@ -413,8 +611,8 @@ def test_search_computes_each_regulus_once(request, key, monkeypatch):
 @pytest.mark.parametrize("key", ["2-elliptic", "3-tits"])
 def test_closure_looks_up_and_walks_each_regulus_once(request, key,
                                                       monkeypatch):
-    # a closure finds the known reguli through (chosen[a], new) in the
-    # per-line masks of regulus ids and calls the kernel only for a later
+    # in the regulus-id closure oracle, a closure finds the known reguli
+    # through (chosen[a], new) in the per-line masks of regulus ids and calls the kernel only for a later
     # line that none of them holds: the search computes each regulus
     # once, at most q-1 per line pair of the spread, where one per triple
     # made C(q^2+1, 3); and each closure walks the lines of a regulus at
@@ -442,7 +640,7 @@ def test_closure_looks_up_and_walks_each_regulus_once(request, key,
     monkeypatch.setattr(fibration, "is_regular_spread", lambda *a: True)
     sys.setprofile(hook)
     try:
-        sp, _ = find_regular_spread_in_complex(tl, g, budget=1000)
+        sp, _ = regid_search(tl, g, 1000)
     finally:
         sys.setprofile(None)
     k = g.q * g.q + 1
@@ -466,6 +664,22 @@ def test_search_matches_oracle_on_pruned_complexes(quadric2, geo2, drop,
     pruned = sorted(set(tl) - set(rng.sample(tl, drop)))
     got = find_regular_spread_in_complex(pruned, geo2, budget=300)
     assert got == oracle_search(pruned, geo2, 300)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 4, 5, 6, 1000])
+@pytest.mark.parametrize("drop", [0, 2, 5])
+def test_search_matches_oracle_at_q2(geo1, budget, drop):
+    # at q = 2 a regulus is any three skew lines, so every set of skew
+    # lines is closed and the search adds one line per node: 5 nodes for
+    # the 5 lines of a spread, where a regulus plus one line closed by
+    # the solid would take 4
+    tl = tangent_lines(elliptic_quadric(geo1), geo1)
+    pruned = sorted(set(tl) - set(random.Random(drop).sample(tl, drop)))
+    got = find_regular_spread_in_complex(pruned, geo1, budget=budget)
+    assert got == oracle_search(pruned, geo1, budget)
+    assert got == listscan_search(pruned, geo1, budget)
+    if drop == 0:
+        assert got[1] == min(budget, 5)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -520,6 +734,39 @@ def test_search_rejects_indices_that_are_not_lines(quadric2, geo2, extra):
     tl = tangent_lines(quadric2, geo2) + extra
     with pytest.raises(NotALine, match=rf"line index {extra[0]} "):
         find_regular_spread_in_complex(tl, geo2, budget=300)
+
+
+@pytest.mark.parametrize("extra", [3.0, True])
+def test_search_rejects_entries_that_are_not_ints(quadric2, geo2, extra):
+    # 3.0 == 3 and True == 1 both pass a range membership test; 3.0 then
+    # failed in a slice and True was read as line 1
+    tl = tangent_lines(quadric2, geo2) + [extra]
+    with pytest.raises(NotALine, match=rf"line index {extra!r} "):
+        find_regular_spread_in_complex(tl, geo2, budget=300)
+
+
+@pytest.mark.parametrize("kind", ["tits", "elliptic"])
+@pytest.mark.parametrize("drop", [0, 30, 60])
+@pytest.mark.parametrize("budget", [4, 300])
+def test_search_calls_the_kernel_at_most_once_per_node(geo3, complexes3,
+                                                       kind, drop, budget,
+                                                       monkeypatch):
+    # only a closure of two chosen lines and a new one computes a regulus:
+    # a regulus and one more line close through their Plücker solid, and
+    # the final check is a rank test
+    tl = complexes3[kind]
+    rng = random.Random(f"{kind}-{drop}")
+    pruned = sorted(set(tl) - set(rng.sample(tl, drop)))
+    calls = []
+    kernel = type(geo3)._regulus_lines
+
+    def counting(self, *lines):
+        calls.append(lines)
+        return kernel(self, *lines)
+
+    monkeypatch.setattr(type(geo3), "_regulus_lines", counting)
+    _, nodes = find_regular_spread_in_complex(pruned, geo3, budget=budget)
+    assert 0 < len(calls) <= nodes
 
 
 def test_search_reads_a_one_shot_iterable_once(quadric2, geo2):
