@@ -349,8 +349,8 @@ def common_tangent_spread(f: Fibration, g: GeometryTables,
 
 
 def _is_spread(lines, g: GeometryTables) -> bool:
-    if (len(set(lines)) != g.q * g.q + 1 or min(lines) < 0
-            or max(lines) >= len(g.line_masks)):
+    if len(set(lines)) != g.q * g.q + 1 or not all(
+            type(li) is int and 0 <= li < len(g.line_masks) for li in lines):
         return False
     acc = 0
     for li in lines:

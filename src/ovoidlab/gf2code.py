@@ -17,13 +17,18 @@ from .projspace import GeometryTables, Line
 from .symplectic import SymplecticForm, enumerate_dual_grids, isotropic_lines
 
 
-class BitMat:
-    """Row span over GF(2) with a cached echelon form and rank.
+def _bits(v: int):
+    """The positions of the set bits of v >= 0, ascending."""
+    while v:
+        yield (v & -v).bit_length() - 1
+        v &= v - 1
 
-    Appending rows invalidates the cache; the echelon holds one row per
-    highest-bit pivot, in descending pivot order, so reduction is a simple
-    left-to-right sweep.
-    """
+
+class BitMat:
+    """Row span over GF(2) with a cached, fully reduced echelon form: each
+    pivot is its row's top bit, and every other echelon row is zero there,
+    so a dependent sparse row costs at most its weight in XORs (structured
+    Gaussian elimination, LaMacchia-Odlyzko, CRYPTO 1990)."""
 
     def __init__(self, rows=(), width: int = 0):
         self.width = width
@@ -33,25 +38,28 @@ class BitMat:
             self.append(r)
 
     def append(self, row: int) -> None:
-        if row.bit_length() > self.width:
-            raise LengthMismatch(
-                f"row of {row.bit_length()} bits in a width-{self.width} matrix")
+        if row < 0 or row >> self.width:
+            raise LengthMismatch(f"row outside 0..2^{self.width} - 1")
         self.rows.append(row)
         self._echelon = None
 
     def _build_echelon(self) -> list[tuple[int, int]]:
+        """(pivot, row) pairs by descending pivot; fills _rows and _pivots."""
         if self._echelon is None:
-            # clear each row's top bit until it is a new pivot
-            pivots: dict[int, int] = {}
+            rows: dict[int, int] = {}
+            pivots = 0
             for r in self.rows:
-                while r:
+                for p in _bits(r & pivots):
+                    r ^= rows[p]
+                if r:
                     top = r.bit_length() - 1
-                    val = pivots.get(top)
-                    if val is None:
-                        pivots[top] = r
-                        break
-                    r ^= val
-            self._echelon = sorted(pivots.items(), reverse=True)
+                    for p, val in rows.items():  # rows below top lack it
+                        if p > top and val >> top & 1:
+                            rows[p] = val ^ r
+                    rows[top] = r
+                    pivots |= 1 << top
+            self._rows, self._pivots = rows, pivots
+            self._echelon = sorted(rows.items(), reverse=True)
         return self._echelon
 
     @property
@@ -59,14 +67,14 @@ class BitMat:
         return len(self._build_echelon())
 
     def reduce(self, v: int) -> int:
-        for piv, val in self._build_echelon():
-            if (v >> piv) & 1:
-                v ^= val
+        if v < 0 or v >> self.width:
+            raise LengthMismatch(f"vector outside 0..2^{self.width} - 1")
+        self._build_echelon()
+        for p in _bits(v & self._pivots):
+            v ^= self._rows[p]
         return v
 
     def contains(self, v: int) -> bool:
-        if v.bit_length() > self.width:
-            raise LengthMismatch("vector wider than the matrix")
         return self.reduce(v) == 0
 
 
@@ -78,12 +86,20 @@ def in_span(v: int, m: BitMat) -> bool:
     return m.contains(v)
 
 
-def orthogonal(a: BitMat, b: BitMat) -> bool:
-    """True iff every row of a meets every row of b in an even number of
-    points; decided on the two echelon bases, which span the same rows."""
-    b_basis = [val for _, val in b._build_echelon()]
-    return not any((x & y).bit_count() & 1
-                   for _, x in a._build_echelon() for y in b_basis)
+def odd_meetings(d: BitMat, c: BitMat):
+    """(i, j) for each row i of d that meets a row of c oddly, j the first
+    such row: none iff D lies in C-perp.  Bit j of through[p] says that row
+    j of c holds point p, so their XOR over row i's points finds the j."""
+    through = [0] * max(c.width, d.width)
+    for j, row in enumerate(c.rows):
+        for p in _bits(row):
+            through[p] |= 1 << j
+    for i, row in enumerate(d.rows):
+        acc = 0
+        for p in _bits(row):
+            acc ^= through[p]
+        if acc:
+            yield i, (acc & -acc).bit_length() - 1
 
 
 def code_C(f: SymplecticForm, g: GeometryTables) -> BitMat:
@@ -103,23 +119,16 @@ def radical_codim_check(d: BitMat) -> tuple[int, int, int]:
 
     The span of {row0 + rowi} equals the span of all pairwise sums, so a
     codimension of 1 witnesses that the sum of any two dual grids lies in
-    the radical while no single dual grid does.
-
-    One elimination gives all three: with a parity bit appended to every
-    row, row 0 keeps it as its pivot and every later row is reduced by it
-    to row0 + rowi, so the rest of the echelon is a basis of S.  D is S
-    plus row 0, and row 0 adds a dimension unless it reduces to zero by
-    S, that is unless the lone parity bit lies in the span.
+    the radical while no single dual grid does.  With a parity bit on
+    every row, the span is S plus row 0 with the bit, one dimension more;
+    row 0 adds one to S unless the lone parity bit lies in the span.
     """
     if not d.rows:
         raise EmptyMatrix("code_D matrix has no rows")
     parity = 1 << d.width
     dp = BitMat((r | parity for r in d.rows), width=d.width + 1)
-    sums = dp._build_echelon()[1:]
-    rest = dp.reduce(parity)           # row 0 reduced by S
-    dim_sum = len(sums)
-    dim_d = dim_sum + (rest != 0)
-    return dim_d, dim_sum, dim_d - dim_sum
+    codim = int(dp.reduce(parity) != 0)
+    return dp.rank - 1 + codim, dp.rank - 1, codim
 
 
 # -- C and D as modules over R = GF(2)[x]/(x^N - 1), N = q^2 + 1 -----------

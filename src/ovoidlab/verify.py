@@ -23,7 +23,7 @@ from .fibration import (Fibration, SingerContext, Spread,
                         fibration_orbits, is_regular_spread,
                         t_orbit_fibration, tangency_profile, tangent_member,
                         trivial_orbits)
-from .gf2code import (code_C, code_D, orbit_sum, orthogonal,
+from .gf2code import (code_C, code_D, odd_meetings, orbit_sum,
                       radical_codim_check, t_module_counters)
 from .ovoids import Ovoid, line_meets, tangent_lines
 from .projspace import GeometryTables
@@ -265,16 +265,13 @@ def _codes(rec, fib, g, orbits, form, sc) -> VerificationReport | None:
     rec.counters["dual_grids"] = n_grids
 
     # the T-module ranks when T provably maps both row sets onto
-    # themselves, else one elimination of each code
+    # themselves, else one elimination of each code; the rows are swept
+    # for D-in-C-perp unless the T-module proves it
     fast = t_module_counters(polar, orbits, sc)
-    if fast is None or not fast[3]:  # the elimination or witnesses read rows
+    if fast is None or not fast[3]:
         C, D = code_C(form, g), code_D(form, g)
-    if fast is None:
-        dim_d, dim_sum, _ = radical_codim_check(D)
-        dim_c = C.rank
-        d_in_c_perp = orthogonal(D, C)
-    else:
-        dim_c, dim_d, dim_sum, d_in_c_perp = fast
+    dim_c, dim_d, dim_sum, perp_proved = fast or (
+        C.rank, *radical_codim_check(D)[:2], False)
     codim = dim_d - dim_sum
     rec.counters.update(dim_C=dim_c, dim_C_perp=g.n_points - dim_c,
                         dim_D=dim_d, dim_pairwise_sum_span=dim_sum,
@@ -290,15 +287,9 @@ def _codes(rec, fib, g, orbits, form, sc) -> VerificationReport | None:
             rec.fail(f"dual grid row {idx} lies in the pairwise-sum span",
                      (idx,))
 
-    # D subset C-perp, with strict containment; the generator pairs are
-    # swept only to name the witnesses
-    if not d_in_c_perp:
-        for di, drow in enumerate(D.rows):
-            for ci, crow in enumerate(C.rows):
-                if (drow & crow).bit_count() & 1:
-                    rec.fail(f"dual grid {di} meets W(q)-line {ci} oddly",
-                             (di, ci))
-                    break
+    # D subset C-perp, with strict containment
+    for di, ci in () if perp_proved else odd_meetings(D, C):
+        rec.fail(f"dual grid {di} meets W(q)-line {ci} oddly", (di, ci))
     if not dim_d < g.n_points - dim_c:
         rec.fail(f"dim D = {dim_d} is not strictly below "
                  f"dim C-perp = {g.n_points - dim_c}")

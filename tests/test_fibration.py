@@ -180,17 +180,20 @@ def test_is_regular_spread_rejects_non_spread(geo2):
         is_regular_spread(Spread((0, 1, 2)), geo2)
 
 
-@pytest.mark.parametrize("index", ["past_the_end", "negative"])
+@pytest.mark.parametrize("index", ["past_the_end", "negative", "float"])
 def test_spread_check_rejects_indices_that_are_not_lines(index, spread2,
                                                          geo2):
     # the negative index names the same line as the one it replaces once
-    # read from the end of the line table
+    # read from the end of the line table; the float equals the line it
+    # replaces but cannot index the mask table
     n_lines = len(geo2.line_masks)
     lines = spread2.lines
     if index == "past_the_end":
         bad = lines[:-1] + (n_lines + 3,)
-    else:
+    elif index == "negative":
         bad = (lines[0] - n_lines,) + lines[1:]
+    else:
+        bad = (float(lines[0]),) + lines[1:]
     with pytest.raises(NotASpread):
         is_regular_spread(Spread(bad), geo2)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovoidlab.errors import EmptyMatrix, InvariantViolation, LengthMismatch
-from ovoidlab.gf2code import (BitMat, code_C, code_D, in_span, orthogonal,
+from ovoidlab.gf2code import (BitMat, code_C, code_D, in_span, odd_meetings,
                               radical_codim_check, span_rank, t_orbit_sum)
 from ovoidlab.symplectic import enumerate_dual_grids
 
@@ -45,6 +45,43 @@ def sorted_insert_echelon(rows) -> list[tuple[int, int]]:
             ech.append((r.bit_length() - 1, r))
             ech.sort(key=lambda t: -t[0])
     return ech
+
+
+def topbit_echelon(rows) -> list[tuple[int, int]]:
+    """The BitMat elimination before the fully reduced one, kept as an
+    oracle: clear each row's top bit by the pivot row there until it is a
+    new pivot.  A pivot row may keep bits at lower pivots."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            val = pivots.get(top)
+            if val is None:
+                pivots[top] = r
+                break
+            r ^= val
+    return sorted(pivots.items(), reverse=True)
+
+
+def orthogonal(a: BitMat, b: BitMat) -> bool:
+    """The codes suite's former D-in-C-perp test, kept as an oracle: True
+    iff every row of a meets every row of b in an even number of points,
+    decided on the two top-bit echelons, which span the same rows."""
+    b_basis = [val for _, val in topbit_echelon(b.rows)]
+    return not any((x & y).bit_count() & 1
+                   for _, x in topbit_echelon(a.rows) for y in b_basis)
+
+
+def double_loop_witnesses(d: BitMat, c: BitMat) -> list[tuple[int, int]]:
+    """The codes suite's former witness sweep, kept as an oracle: each row
+    of d that meets a row of c oddly, with the first such row of c."""
+    out = []
+    for di, drow in enumerate(d.rows):
+        for ci, crow in enumerate(c.rows):
+            if (drow & crow).bit_count() & 1:
+                out.append((di, ci))
+                break
+    return out
 
 
 def oracle_reduce(ech, v: int) -> int:
@@ -96,6 +133,22 @@ def test_echelon_matches_sorted_insert_oracle(case):
     assert_echelon_matches_oracle(m, probes)
 
 
+@settings(max_examples=300, deadline=None)
+@given(bitmats())
+def test_echelon_is_fully_reduced(case):
+    # every other pivot row is zero at a pivot, so reduction reads the
+    # pivots of v as given; the top-bit oracle has the same pivots and
+    # reduced forms
+    m, probes = case
+    got = m._build_echelon()
+    pivots = sum(1 << p for p, _ in got)
+    assert all(val & pivots == 1 << p for p, val in got)
+    ech = topbit_echelon(m.rows)
+    assert [p for p, _ in got] == [p for p, _ in ech]
+    for v in probes + m.rows:
+        assert m.reduce(v) == oracle_reduce(ech, v)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_code_echelons_match_sorted_insert_oracle(n, hyperbolic_form,
                                                   request):
@@ -119,6 +172,7 @@ def test_orthogonal_matches_pair_loop(pair):
     # narrow widths make orthogonal pairs common
     (a, _), (b, _) = pair
     assert orthogonal(a, b) == pairwise_orthogonal(a, b)
+    assert list(odd_meetings(a, b)) == double_loop_witnesses(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -130,6 +184,7 @@ def test_orthogonal_on_codes(n, hyperbolic_form, request):
     for a, b in ((d, c), (c, d), (d, code_C(swapped_form(form), g)),
                  (flipped, c)):
         assert orthogonal(a, b) == pairwise_orthogonal(a, b)
+        assert list(odd_meetings(a, b)) == double_loop_witnesses(a, b)
     assert orthogonal(d, c)
     assert not orthogonal(flipped, c)
 
@@ -172,6 +227,19 @@ def test_in_span(geo2):
         in_span(0b10000, m)
     with pytest.raises(LengthMismatch):
         BitMat([0b10000], width=4)
+
+
+def test_negative_rows_are_rejected():
+    # a negative int has infinitely many set bits, so no set-bit loop over
+    # it ends
+    with pytest.raises(LengthMismatch):
+        BitMat([-1, 1, 2], width=4)
+    m = BitMat([0b101, 0b011], width=4)
+    with pytest.raises(LengthMismatch):
+        m.append(-2)
+    with pytest.raises(LengthMismatch):
+        m.contains(-1)
+    assert m.rows == [0b101, 0b011] and m.rank == 2
 
 
 @pytest.mark.parametrize("ffix,gfix,rows,weight", [

@@ -1,9 +1,9 @@
-"""PG(3,16).  The suites' closed forms, the pinned spread search and the
-Klein regularity verdicts run in tier-1 on one module-scoped Singer
-context (about 0.4 s to build).  The memory budgets, the oracle builds,
-the full sweep and the list-scan search oracle are the opt-in slow tier,
-run with `pytest -m slow`; the default options in pyproject.toml
-deselect it."""
+"""PG(3,16).  The suites' closed forms, a failing codes report, the
+pinned spread search and the Klein regularity verdicts run in tier-1 on
+one module-scoped Singer context (about 0.4 s to build).  The memory
+budgets, the oracle builds and eliminations, the full sweep and the
+list-scan search oracle are the opt-in slow tier, run with
+`pytest -m slow`; the default options in pyproject.toml deselect it."""
 
 import hashlib
 import json
@@ -19,9 +19,11 @@ from ovoidlab import ovoids
 from ovoidlab.fibration import (Spread, common_tangent_spread,
                                 find_regular_spread_in_complex,
                                 is_regular_spread)
+from ovoidlab.gf2code import BitMat, code_C, code_D
 from ovoidlab.projspace import line_typecode
 from ovoidlab.symplectic import member_polarity, polar_lines
 
+from test_gf2code import topbit_echelon
 from test_gfield import ext_build_size
 from test_orbits import differential
 from test_projspace import assert_equals_mask_peeling_build
@@ -86,6 +88,34 @@ def test_codes_suite_q16_closed_forms_on_the_fast_path(sc4, monkeypatch):
                 1890, 4369 - 1890, 2024, 2023, 1)
     assert calls == []
     assert elapsed < CODES_BUDGET_S, f"{elapsed:.2f} s"
+
+
+def test_codes_report_on_another_members_polarity_q16(sc4):
+    # member 1's form where member 0's is required: the report fails, and
+    # its full sweep eliminates C and D on 4-byte line indices (about 2.5 s)
+    g = sc4.geometry
+    form = member_polarity(t_orbit_fibration(sc4), 1, g)
+    rep = verify.verify_radical_and_corollary3(form, sc4)
+    c = rep.counters
+    assert not rep.passed
+    assert (c["dim_C"], c["dim_D"], c["dim_pairwise_sum_span"],
+            c["failures_total"]) == (1890, 2024, 2023, 4112)
+    assert rep.failures[0] == {
+        "witness": "dual grid (4,56108) has orbit labels (9,0)",
+        "indices": [4, 56108]}
+
+
+@pytest.mark.slow
+def test_reduced_echelon_ranks_equal_the_top_bit_oracle_q16(sc4):
+    g = sc4.geometry
+    form = member_polarity(t_orbit_fibration(sc4), 0, g)
+    c, d = code_C(form, g), code_D(form, g)
+    parity = 1 << g.n_points
+    dp = BitMat((r | parity for r in d.rows), width=g.n_points + 1)
+    for m in (c, d, dp):
+        ech = topbit_echelon(m.rows)
+        assert [p for p, _ in m._build_echelon()] == [p for p, _ in ech]
+    assert (c.rank, d.rank, dp.rank) == (1890, 2024, 2024)
 
 
 @pytest.mark.slow

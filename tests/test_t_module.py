@@ -3,7 +3,8 @@ replaces on T-invariant input, its guards, and the line permutation
 kernel it reads.
 
 The oracle for every counter is the BitMat elimination: the rank of C,
-radical_codim_check on D and orthogonal(D, C), each on fresh matrices.
+radical_codim_check on D and test_gf2code's top-bit orthogonal(D, C),
+each on fresh matrices.
 """
 
 import tracemalloc
@@ -13,8 +14,7 @@ import pytest
 from ovoidlab import ExtFieldCtx, singer_context, t_orbit_fibration, verify
 from ovoidlab.fibration import (Orbits, fibration_orbits, orbit_leaders,
                                 trivial_orbits)
-from ovoidlab.gf2code import (BitMat, code_C, code_D,
-                              orthogonal, point_orbit_sums,
+from ovoidlab.gf2code import (BitMat, code_C, code_D, point_orbit_sums,
                               radical_codim_check, t_coordinates,
                               t_module_counters, t_module_dims)
 from ovoidlab.projspace import line_permutation
@@ -23,6 +23,7 @@ from ovoidlab.verify import verify_radical_and_corollary3
 
 from kfibration import singer_k
 from test_failure_branches import swapped_form
+from test_gf2code import orthogonal
 
 
 # tracemalloc's peak during the q = 8 codes suite, on a warm polar map,
