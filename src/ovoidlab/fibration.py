@@ -20,9 +20,9 @@ three skew lines, so every set of skew lines is closed.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from operator import or_, xor
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (InvariantViolation, NotAFibration, NotALine,
                      NotASpread)
@@ -264,12 +264,14 @@ class Orbits:
 
         T's orbits on lines have odd length, so a line's polar, unless it
         is the line itself, lies in another orbit: a grid's orbit is two
-        line orbits, and their least line lies on the lesser side.  The
-        last polar map's list is kept, so the suites that read one map in
-        turn walk it once."""
+        line orbits, and their least line lies on the lesser side; with T
+        dropped every 2-cycle is its own orbit.  The last polar map's list
+        is kept, so the suites that read one map in turn walk it once."""
         if self._grids[0] is not polar:
             tl, out = self.t_lines, None
-            if commute(tl, polar):
+            if self.t_points is None:
+                out = [(m, mp, 1) for m, mp in enumerate(polar) if m < mp]
+            elif commute(tl, polar):
                 size = dict(self.lines)
                 out = [(m, polar[m], size[m]) for m in orbit_leaders(
                     tl, polar, (i for i, j in enumerate(polar) if i < j))]
@@ -323,13 +325,27 @@ def tangent_member(line_mask: int, f: Fibration) -> int | None:
     return found
 
 
+class LineTangency(NamedTuple):
+    """profile(li) and label(li): tangency_profile and tangent_member of
+    line li over the members, each computed once, when first read."""
+    profile: Callable[[int], tuple[int, int, int]]
+    label: Callable[[int], int | None]
+
+
+@lru_cache(maxsize=2)
+def line_tangency(f: Fibration, g: GeometryTables) -> LineTangency:
+    """f's table, built once per fibration and geometry; it reads no
+    group, so a reduced run and the full sweep after it share it."""
+    return LineTangency(cache(lambda i: tangency_profile(g.line_masks[i], f)),
+                        cache(lambda i: tangent_member(g.line_masks[i], f)))
+
+
 def common_tangents(f: Fibration, g: GeometryTables, orbits: Orbits
                     ) -> list[int]:
     """Sorted indices of the lines tangent to every member, read on one
     line per orbit of `orbits`."""
-    every, masks = (len(f.members), 0, 0), g.line_masks
-    return sorted(li for rep, _ in orbits.lines
-                  if tangency_profile(masks[rep], f) == every
+    every, profile = (len(f.members), 0, 0), line_tangency(f, g).profile
+    return sorted(li for rep, _ in orbits.lines if profile(rep) == every
                   for li in orbits.orbit(rep))
 
 
@@ -408,10 +424,10 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
     tlset = set(tl)
     q, mul = g.q, g.ctx.mul
     target = q * q + 1
-    lines_by_point: dict[int, list[int]] = {}
+    lines_by_point: list[list[int]] = [[] for _ in range(g.n_points)]
     for li in sorted(tlset):
         for p in g.line_row(li):
-            lines_by_point.setdefault(p, []).append(li)
+            lines_by_point[p].append(li)
     nodes = 0
 
     def least_point(covered: int) -> int:
@@ -446,7 +462,7 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
         grown = list(chosen)
         while covered != g.all_one:
             p = least_point(covered)
-            li = next((li for li in lines_by_point.get(p, ())
+            li = next((li for li in lines_by_point[p]
                        if not masks[li] & covered and not any(
                            reduce(xor, map(mul, plucker(g, li), e))
                            for e in eqs)), None)
@@ -466,7 +482,7 @@ def find_regular_spread_in_complex(tl, g: GeometryTables, *,
             return None
         if nodes >= budget:
             return None
-        for li in lines_by_point.get(least_point(covered), ()):
+        for li in lines_by_point[least_point(covered)]:
             if masks[li] & covered:
                 continue
             nodes += 1

@@ -9,7 +9,7 @@ from functools import lru_cache
 from .errors import (EvenDegree, InvariantViolation, NoIrreducibleConstant,
                      NoQuadric, NotAnOvoid)
 from .gfield import nullspace
-from .projspace import GeometryTables, line_typecode
+from .projspace import LINE_TYPECODE, GeometryTables
 
 # monomial index pairs for a quaternary quadratic form, fixed order
 _MONOMIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
@@ -100,13 +100,13 @@ def line_meets(mask: int, g: GeometryTables) -> bytes:
 @lru_cache(maxsize=24)
 def _tangents(mask: int, g: GeometryTables) -> array:
     """The lines meeting the point set `mask` once, read from its
-    line_meets vector once per mask and geometry, as a line_typecode
+    line_meets vector once per mask and geometry, as a LINE_TYPECODE
     array."""
     meets = line_meets(mask, g)
     if max(meets) > 2:
         i = next(i for i, meet in enumerate(meets) if meet > 2)
         raise NotAnOvoid(f"line {i} meets the set in {meets[i]} points")
-    return array(line_typecode(len(meets)),
+    return array(LINE_TYPECODE,
                  (i for i, meet in enumerate(meets) if meet == 1))
 
 

@@ -26,14 +26,10 @@ from .gfield import FieldCtx
 # PG(3,2^n) is built for these n only.
 SUPPORTED_N = range(1, 5)
 
-# array typecode of line_pts: 2 bytes hold the 4,369 points at q = 16
+# array typecodes of line_pts and of tables of line indices: 2 bytes hold
+# the 4,369 points at q = 16, its 70,161 lines need 4
 POINT_TYPECODE = "H"
-
-
-def line_typecode(n_lines: int) -> str:
-    """array typecode of a table of line indices: 2 bytes below 65,536
-    lines (q <= 8), 4 bytes for the 70,161 lines at q = 16."""
-    return "H" if n_lines < 1 << 16 else "I"
+LINE_TYPECODE = "I"
 
 
 class Point(NamedTuple):

@@ -10,7 +10,7 @@ from .errors import InvariantViolation, NoPolarity, NotAnOvoid
 from .fibration import Fibration
 from .gfield import echelon, nullspace
 from .ovoids import tangent_lines
-from .projspace import (SUPPORTED_N, GeometryTables, Line, line_typecode,
+from .projspace import (LINE_TYPECODE, SUPPORTED_N, GeometryTables, Line,
                         plucker, point_permutation, scaled_columns)
 
 # index pairs of the six free entries of an alternating 4x4 matrix, in
@@ -70,7 +70,7 @@ def perp_planes(f: SymplecticForm, g: GeometryTables) -> list[int]:
 @lru_cache(maxsize=FORMS_KEPT)
 def polar_lines(f: SymplecticForm, g: GeometryTables) -> array:
     """Entry i is the index of the polar line of line i, as a
-    line_typecode array.
+    LINE_TYPECODE array.
 
     l^perp is the meet of the planes a^perp and b^perp of the first two
     points a and b of l.  A line is isotropic iff
@@ -84,7 +84,7 @@ def polar_lines(f: SymplecticForm, g: GeometryTables) -> array:
     if None in out:
         raise InvariantViolation(
             f"perp planes of line {out.index(None)} do not meet in a line")
-    return array(line_typecode(len(out)), out)
+    return array(LINE_TYPECODE, out)
 
 
 def isotropic_lines(f: SymplecticForm, g: GeometryTables) -> list[int]:

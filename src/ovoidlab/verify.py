@@ -15,14 +15,12 @@ a failure, and it reads no group.
 from __future__ import annotations
 
 import time
-from functools import cache
 
 from .errors import NoPolarity, NotASpread, OvoidlabError
 from .fibration import (Fibration, SingerContext, Spread,
                         common_tangent_spread, common_tangents,
-                        fibration_orbits, is_regular_spread,
-                        t_orbit_fibration, tangency_profile, tangent_member,
-                        trivial_orbits)
+                        fibration_orbits, is_regular_spread, line_tangency,
+                        t_orbit_fibration, trivial_orbits)
 from .gf2code import (code_C, code_D, odd_meetings, orbit_sum,
                       radical_codim_check, t_module_counters)
 from .ovoids import Ovoid, line_meets, tangent_lines
@@ -102,14 +100,9 @@ def _proposition1(rec, f, g, orbits) -> VerificationReport:
     common = common_tangents(f, g, orbits)
     rec.counters["spread"] = len(common)
     spread_set = set(common)
-    want = (1, q // 2, q // 2)
-    masks = g.line_masks
-    bad = []
-    for li, _ in orbits.lines:
-        if li not in spread_set:
-            prof = tangency_profile(masks[li], f)
-            if prof != want:
-                bad.append((li, prof))
+    want, profile = (1, q // 2, q // 2), line_tangency(f, g).profile
+    bad = [(li, profile(li)) for li, _ in orbits.lines
+           if li not in spread_set and profile(li) != want]
     if len(common) != q * q + 1:
         rec.fail(f"common tangent set has {len(common)} lines, "
                  f"expected {q * q + 1}")
@@ -136,7 +129,7 @@ def _proposition1(rec, f, g, orbits) -> VerificationReport:
 
     for li, prof in bad:
         rec.fail(f"line {li} has profile {prof}, expected {want}", (li,))
-    rec.counters["lines_checked"] = len(masks) - len(spread_set)
+    rec.counters["lines_checked"] = len(g.line_masks) - len(spread_set)
     rec.counters["expected_profile"] = list(want)
     return rec.finish()
 
@@ -163,6 +156,7 @@ def _lemma5(rec, fib, g, orbits, sc) -> VerificationReport:
 
     in_spread = not_in_spread = 0
     weight_hist: dict[int, int] = {}
+    label = line_tangency(fib, g).label
     for li, size in orbits.lines:
         s = orbit_sum(g.line_row(li), sc)
         w = s.bit_count()
@@ -173,7 +167,7 @@ def _lemma5(rec, fib, g, orbits, sc) -> VerificationReport:
                 rec.fail(f"spread line {li} orbit sum is not all-one", (li,))
         else:
             not_in_spread += size
-            lbl = tangent_member(g.line_masks[li], fib)
+            lbl = label(li)
             if lbl is None:
                 rec.fail(f"line {li} has no unique tangent orbit", (li,))
             elif s != fib.members[lbl].mask:
@@ -202,8 +196,7 @@ def _main_theorem(rec, f, g, orbits, theta0) -> VerificationReport | None:
     if not n_members:
         rec.fail("the fibration has no members")
     choices = orbits.members if theta0 is None else ((theta0, 1),)
-    masks = g.line_masks
-    label = cache(lambda li: tangent_member(masks[li], f))
+    label = line_tangency(f, g).label
     grids_checked = 0
     choices_done = 0
     for t0, weight in choices:
@@ -298,10 +291,10 @@ def _codes(rec, fib, g, orbits, form, sc) -> VerificationReport | None:
     grids = orbits.grids(polar)
     if grids is None:
         return None
-    masks = g.line_masks
+    label = line_tangency(fib, g).label
     for m, mp, _ in grids:
         s = orbit_sum(g.line_row(m), sc) ^ orbit_sum(g.line_row(mp), sc)
-        i, j = tangent_member(masks[m], fib), tangent_member(masks[mp], fib)
+        i, j = label(m), label(mp)
         if i is None or j is None or i == j or i == 0 or j == 0:
             rec.fail(f"dual grid ({m},{mp}) has orbit labels ({i},{j})",
                      (m, mp))

@@ -4,19 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ovoidlab import fibration
 from ovoidlab.errors import InvariantViolation, NotASpread
 from ovoidlab.fibration import (Fibration, Spread, common_tangent_spread,
                                 common_tangents, fibration_orbits,
                                 find_regular_spread_in_complex,
-                                is_regular_spread, perm_cycles,
-                                point_permutation, tangency_profile,
+                                is_regular_spread, line_tangency,
+                                perm_cycles, point_permutation,
+                                t_orbit_fibration, tangency_profile,
                                 tangent_member)
 from ovoidlab.ovoids import Ovoid, elliptic_quadric, is_ovoid, tangent_lines
+from ovoidlab.symplectic import member_polarity, polar_lines
+from ovoidlab.verify import (verify_lemma5, verify_main_theorem,
+                             verify_proposition1)
 
 from linecols import tangency_table
 from kfibration import (SpreadNotTangent, fibrate_ovoid, k_stabilizer,
                         singer_k)
 from test_failure_branches import REPORTS as CORRUPTIONS, corrupted
+from test_verify import corrupt_fibration
 from test_regulus_kernel import regulus
 
 
@@ -280,9 +286,12 @@ def assert_table_matches_kernels(f: Fibration, g) -> None:
     common tangents against a direct sweep of the members."""
     profiles, labels = tangency_table(f, g)
     assert len(profiles) == len(labels) == len(g.lines)
+    table = line_tangency(f, g)
     for ln in g.lines:
-        assert profiles[ln.index] == tangency_profile(ln.mask, f)
-        assert labels[ln.index] == tangent_member(ln.mask, f)
+        assert profiles[ln.index] == tangency_profile(ln.mask, f) \
+            == table.profile(ln.index)
+        assert labels[ln.index] == tangent_member(ln.mask, f) \
+            == table.label(ln.index)
     assert common_tangents(f, g, fibration_orbits(f, g)) == [
         ln.index for ln in g.lines
         if all((ln.mask & ov.mask).bit_count() == 1 for ov in f.members)]
@@ -301,6 +310,55 @@ def test_tangency_table_matches_kernels(name, n, request):
         # no_members reports read one entry per line
         assert tangency_table(Fibration(()), g) == (
             ((0, 0, 0),) * len(g.lines), (None,) * len(g.lines))
+
+
+def test_two_fibrations_on_one_geometry_read_their_own_tables(fib2, geo2):
+    # the genuine fibration and one with a point swapped between members
+    # 0 and 1, read in turn line by line: the tables are cached per
+    # fibration, not per geometry
+    fibration.line_tangency.cache_clear()
+    bad = corrupt_fibration(fib2, geo2)
+    tables = [line_tangency(f, geo2) for f in (fib2, bad)]
+    assert tables[0] is not tables[1]
+    for ln in geo2.lines:
+        for f, table in zip((fib2, bad), tables):
+            assert table.label(ln.index) == tangent_member(ln.mask, f)
+            assert table.profile(ln.index) == tangency_profile(ln.mask, f)
+    assert [line_tangency(f, geo2) for f in (fib2, bad)] == tables
+    # the lines through a swapped point tell the two apart
+    through = [ln.index for ln in geo2.lines
+               if ln.mask >> fib2.members[0].pts[0] & 1]
+    assert any(tables[0].profile(li) != tables[1].profile(li)
+               for li in through)
+    assert any(tables[0].label(li) != tables[1].label(li) for li in through)
+
+
+def test_a_passing_run_fills_the_table_on_representatives(sc3, geo3,
+                                                          monkeypatch):
+    # the profiles of one line per T-orbit, and the labels of those lines
+    # and of the grid partners the main theorem reads, each once; Lemma 5
+    # reads the fibration memoized on sc3, which an earlier test may have
+    # evicted
+    fib = t_orbit_fibration(sc3)
+    reps = {li for li, _ in fibration_orbits(fib, geo3).lines}
+    spread = set(common_tangent_spread(fib, geo3).lines)
+    polar = polar_lines(member_polarity(fib, 0, geo3), geo3)
+    fibration.line_tangency.cache_clear()
+    read = {"profile": [], "label": []}
+    for slot, name in (("profile", "tangency_profile"),
+                       ("label", "tangent_member")):
+        monkeypatch.setattr(fibration, name,
+                            lambda mask, f, _r=getattr(fibration, name),
+                            _s=read[slot]: _s.append(geo3.line_of[mask])
+                            or _r(mask, f))
+    for rep in (verify_proposition1(fib, geo3), verify_lemma5(sc3),
+                verify_main_theorem(fib, geo3)):
+        assert rep.passed
+    assert len(reps) == 73 and sorted(read["profile"]) == sorted(reps)
+    labels = set(read["label"])
+    assert len(labels) == len(read["label"]) <= len(reps) + 32
+    assert reps - labels == spread & reps
+    assert labels - reps <= {polar[li] for li in reps}
 
 
 @st.composite

@@ -97,7 +97,7 @@ def test_segre_tangent_groups_match_pair_enumeration(ovoid, request):
 
 def test_polar_map_and_profiles_are_compact(form3, fib3, geo3):
     polar = polar_lines(form3, geo3)
-    assert isinstance(polar, array) and polar.typecode == "H"
+    assert isinstance(polar, array) and polar.typecode == "I"
     assert len(polar) == len(geo3.line_masks)
     profiles = tangency_table(fib3, geo3)[0]
     # equal profiles are one tuple: two distinct ones at q = 8

@@ -165,7 +165,7 @@ def test_tangent_lines_read_once_per_mask_into_fresh_lists(quadric2, geo2):
     assert (info.misses, info.hits) == (1, 2)
     # the memoized set is a flat array, typed like the polar map
     cached = ovoids._tangents(quadric2.mask, geo2)
-    assert isinstance(cached, array) and cached.typecode == "H"
+    assert isinstance(cached, array) and cached.typecode == "I"
 
 
 def test_tangents_at_point_are_coplanar(quadric2, geo2):

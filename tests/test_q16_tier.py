@@ -1,9 +1,10 @@
-"""PG(3,16).  The suites' closed forms, a failing codes report, the
-pinned spread search and the Klein regularity verdicts run in tier-1 on
-one module-scoped Singer context (about 0.4 s to build).  The memory
-budgets, the oracle builds and eliminations, the full sweep and the
-list-scan search oracle are the opt-in slow tier, run with
-`pytest -m slow`; the default options in pyproject.toml deselect it."""
+"""PG(3,16).  The suites' closed forms, failing Proposition 1, Lemma 5
+and codes reports, the pinned spread search and the Klein regularity
+verdicts run in tier-1 on one module-scoped Singer context (about 0.4 s to
+build).  The memory budgets, the oracle builds and eliminations, the full
+sweep, the failing main theorem report and the list-scan search oracle
+are the opt-in slow tier, run with `pytest -m slow`; the default options
+in pyproject.toml deselect it."""
 
 import hashlib
 import json
@@ -20,7 +21,6 @@ from ovoidlab.fibration import (Spread, common_tangent_spread,
                                 find_regular_spread_in_complex,
                                 is_regular_spread)
 from ovoidlab.gf2code import BitMat, code_C, code_D
-from ovoidlab.projspace import line_typecode
 from ovoidlab.symplectic import member_polarity, polar_lines
 
 from test_gf2code import topbit_echelon
@@ -29,6 +29,7 @@ from test_orbits import differential
 from test_projspace import assert_equals_mask_peeling_build
 from test_regulus_kernel import listscan_search
 from test_t_module import codes_suite_peak
+from test_verify import corrupt_fibration, corrupt_sc
 
 # the codes suite took 9.3 s on the elimination path and takes about
 # 1.3 s on the T-module path (2-vCPU Xeon VM, Python 3.11)
@@ -103,6 +104,57 @@ def test_codes_report_on_another_members_polarity_q16(sc4):
     assert rep.failures[0] == {
         "witness": "dual grid (4,56108) has orbit labels (9,0)",
         "indices": [4, 56108]}
+
+
+def test_prop1_report_on_swapped_points_q16(sc4):
+    # a point swapped between members 0 and 1: the fibration has no group,
+    # so the full sweep profiles all 70,161 lines (about 0.5 s)
+    g = sc4.geometry
+    rep = verify.verify_proposition1(
+        corrupt_fibration(t_orbit_fibration(sc4), g), g)
+    assert not rep.passed
+    assert rep.counters == {"spread": 255, "lines_checked": 69906,
+                            "expected_profile": [1, 8, 8],
+                            "failures_total": 498}
+    assert rep.failures[0] == {
+        "witness": "common tangent set has 255 lines, expected 257",
+        "indices": []}
+    assert rep.failures[2] == {
+        "witness": "line 1 has profile (3, 7, 7), expected (1, 8, 8)",
+        "indices": [1]}
+
+
+def test_lemma5_report_on_a_transposed_t_perm_q16(sc4):
+    # t_perm with entries 0 and 1 transposed: its cycles are no longer
+    # q+1 orbits of q^2+1, so the report fails before any line is read
+    rep = verify.verify_lemma5(corrupt_sc(sc4, "t_perm"))
+    assert not rep.passed
+    assert rep.counters == {"failures_total": 1}
+    assert rep.failures == [{
+        "witness": "T-orbit setup failed: T-orbits do not split as q+1 "
+                   "sets of q^2+1",
+        "indices": []}]
+
+
+@pytest.mark.slow
+def test_main_report_on_swapped_points_q16(sc4):
+    # members 0 and 1 are no ovoids, so their forms fail; the other 15
+    # polar maps are solved and swept on every dual grid (about 2.7 s)
+    g = sc4.geometry
+    rep = verify.verify_main_theorem(
+        corrupt_fibration(t_orbit_fibration(sc4), g), g)
+    assert not rep.passed
+    assert rep.counters == {"theta0_choices": 15,
+                            "dual_grids_checked": 493440,
+                            "failures_total": 6969}
+    assert rep.failures[0] == {
+        "witness": "polarity from member 0 failed: input is not an ovoid: "
+                   "line 277 meets the set in 3 points",
+        "indices": [0]}
+    assert rep.failures[2] == {
+        "witness": "dual grid (1,4470) of W(theta_2) has a line without a "
+                   "unique tangent member",
+        "indices": [2, 1, 4470]}
 
 
 @pytest.mark.slow
@@ -188,7 +240,7 @@ def test_search_q16_elliptic_is_pinned(sc4):
     g = sc4.geometry
     tl = ovoids.tangent_lines(elliptic_quadric(g), g)
     sp, nodes = find_regular_spread_in_complex(tl, g, budget=1000)
-    assert line_typecode(len(g.line_masks)) == "I" and max(sp) >= 1 << 16
+    assert max(sp) >= 1 << 16
     assert nodes == 4 and len(sp) == 257
     assert sp[:3] == (1, 289, 577)
     assert hashlib.sha256(json.dumps(list(sp)).encode()).hexdigest() \
